@@ -141,7 +141,8 @@ pub struct GateAttackReport {
     pub attacked_bits: usize,
     /// Training samples used.
     pub training_samples: usize,
-    /// Name of the auto-ml winner.
+    /// Name of the auto-ml winner, the candidate that made the predictions
+    /// ([`AutoMlOutcome::winner`](mlrl_ml::AutoMlOutcome::winner)).
     pub model_name: String,
     /// Per-bit predictions `(key_bit, predicted_value)`.
     pub predictions: Vec<(usize, bool)>,
@@ -223,11 +224,7 @@ pub fn gate_snapshot_attack_with_training(
         kpa,
         attacked_bits,
         training_samples,
-        model_name: outcome
-            .leaderboard
-            .first()
-            .map(|(n, _)| n.clone())
-            .unwrap_or_else(|| "unknown".to_owned()),
+        model_name: outcome.winner,
         predictions,
     })
 }

@@ -33,7 +33,8 @@ pub struct AttackReport {
     pub attacked_bits: usize,
     /// Training samples used.
     pub training_samples: usize,
-    /// Name of the auto-ml winner.
+    /// Name of the auto-ml winner, the candidate that made the predictions
+    /// ([`AutoMlOutcome::winner`](mlrl_ml::AutoMlOutcome::winner)).
     pub model_name: String,
     /// Cross-validation accuracy of the winner on the training set.
     pub cv_accuracy: f64,
@@ -173,11 +174,7 @@ fn attack_localities(
         kpa,
         attacked_bits: scored,
         training_samples: training.len(),
-        model_name: outcome
-            .leaderboard
-            .first()
-            .map(|(n, _)| n.clone())
-            .unwrap_or_else(|| "unknown".to_owned()),
+        model_name: outcome.winner,
         cv_accuracy: outcome.cv_accuracy,
         predictions,
     })

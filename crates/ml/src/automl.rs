@@ -8,6 +8,36 @@
 //! competent family reaches the Bayes rate of the locality distribution, so
 //! the *choice* of stack does not move the evaluation — the label
 //! distribution induced by locking does (see DESIGN.md, substitution 2).
+//!
+//! # Exact early exit at the Bayes bound
+//!
+//! SnapShot training sets hold thousands of rows but only a handful of
+//! distinct feature vectors, so the best CV score any candidate could reach
+//! is known before a model is fit. For each fold the CV loop scores, group
+//! the validation rows by the exact bit patterns of their features and sum
+//! the largest per-class count of every group; divided by the fold size,
+//! that is the fold's bound. The *Bayes bound* is the mean of the fold
+//! bounds, taken with the same f64 operations (and in the same fold order)
+//! as a candidate's CV mean. Before scoring each candidate, the search stops
+//! if `best + selection_margin >= bayes_bound`; the skipped candidates are
+//! counted in [`AutoMlOutcome::pruned`].
+//!
+//! The exit never changes the result. A classifier's `predict` is a pure
+//! function of the row, so on each group it is right at most as often as
+//! the group's commonest label: its correct count is at most the fold's
+//! bound count, both are integers exact in f64, and dividing by the same
+//! fold size preserves `<=` because IEEE rounding is monotone. Summing
+//! fold by fold is a left fold of monotone `+` over the same number of
+//! terms, and the final division is again by the same count, so every
+//! candidate's `mean <= bayes_bound`. A candidate takes the lead only if
+//! `mean > best + selection_margin`, which is then impossible, and `best`
+//! cannot move while nothing takes the lead. The winner, its CV accuracy,
+//! its refit model and every prediction are bit-identical to scoring all
+//! candidates. Grouping by bit patterns is at least as fine as grouping by
+//! what `predict` can tell apart, and a finer grouping only loosens the
+//! bound.
+
+use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -78,10 +108,23 @@ pub enum ModelFamily {
 pub struct AutoMlOutcome {
     /// Winner, refit on the full (possibly thinned) training set.
     pub model: Box<dyn Classifier>,
+    /// Candidate name of the winner. Not always the top of `leaderboard`:
+    /// the selection margin keeps a simpler incumbent against a challenger
+    /// that beats it by less.
+    pub winner: String,
     /// Mean CV accuracy of the winner.
     pub cv_accuracy: f64,
-    /// `(candidate name, mean CV accuracy)` leaderboard, best first.
+    /// `(candidate name, mean CV accuracy)` of the *scored* candidates,
+    /// best first. Candidates skipped at the Bayes bound are not listed.
     pub leaderboard: Vec<(String, f64)>,
+    /// Mean CV accuracy no classifier can exceed on these folds (see the
+    /// module docs).
+    pub bayes_bound: f64,
+    /// Distinct feature rows in the (possibly thinned) training set.
+    pub distinct_rows: usize,
+    /// Candidates skipped because the incumbent could no longer be
+    /// overtaken; `leaderboard.len() + pruned` is the candidate count.
+    pub pruned: usize,
 }
 
 fn candidates(cfg: &AutoMlConfig) -> Vec<(String, Box<dyn Classifier>)> {
@@ -171,7 +214,60 @@ fn thin(data: &Dataset, cap: usize, seed: u64) -> Dataset {
     data.subset(&indices)
 }
 
-/// Runs the search: CV-scores every candidate, refits the best on the full
+/// Mean of per-fold accuracies; the one f64 reduction shared by candidate
+/// scores and the Bayes bound, so the two compare exactly.
+fn mean_accuracy(per_fold: &[f64]) -> f64 {
+    if per_fold.is_empty() {
+        0.0
+    } else {
+        per_fold.iter().sum::<f64>() / per_fold.len() as f64
+    }
+}
+
+/// The Bayes bound of the CV folds and the distinct-row count of `train`.
+///
+/// Works from the folds' index lists, one fold's counts at a time, and
+/// skips the folds the CV loop skips (an empty train or validation side).
+fn bayes_bound(train: &Dataset, kfold: &StratifiedKFold) -> (f64, usize) {
+    let mut groups: HashMap<Vec<u64>, usize> = HashMap::new();
+    let group_of: Vec<usize> = train
+        .rows()
+        .iter()
+        .map(|row| {
+            let next = groups.len();
+            *groups
+                .entry(row.iter().map(|v| v.to_bits()).collect())
+                .or_insert(next)
+        })
+        .collect();
+    let distinct = groups.len();
+    drop(groups);
+
+    let classes = train.n_classes();
+    let mut per_fold = Vec::with_capacity(kfold.k());
+    let mut counts = vec![0usize; distinct * classes];
+    for fold in 0..kfold.k() {
+        let val = kfold.validation(fold);
+        // The folds partition `train`, so a fold holding every row leaves
+        // the train side empty.
+        if val.is_empty() || val.len() == train.len() {
+            continue;
+        }
+        counts.fill(0);
+        for &i in val {
+            counts[group_of[i] * classes + train.label(i)] += 1;
+        }
+        let reachable: usize = counts
+            .chunks(classes)
+            .map(|c| c.iter().copied().max().unwrap_or(0))
+            .sum();
+        per_fold.push(reachable as f64 / val.len() as f64);
+    }
+    (mean_accuracy(&per_fold), distinct)
+}
+
+/// Runs the search: CV-scores the candidates until the incumbent provably
+/// cannot be overtaken (see the module docs), refits the winner on the full
 /// training data and returns it.
 ///
 /// # Panics
@@ -193,14 +289,26 @@ fn thin(data: &Dataset, cap: usize, seed: u64) -> Dataset {
 /// # Ok::<(), mlrl_ml::dataset::DatasetError>(())
 /// ```
 pub fn auto_fit(train: &Dataset, cfg: &AutoMlConfig) -> AutoMlOutcome {
+    search(train, cfg, true)
+}
+
+/// The search behind [`auto_fit`]; `prune: false` scores every candidate.
+fn search(train: &Dataset, cfg: &AutoMlConfig, prune: bool) -> AutoMlOutcome {
     let train = thin(train, cfg.max_train_samples, cfg.seed);
     let folds = cfg.folds.max(2).min(train.len());
     let kfold = StratifiedKFold::new(&train, folds, cfg.seed);
+    let (bayes_bound, distinct_rows) = bayes_bound(&train, &kfold);
 
     let mut leaderboard: Vec<(String, f64)> = Vec::new();
     let mut best: Option<(usize, f64)> = None;
+    let mut pruned = 0;
     let mut models = candidates(cfg);
+    let n_candidates = models.len();
     for (idx, (name, model)) in models.iter_mut().enumerate() {
+        if prune && best.is_some_and(|(_, b)| b + cfg.selection_margin >= bayes_bound) {
+            pruned = n_candidates - idx;
+            break;
+        }
         let mut scores = Vec::with_capacity(folds);
         for fold in 0..folds {
             let (tr, val) = kfold.split(&train, fold);
@@ -210,11 +318,7 @@ pub fn auto_fit(train: &Dataset, cfg: &AutoMlConfig) -> AutoMlOutcome {
             model.fit(&tr);
             scores.push(accuracy(model.as_ref(), &val));
         }
-        let mean = if scores.is_empty() {
-            0.0
-        } else {
-            scores.iter().sum::<f64>() / scores.len() as f64
-        };
+        let mean = mean_accuracy(&scores);
         leaderboard.push((name.clone(), mean));
         // One-standard-error-style rule: the earliest (simplest) candidate
         // keeps the lead unless a challenger clearly beats it — majority
@@ -227,13 +331,17 @@ pub fn auto_fit(train: &Dataset, cfg: &AutoMlConfig) -> AutoMlOutcome {
         }
     }
     let (best_idx, cv_accuracy) = best.expect("at least one candidate");
-    let (_, mut model) = models.swap_remove(best_idx);
+    let (winner, mut model) = models.swap_remove(best_idx);
     model.fit(&train);
     leaderboard.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
     AutoMlOutcome {
         model,
+        winner,
         cv_accuracy,
         leaderboard,
+        bayes_bound,
+        distinct_rows,
+        pruned,
     }
 }
 
@@ -241,6 +349,7 @@ pub fn auto_fit(train: &Dataset, cfg: &AutoMlConfig) -> AutoMlOutcome {
 mod tests {
     use super::*;
     use crate::models::test_fixtures::{categorical, xor};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -258,9 +367,9 @@ mod tests {
         assert!(acc > 0.9);
     }
 
-    #[test]
-    fn balanced_random_labels_stay_at_chance() {
-        // The ERA situation: features carry no label information.
+    /// Balanced labels that the features say nothing about: the ERA
+    /// situation, where the Bayes bound stays loose.
+    fn balanced_random_labels() -> Dataset {
         let mut rng = StdRng::seed_from_u64(3);
         let x: Vec<Vec<f64>> = (0..600)
             .map(|_| {
@@ -270,13 +379,33 @@ mod tests {
             })
             .collect();
         let y: Vec<usize> = (0..600).map(|_| rng.gen_range(0..2)).collect();
-        let train = Dataset::from_rows(x, y).unwrap();
-        let outcome = auto_fit(&train, &AutoMlConfig::default());
+        Dataset::from_rows(x, y).unwrap()
+    }
+
+    #[test]
+    fn balanced_random_labels_stay_at_chance() {
+        let outcome = auto_fit(&balanced_random_labels(), &AutoMlConfig::default());
         assert!(
             outcome.cv_accuracy < 0.6,
             "no model should beat chance: {:?}",
             outcome.leaderboard
         );
+    }
+
+    #[test]
+    fn a_loose_bound_scores_every_candidate() {
+        // Balanced random labels on continuous features: every row is
+        // distinct, so the bound is 1 and nothing comes near it.
+        let mut rng = StdRng::seed_from_u64(4);
+        let x: Vec<Vec<f64>> = (0..600)
+            .map(|_| vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)])
+            .collect();
+        let y: Vec<usize> = (0..600).map(|_| rng.gen_range(0..2)).collect();
+        let outcome = auto_fit(&Dataset::from_rows(x, y).unwrap(), &AutoMlConfig::default());
+        assert_eq!(outcome.distinct_rows, 600);
+        assert_eq!(outcome.bayes_bound, 1.0);
+        assert_eq!(outcome.pruned, 0, "leaderboard: {:?}", outcome.leaderboard);
+        assert_eq!(outcome.leaderboard.len(), 11);
     }
 
     #[test]
@@ -294,10 +423,23 @@ mod tests {
     fn leaderboard_is_sorted_and_complete() {
         let train = categorical(300, 0.05, 5);
         let outcome = auto_fit(&train, &AutoMlConfig::default());
-        assert!(outcome.leaderboard.len() >= 6);
+        assert_eq!(outcome.leaderboard.len() + outcome.pruned, 11);
         for w in outcome.leaderboard.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
+    }
+
+    #[test]
+    fn a_tight_bound_stops_the_search_early() {
+        // Four distinct rows, each with a clear majority label: the first
+        // tree comes within the margin of the bound, so the other nine
+        // candidates are never fit.
+        let cfg = AutoMlConfig::default();
+        let outcome = auto_fit(&categorical(300, 0.05, 5), &cfg);
+        assert_eq!(outcome.distinct_rows, 4);
+        assert_eq!(outcome.pruned, 9, "leaderboard: {:?}", outcome.leaderboard);
+        assert!(outcome.cv_accuracy <= outcome.bayes_bound);
+        assert!(outcome.cv_accuracy + cfg.selection_margin >= outcome.bayes_bound);
     }
 
     #[test]
@@ -309,7 +451,26 @@ mod tests {
         };
         let outcome = auto_fit(&train, &cfg);
         // tree grid (2) + implicit majority floor (1)
-        assert_eq!(outcome.leaderboard.len(), 3);
+        assert_eq!(outcome.leaderboard.len() + outcome.pruned, 3);
+        assert!(outcome
+            .leaderboard
+            .iter()
+            .all(|(name, _)| name.starts_with("tree") || name == "majority"));
+    }
+
+    #[test]
+    fn winner_can_trail_the_top_of_the_leaderboard() {
+        // Noisy labels: the MLP edges out majority by less than the
+        // selection margin, so majority keeps the lead and is refit.
+        let cfg = AutoMlConfig::default();
+        let outcome = auto_fit(&categorical(120, 0.4, 6), &cfg);
+        assert_eq!(outcome.winner, "majority");
+        assert_eq!(outcome.leaderboard[0].0, "mlp(hidden=16)");
+        assert!(outcome.leaderboard[0].1 > outcome.cv_accuracy);
+        assert!(outcome.leaderboard[0].1 <= outcome.cv_accuracy + cfg.selection_margin);
+        assert!(outcome
+            .leaderboard
+            .contains(&(outcome.winner.clone(), outcome.cv_accuracy)));
     }
 
     #[test]
@@ -319,5 +480,78 @@ mod tests {
         let b = auto_fit(&train, &AutoMlConfig::default());
         assert_eq!(a.leaderboard, b.leaderboard);
         assert_eq!(a.cv_accuracy, b.cv_accuracy);
+    }
+
+    /// A random categorical training set: `distinct` one-hot rows (1–12),
+    /// 2–3 classes, labels balanced, globally skewed, or mostly set by the
+    /// row, and as few samples as the fold count.
+    fn random_categorical(
+        seed: u64,
+        distinct: usize,
+        classes: usize,
+        labels: usize,
+        len: usize,
+    ) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let favourite: Vec<usize> = (0..distinct).map(|_| rng.gen_range(0..classes)).collect();
+        let mut x = Vec::with_capacity(len);
+        let mut y = Vec::with_capacity(len);
+        for _ in 0..len {
+            let code = rng.gen_range(0..distinct);
+            let mut row = vec![0.0; distinct];
+            row[code] = 1.0;
+            let label = match labels {
+                0 => rng.gen_range(0..classes),
+                1 if rng.gen_bool(0.85) => 0,
+                1 => rng.gen_range(0..classes),
+                _ if rng.gen_bool(0.9) => favourite[code],
+                _ => rng.gen_range(0..classes),
+            };
+            x.push(row);
+            y.push(label);
+        }
+        Dataset::from_rows(x, y).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn pruning_never_changes_the_outcome(
+            seed in any::<u64>(),
+            distinct in 1usize..13,
+            classes in 2usize..4,
+            labels in 0usize..3,
+            len in prop_oneof![2usize..8, 8usize..160],
+            folds in 2usize..6,
+            families in 0usize..4,
+        ) {
+            let train = random_categorical(seed, distinct, classes, labels, len);
+            let cfg = AutoMlConfig {
+                folds,
+                seed,
+                families: match families {
+                    0 => Vec::new(),
+                    1 => vec![ModelFamily::Tree],
+                    2 => vec![ModelFamily::Knn, ModelFamily::Logistic],
+                    _ => vec![ModelFamily::Mlp, ModelFamily::Majority, ModelFamily::NaiveBayes],
+                },
+                ..Default::default()
+            };
+            let full = search(&train, &cfg, false);
+            let pruned = search(&train, &cfg, true);
+            prop_assert_eq!(full.pruned, 0);
+            prop_assert_eq!(pruned.leaderboard.len() + pruned.pruned, full.leaderboard.len());
+            prop_assert_eq!(&pruned.winner, &full.winner);
+            prop_assert_eq!(pruned.cv_accuracy.to_bits(), full.cv_accuracy.to_bits());
+            prop_assert!(full.leaderboard.iter().all(|(_, score)| *score <= full.bayes_bound));
+            for (name, score) in &pruned.leaderboard {
+                let unpruned = full.leaderboard.iter().find(|(n, _)| n == name).map(|(_, s)| *s);
+                prop_assert_eq!(Some(score.to_bits()), unpruned.map(f64::to_bits), "{}", name);
+            }
+            for row in train.rows() {
+                prop_assert_eq!(pruned.model.predict(row), full.model.predict(row));
+            }
+        }
     }
 }

@@ -63,13 +63,24 @@ impl StratifiedKFold {
         self.folds.len()
     }
 
+    /// Indices of the validation samples of fold `fold`, in the order
+    /// [`StratifiedKFold::split`] copies them. The folds partition the
+    /// dataset the splitter was built on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fold >= k`.
+    pub fn validation(&self, fold: usize) -> &[usize] {
+        &self.folds[fold]
+    }
+
     /// The `(train, validation)` datasets of fold `fold`.
     ///
     /// # Panics
     ///
     /// Panics if `fold >= k`.
     pub fn split(&self, data: &Dataset, fold: usize) -> (Dataset, Dataset) {
-        let val_idx = &self.folds[fold];
+        let val_idx = self.validation(fold);
         let train_idx: Vec<usize> = self
             .folds
             .iter()
