@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlrl_locking::key::Key;
-use mlrl_locking::lock_step::{lock_type, undo_lock};
+use mlrl_locking::lock_step::{lock_type, undo_lock, OpSites};
 use mlrl_locking::metric::SecurityMetric;
 use mlrl_locking::odt::Odt;
 use mlrl_locking::pairs::PairTable;
@@ -37,14 +37,23 @@ fn bench_metric(c: &mut Criterion) {
     group.bench_function("tentative-lock-undo/MD5", |b| {
         let mut m = module.clone();
         let mut odt = Odt::load(&m, PairTable::fixed());
+        let mut sites = OpSites::build(&m);
         let metric = SecurityMetric::new(&odt);
         let mut key = Key::new();
         let mut rng = StdRng::seed_from_u64(3);
         b.iter(|| {
-            let (_, txn) =
-                lock_type(BinaryOp::Add, &mut odt, &mut m, &mut key, false, &mut rng).unwrap();
+            let (_, txn) = lock_type(
+                BinaryOp::Add,
+                &mut odt,
+                &mut m,
+                &mut sites,
+                &mut key,
+                false,
+                &mut rng,
+            )
+            .unwrap();
             black_box(metric.global(&odt));
-            undo_lock(txn, &mut m, &mut key, &mut odt).unwrap();
+            undo_lock(txn, &mut m, &mut sites, &mut key, &mut odt).unwrap();
         })
     });
     group.finish();

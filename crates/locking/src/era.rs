@@ -6,14 +6,13 @@
 //! restricted security metric is 100 after every locking round; ERA
 //! *prioritizes security over cost*.
 
-use mlrl_rtl::op::BinaryOp;
 use mlrl_rtl::Module;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::{LockError, Result};
 use crate::key::Key;
-use crate::lock_step::lock_type;
+use crate::lock_step::{lock_type, valid_pairs, OpSites};
 use crate::metric::SecurityMetric;
 use crate::odt::Odt;
 use crate::pairs::PairTable;
@@ -81,20 +80,14 @@ pub struct EraOutcome {
 pub fn era_lock(module: &mut Module, cfg: &EraConfig) -> Result<EraOutcome> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut odt = Odt::load(module, cfg.pair_table.clone());
+    let mut sites = OpSites::build(module);
     let mut metric = SecurityMetric::new(&odt);
     let mut key = Key::new();
     let mut n = 0usize;
     let mut trace = Vec::new();
 
     // Θ: valid locking pairs — pairs with at least one operation present.
-    let mut theta: Vec<(BinaryOp, BinaryOp)> = odt
-        .pairs()
-        .into_iter()
-        .filter(|(a, b)| {
-            !mlrl_rtl::visit::ops_of_type(module, *a).is_empty()
-                || !mlrl_rtl::visit::ops_of_type(module, *b).is_empty()
-        })
-        .collect();
+    let mut theta = valid_pairs(&odt, &sites);
     if theta.is_empty() {
         if cfg.key_budget == 0 {
             return Ok(EraOutcome {
@@ -117,7 +110,7 @@ pub fn era_lock(module: &mut Module, cfg: &EraConfig) -> Result<EraOutcome> {
             // paired locking so the outer loop always terminates. (Alg. 3
             // leaves this case implicit; without it a balanced design
             // would spin forever.)
-            match lock_type(ty, &mut odt, module, &mut key, true, &mut rng) {
+            match lock_type(ty, &mut odt, module, &mut sites, &mut key, true, &mut rng) {
                 Ok((s, _txn)) => {
                     n += s as usize;
                     trace.push((n, metric.global(&odt), metric.restricted(&odt)));
@@ -135,7 +128,7 @@ pub fn era_lock(module: &mut Module, cfg: &EraConfig) -> Result<EraOutcome> {
 
         // Alg. 3 lines 7-10: lock until ODT[T] reaches 0.
         while odt.get(ty).unsigned_abs() > 0 {
-            let (s, _txn) = lock_type(ty, &mut odt, module, &mut key, false, &mut rng)?;
+            let (s, _txn) = lock_type(ty, &mut odt, module, &mut sites, &mut key, false, &mut rng)?;
             n += s as usize;
             trace.push((n, metric.global(&odt), metric.restricted(&odt)));
         }

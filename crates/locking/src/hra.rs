@@ -7,7 +7,8 @@
 //! random pair in balance-preserving paired mode. The random decisions
 //! thwart *reversibility*: a purely greedy trajectory could be replayed
 //! backwards by an attacker (§4.4), so HRA trades some key-bit efficiency
-//! for an unpredictable path. HRA never exceeds the key budget.
+//! for an unpredictable path. HRA stops as soon as the key budget is
+//! reached; a final paired (2-bit) lock can overshoot it by one bit.
 
 use mlrl_rtl::op::BinaryOp;
 use mlrl_rtl::Module;
@@ -17,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::{LockError, Result};
 use crate::key::Key;
-use crate::lock_step::{lock_type, undo_lock};
+use crate::lock_step::{lock_type, undo_lock, valid_pairs, OpSites};
 use crate::metric::SecurityMetric;
 use crate::odt::Odt;
 use crate::pairs::PairTable;
@@ -25,8 +26,8 @@ use crate::pairs::PairTable;
 /// Configuration for [`hra_lock`].
 #[derive(Debug, Clone)]
 pub struct HraConfig {
-    /// Key budget `kb` — never exceeded (HRA may use `kb+1` bits only when
-    /// the final paired lock spans the boundary; see `strict_budget`).
+    /// Key budget `kb`. HRA uses `kb + 1` bits when its final lock is a
+    /// paired (2-bit) lock that spans the boundary.
     pub key_budget: usize,
     /// Pair table (involutive).
     pub pair_table: PairTable,
@@ -93,20 +94,14 @@ pub struct HraOutcome {
 pub fn hra_lock(module: &mut Module, cfg: &HraConfig) -> Result<HraOutcome> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut odt = Odt::load(module, cfg.pair_table.clone());
+    let mut sites = OpSites::build(module);
     let mut metric = SecurityMetric::new(&odt);
     let mut key = Key::new();
     let mut n = 0usize;
     let mut trace = Vec::new();
 
     // Θ: pairs with operations present in the design.
-    let mut theta: Vec<(BinaryOp, BinaryOp)> = odt
-        .pairs()
-        .into_iter()
-        .filter(|(a, b)| {
-            !mlrl_rtl::visit::ops_of_type(module, *a).is_empty()
-                || !mlrl_rtl::visit::ops_of_type(module, *b).is_empty()
-        })
-        .collect();
+    let mut theta = valid_pairs(&odt, &sites);
     if theta.is_empty() {
         if cfg.key_budget == 0 {
             return Ok(HraOutcome {
@@ -129,14 +124,15 @@ pub fn hra_lock(module: &mut Module, cfg: &HraConfig) -> Result<HraOutcome> {
             theta.shuffle(&mut rng);
             let mut best: Option<((BinaryOp, BinaryOp), f64)> = None;
             for &pair in theta.iter() {
-                let (_s, txn) = match lock_type(pair.0, &mut odt, module, &mut key, false, &mut rng)
-                {
+                let (_s, txn) = match lock_type(
+                    pair.0, &mut odt, module, &mut sites, &mut key, false, &mut rng,
+                ) {
                     Ok(ok) => ok,
                     Err(LockError::NoOpsOfType(_)) => continue,
                     Err(e) => return Err(e),
                 };
                 let m_i = metric.global(&odt);
-                undo_lock(txn, module, &mut key, &mut odt)?;
+                undo_lock(txn, module, &mut sites, &mut key, &mut odt)?;
                 if best.map(|(_, b)| m_i > b).unwrap_or(true) {
                     best = Some((pair, m_i));
                 }
@@ -148,10 +144,12 @@ pub fn hra_lock(module: &mut Module, cfg: &HraConfig) -> Result<HraOutcome> {
         };
 
         // Apply the chosen lock (Alg. 4 line 23) with pair mode P.
-        match lock_type(chosen.0, &mut odt, module, &mut key, p, &mut rng) {
+        match lock_type(
+            chosen.0, &mut odt, module, &mut sites, &mut key, p, &mut rng,
+        ) {
             Ok((s, txn)) => {
                 for ty in txn.locked_types() {
-                    metric.touch(&odt, *ty);
+                    metric.touch(&odt, ty);
                 }
                 n += s as usize;
                 trace.push((n, metric.global(&odt), metric.restricted(&odt)));

@@ -10,7 +10,8 @@
 //! cells, and `--resume` replays the rest for free.
 //!
 //! A truncated trailing line (the kill landed mid-write) is skipped on
-//! resume; the affected cell simply recomputes.
+//! resume and cut from the file before anything is appended; the
+//! affected cell simply recomputes.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -81,10 +82,24 @@ impl Journal {
                     }
                 }
             }
-            let file = std::fs::OpenOptions::new()
+            let mut file = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&path)
                 .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
+            // Cut a torn tail back to the last complete line, so the next
+            // record starts on a line of its own instead of splicing onto
+            // the fragment. The header matched, so at most the header's
+            // own newline can be missing.
+            let kept = text.rfind('\n').map_or(0, |i| i + 1);
+            if kept < text.len() {
+                file.set_len(kept as u64)
+                    .map_err(|e| format!("cannot truncate journal {}: {e}", path.display()))?;
+                if kept == 0 {
+                    writeln!(file, "{header}")
+                        .and_then(|()| file.flush())
+                        .map_err(|e| format!("cannot write journal header: {e}"))?;
+                }
+            }
             return Ok(Self {
                 path,
                 file,
@@ -223,6 +238,60 @@ mod tests {
         let resumed = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("resume");
         assert_eq!(resumed.len(), 1, "only the complete record replays");
         assert!(!resumed.contains(3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_cuts_a_torn_tail_before_appending() {
+        let dir = tmp("torn");
+        let mut journal = Journal::open(&dir, "demo", 4, 0xABCD, false).expect("fresh");
+        journal.record(0, &line(0)).expect("append");
+        drop(journal);
+        {
+            use std::io::Write;
+            let mut file = std::fs::OpenOptions::new()
+                .append(true)
+                .open(Journal::path_in(&dir))
+                .expect("reopen");
+            write!(file, "{{\"index\":1,\"benchmark\":\"S").expect("partial write");
+        }
+
+        let mut resumed = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("resume");
+        assert_eq!(resumed.len(), 1);
+        resumed.record(1, &line(1)).expect("append after torn tail");
+        drop(resumed);
+
+        let again = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("second resume");
+        assert_eq!(again.len(), 2);
+        assert_eq!(again.completed()[&0], line(0));
+        assert_eq!(again.completed()[&1], line(1));
+        let text = std::fs::read_to_string(Journal::path_in(&dir)).expect("read");
+        assert!(text.ends_with('\n'));
+        for l in text.lines() {
+            assert!(l.matches("{\"index\":").count() <= 1, "spliced record: {l}");
+        }
+        assert_eq!(text.lines().count(), 3, "header plus two records:\n{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_restores_a_torn_header_newline() {
+        let dir = tmp("torn-header");
+        drop(Journal::open(&dir, "demo", 4, 0xABCD, false).expect("fresh"));
+        let path = Journal::path_in(&dir);
+        let len = std::fs::metadata(&path).expect("stat").len();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .expect("open");
+        file.set_len(len - 1).expect("drop the header's newline");
+        drop(file);
+
+        let mut resumed = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("resume");
+        resumed.record(2, &line(2)).expect("append");
+        drop(resumed);
+        let again = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("second resume");
+        assert_eq!(again.completed()[&2], line(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

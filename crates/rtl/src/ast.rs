@@ -93,22 +93,20 @@ pub enum Expr {
 
 impl Expr {
     /// Child node ids of this expression, in evaluation order.
-    pub fn children(&self) -> Vec<ExprId> {
+    pub fn children(&self) -> Children {
         match self {
             Expr::Const { .. }
             | Expr::Ident(_)
             | Expr::KeyBit(_)
             | Expr::KeySlice { .. }
-            | Expr::Index { .. } => Vec::new(),
-            Expr::Unary { arg, .. } => vec![*arg],
-            Expr::Binary { lhs, rhs, .. } => vec![*lhs, *rhs],
+            | Expr::Index { .. } => Children::new([]),
+            Expr::Unary { arg, .. } => Children::new([*arg]),
+            Expr::Binary { lhs, rhs, .. } => Children::new([*lhs, *rhs]),
             Expr::Ternary {
                 cond,
                 then_expr,
                 else_expr,
-            } => {
-                vec![*cond, *then_expr, *else_expr]
-            }
+            } => Children::new([*cond, *then_expr, *else_expr]),
         }
     }
 
@@ -118,6 +116,42 @@ impl Expr {
             Expr::Binary { op, .. } => Some(*op),
             _ => None,
         }
+    }
+}
+
+/// The (at most three) child ids of one node, stored inline so that graph
+/// walks allocate nothing per node. Derefs to a slice in evaluation order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Children {
+    ids: [ExprId; 3],
+    len: u8,
+}
+
+impl Children {
+    fn new<const N: usize>(ids: [ExprId; N]) -> Self {
+        let mut all = [ExprId(0); 3];
+        all[..N].copy_from_slice(&ids);
+        Self {
+            ids: all,
+            len: N as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for Children {
+    type Target = [ExprId];
+
+    fn deref(&self) -> &[ExprId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Children {
+    type Item = ExprId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<ExprId, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(usize::from(self.len))
     }
 }
 
@@ -874,6 +908,28 @@ mod tests {
         .unwrap();
         let roots = m.roots();
         assert_eq!(roots.len(), 3); // assign rhs + if cond + nonblocking rhs
+    }
+
+    #[test]
+    fn children_are_listed_in_evaluation_order() {
+        let (a, b, c) = (ExprId(4), ExprId(5), ExprId(6));
+        let ternary = Expr::Ternary {
+            cond: a,
+            then_expr: b,
+            else_expr: c,
+        };
+        assert_eq!(*ternary.children(), [a, b, c]);
+        assert_eq!(
+            ternary.children().into_iter().collect::<Vec<_>>(),
+            [a, b, c]
+        );
+        let binary = Expr::Binary {
+            op: BinaryOp::Add,
+            lhs: b,
+            rhs: a,
+        };
+        assert_eq!(*binary.children(), [b, a]);
+        assert!(Expr::KeyBit(0).children().is_empty());
     }
 
     #[test]

@@ -64,14 +64,6 @@ pub fn binary_ops(module: &Module) -> Vec<OpSite> {
     out
 }
 
-/// Reachable binary-operation sites of one specific type.
-pub fn ops_of_type(module: &Module, op: BinaryOp) -> Vec<OpSite> {
-    binary_ops(module)
-        .into_iter()
-        .filter(|s| s.op == op)
-        .collect()
-}
-
 /// Census of reachable operation types: `op -> count`.
 ///
 /// This is the distribution the ODT (operation distribution table) is loaded
@@ -185,16 +177,6 @@ mod tests {
         assert_eq!(census.get(&BinaryOp::Add), Some(&3));
         assert_eq!(census.get(&BinaryOp::Sub), Some(&1));
         assert_eq!(key_mux_count(&m), 1);
-    }
-
-    #[test]
-    fn ops_of_type_filters() {
-        let mut m = chain(2);
-        let site = binary_ops(&m)[0];
-        m.wrap_in_key_mux(site.id, false, BinaryOp::Sub).unwrap();
-        assert_eq!(ops_of_type(&m, BinaryOp::Sub).len(), 1);
-        assert_eq!(ops_of_type(&m, BinaryOp::Add).len(), 2);
-        assert_eq!(ops_of_type(&m, BinaryOp::Mul).len(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! - locking with any scheme preserves function under the correct key.
 
 use mlrl::locking::key::Key;
-use mlrl::locking::lock_step::{lock_type, undo_lock};
+use mlrl::locking::lock_step::{lock_type, undo_lock, OpSites};
 use mlrl::locking::metric::SecurityMetric;
 use mlrl::locking::odt::Odt;
 use mlrl::locking::pairs::PairTable;
@@ -163,6 +163,7 @@ proptest! {
             }
         }
         let mut odt = Odt::load(&m, PairTable::fixed());
+        let mut sites = OpSites::build(&m);
         let mut key = Key::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut i = 0usize;
@@ -171,7 +172,7 @@ proptest! {
             for _ in 0..ALL_BINARY_OPS.len() {
                 let ty = ALL_BINARY_OPS[i % ALL_BINARY_OPS.len()];
                 i += 1;
-                if lock_type(ty, &mut odt, &mut m, &mut key, false, &mut rng).is_ok() {
+                if lock_type(ty, &mut odt, &mut m, &mut sites, &mut key, false, &mut rng).is_ok() {
                     continue 'outer;
                 }
             }
@@ -200,20 +201,23 @@ proptest! {
         let snapshot = m.clone();
         let mut odt = Odt::load(&m, PairTable::fixed());
         let odt0 = odt.clone();
+        let mut sites = OpSites::build(&m);
+        let sites0 = sites.clone();
         let mut key = Key::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut txns = Vec::new();
         for j in 0..n_locks {
             let ty = if j % 2 == 0 { BinaryOp::Add } else { BinaryOp::Mul };
-            if let Ok((_, txn)) = lock_type(ty, &mut odt, &mut m, &mut key, j % 3 == 0, &mut rng) {
+            if let Ok((_, txn)) = lock_type(ty, &mut odt, &mut m, &mut sites, &mut key, j % 3 == 0, &mut rng) {
                 txns.push(txn);
             }
         }
         for txn in txns.into_iter().rev() {
-            undo_lock(txn, &mut m, &mut key, &mut odt).expect("LIFO undo");
+            undo_lock(txn, &mut m, &mut sites, &mut key, &mut odt).expect("LIFO undo");
         }
         prop_assert_eq!(m, snapshot);
         prop_assert_eq!(odt, odt0);
+        prop_assert_eq!(sites, sites0);
         prop_assert!(key.is_empty());
     }
 
