@@ -9,16 +9,29 @@
 //! the *choice* of stack does not move the evaluation — the label
 //! distribution induced by locking does (see DESIGN.md, substitution 2).
 //!
-//! # Exact early exit at the Bayes bound
+//! # Scoring by distinct row
 //!
 //! SnapShot training sets hold thousands of rows but only a handful of
-//! distinct feature vectors, so the best CV score any candidate could reach
-//! is known before a model is fit. For each fold the CV loop scores, group
-//! the validation rows by the exact bit patterns of their features and sum
-//! the largest per-class count of every group; divided by the fold size,
-//! that is the fold's bound. The *Bayes bound* is the mean of the fold
-//! bounds, taken with the same f64 operations (and in the same fold order)
-//! as a candidate's CV mean. Before scoring each candidate, the search stops
+//! distinct feature vectors. Before any model is fit, the search groups
+//! the rows by the exact bit patterns of their features and counts, for
+//! each fold the CV loop scores, the fold's validation rows per (group,
+//! class). A candidate's fold score then takes one `predict` per group in
+//! the fold: the group's count for the predicted class is the number of
+//! its rows the model gets right. `predict` is a pure function of the row
+//! bits, so every row of a group gets the same prediction, and the summed
+//! correct count is the same integer that predicting row by row on the
+//! materialised validation fold counts. Divided by the same fold size, the
+//! fold score is bit-identical to `models::accuracy` on that fold. The
+//! validation side is never materialised; the train side is built for
+//! each candidate and fold.
+//!
+//! # Exact early exit at the Bayes bound
+//!
+//! The same counts give the best CV score any candidate could reach. For
+//! each fold, sum the largest per-class count of every group; divided by
+//! the fold size, that is the fold's bound. The *Bayes bound* is the mean
+//! of the fold bounds, taken with the same f64 operations (and in the same
+//! fold order) as a candidate's CV mean. Before scoring each candidate, the search stops
 //! if `best + selection_margin >= bayes_bound`; the skipped candidates are
 //! counted in [`AutoMlOutcome::pruned`].
 //!
@@ -37,16 +50,14 @@
 //! what `predict` can tell apart, and a finer grouping only loosens the
 //! bound.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::dataset::Dataset;
 use crate::models::{
-    accuracy, AdaBoost, Classifier, DecisionTree, GaussianNaiveBayes, KNearestNeighbors,
-    LogisticRegression, MajorityClass, Mlp, RandomForest,
+    AdaBoost, Classifier, DecisionTree, GaussianNaiveBayes, KNearestNeighbors, LogisticRegression,
+    MajorityClass, Mlp, RandomForest,
 };
 use crate::split::StratifiedKFold;
 
@@ -224,46 +235,88 @@ fn mean_accuracy(per_fold: &[f64]) -> f64 {
     }
 }
 
-/// The Bayes bound of the CV folds and the distinct-row count of `train`.
-///
-/// Works from the folds' index lists, one fold's counts at a time, and
-/// skips the folds the CV loop skips (an empty train or validation side).
-fn bayes_bound(train: &Dataset, kfold: &StratifiedKFold) -> (f64, usize) {
-    let mut groups: HashMap<Vec<u64>, usize> = HashMap::new();
-    let group_of: Vec<usize> = train
-        .rows()
-        .iter()
-        .map(|row| {
-            let next = groups.len();
-            *groups
-                .entry(row.iter().map(|v| v.to_bits()).collect())
-                .or_insert(next)
-        })
-        .collect();
-    let distinct = groups.len();
-    drop(groups);
+/// The validation side of one CV fold, as counts per (distinct row,
+/// class).
+#[derive(Debug)]
+struct FoldCounts {
+    /// The fold's index in the splitter.
+    fold: usize,
+    /// A training row for each distinct row of the fold.
+    rows: Vec<usize>,
+    /// `counts[k * classes + c]`: the fold's rows equal to `rows[k]` with
+    /// label `c`.
+    counts: Vec<usize>,
+    classes: usize,
+    /// Validation rows in the fold.
+    len: usize,
+}
 
-    let classes = train.n_classes();
-    let mut per_fold = Vec::with_capacity(kfold.k());
-    let mut counts = vec![0usize; distinct * classes];
-    for fold in 0..kfold.k() {
-        let val = kfold.validation(fold);
-        // The folds partition `train`, so a fold holding every row leaves
-        // the train side empty.
-        if val.is_empty() || val.len() == train.len() {
-            continue;
+impl FoldCounts {
+    /// The folds the CV loop scores, skipping those with an empty train or
+    /// validation side, and the distinct-row count of `train`.
+    fn build(train: &Dataset, kfold: &StratifiedKFold) -> (Vec<Self>, usize) {
+        let (group_of, first) = train.distinct_rows();
+        let classes = train.n_classes();
+        // Slot of each distinct row within the fold being built.
+        let mut slot = vec![usize::MAX; first.len()];
+        let mut folds = Vec::with_capacity(kfold.k());
+        for fold in 0..kfold.k() {
+            let val = kfold.validation(fold);
+            // The folds partition `train`, so a fold holding every row
+            // leaves the train side empty.
+            if val.is_empty() || val.len() == train.len() {
+                continue;
+            }
+            let mut rows = Vec::new();
+            let mut counts = Vec::new();
+            for &i in val {
+                let g = group_of[i];
+                if slot[g] == usize::MAX {
+                    slot[g] = rows.len();
+                    rows.push(first[g]);
+                    counts.resize(counts.len() + classes, 0);
+                }
+                counts[slot[g] * classes + train.label(i)] += 1;
+            }
+            for &i in val {
+                slot[group_of[i]] = usize::MAX;
+            }
+            folds.push(Self {
+                fold,
+                rows,
+                counts,
+                classes,
+                len: val.len(),
+            });
         }
-        counts.fill(0);
-        for &i in val {
-            counts[group_of[i] * classes + train.label(i)] += 1;
-        }
-        let reachable: usize = counts
-            .chunks(classes)
+        (folds, first.len())
+    }
+
+    /// Per-class counts of each distinct row.
+    fn per_row(&self) -> std::slice::ChunksExact<'_, usize> {
+        self.counts.chunks_exact(self.classes)
+    }
+
+    /// The fold's accuracy bound: every distinct row given its commonest
+    /// label.
+    fn bound(&self) -> f64 {
+        let reachable: usize = self
+            .per_row()
             .map(|c| c.iter().copied().max().unwrap_or(0))
             .sum();
-        per_fold.push(reachable as f64 / val.len() as f64);
+        reachable as f64 / self.len as f64
     }
-    (mean_accuracy(&per_fold), distinct)
+
+    /// `model`'s accuracy on the fold, with one `predict` per distinct row.
+    fn accuracy(&self, model: &dyn Classifier, train: &Dataset) -> f64 {
+        let correct: usize = self
+            .rows
+            .iter()
+            .zip(self.per_row())
+            .map(|(&r, c)| c.get(model.predict(train.row(r))).copied().unwrap_or(0))
+            .sum();
+        correct as f64 / self.len as f64
+    }
 }
 
 /// Runs the search: CV-scores the candidates until the incumbent provably
@@ -297,7 +350,9 @@ fn search(train: &Dataset, cfg: &AutoMlConfig, prune: bool) -> AutoMlOutcome {
     let train = thin(train, cfg.max_train_samples, cfg.seed);
     let folds = cfg.folds.max(2).min(train.len());
     let kfold = StratifiedKFold::new(&train, folds, cfg.seed);
-    let (bayes_bound, distinct_rows) = bayes_bound(&train, &kfold);
+    let (fold_counts, distinct_rows) = FoldCounts::build(&train, &kfold);
+    let bounds: Vec<f64> = fold_counts.iter().map(FoldCounts::bound).collect();
+    let bayes_bound = mean_accuracy(&bounds);
 
     let mut leaderboard: Vec<(String, f64)> = Vec::new();
     let mut best: Option<(usize, f64)> = None;
@@ -309,15 +364,13 @@ fn search(train: &Dataset, cfg: &AutoMlConfig, prune: bool) -> AutoMlOutcome {
             pruned = n_candidates - idx;
             break;
         }
-        let mut scores = Vec::with_capacity(folds);
-        for fold in 0..folds {
-            let (tr, val) = kfold.split(&train, fold);
-            if tr.is_empty() || val.is_empty() {
-                continue;
-            }
-            model.fit(&tr);
-            scores.push(accuracy(model.as_ref(), &val));
-        }
+        let scores: Vec<f64> = fold_counts
+            .iter()
+            .map(|fold| {
+                model.fit(&kfold.train(&train, fold.fold));
+                fold.accuracy(model.as_ref(), &train)
+            })
+            .collect();
         let mean = mean_accuracy(&scores);
         leaderboard.push((name.clone(), mean));
         // One-standard-error-style rule: the earliest (simplest) candidate
@@ -348,6 +401,7 @@ fn search(train: &Dataset, cfg: &AutoMlConfig, prune: bool) -> AutoMlOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::accuracy;
     use crate::models::test_fixtures::{categorical, xor};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -363,7 +417,7 @@ mod tests {
             outcome.leaderboard
         );
         let test = xor(200, 2);
-        let acc = crate::models::accuracy(outcome.model.as_ref(), &test);
+        let acc = accuracy(outcome.model.as_ref(), &test);
         assert!(acc > 0.9);
     }
 
@@ -406,6 +460,34 @@ mod tests {
         assert_eq!(outcome.bayes_bound, 1.0);
         assert_eq!(outcome.pruned, 0, "leaderboard: {:?}", outcome.leaderboard);
         assert_eq!(outcome.leaderboard.len(), 11);
+    }
+
+    #[test]
+    fn fold_scores_count_out_of_range_predictions_as_wrong() {
+        #[derive(Debug)]
+        struct Fixed(usize);
+        impl Classifier for Fixed {
+            fn fit(&mut self, _: &Dataset) {}
+            fn predict(&self, _: &[f64]) -> usize {
+                self.0
+            }
+            fn name(&self) -> &'static str {
+                "fixed"
+            }
+        }
+        let train = categorical(60, 0.2, 3);
+        let kfold = StratifiedKFold::new(&train, 3, 0);
+        let (fold_counts, _) = FoldCounts::build(&train, &kfold);
+        for fold in &fold_counts {
+            let val = train.subset(kfold.validation(fold.fold));
+            for class in [0, 1, 2, 7] {
+                let model = Fixed(class);
+                assert_eq!(
+                    fold.accuracy(&model, &train).to_bits(),
+                    accuracy(&model, &val).to_bits()
+                );
+            }
+        }
     }
 
     #[test]
@@ -515,6 +597,50 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn distinct_row_scores_equal_per_row_accuracy(
+            seed in any::<u64>(),
+            distinct in 1usize..13,
+            classes in 2usize..4,
+            labels in 0usize..3,
+            len in prop_oneof![2usize..8, 8usize..120],
+            folds in 2usize..6,
+            signed_zeros in any::<bool>(),
+        ) {
+            let mut train = random_categorical(seed, distinct, classes, labels, len);
+            if signed_zeros {
+                // Rows that differ only in the sign of a zero fall into
+                // different groups but must still score the same.
+                let x = train
+                    .rows()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| {
+                        row.iter()
+                            .enumerate()
+                            .map(|(f, &v)| if v == 0.0 && (i + f) % 3 == 0 { -0.0 } else { v })
+                            .collect()
+                    })
+                    .collect();
+                train = Dataset::from_rows(x, train.labels().to_vec()).unwrap();
+            }
+            let cfg = AutoMlConfig { folds, seed, ..Default::default() };
+            let folds = folds.min(train.len());
+            let kfold = StratifiedKFold::new(&train, folds, seed);
+            let (fold_counts, _) = FoldCounts::build(&train, &kfold);
+            for (name, mut model) in candidates(&cfg) {
+                for fold in &fold_counts {
+                    model.fit(&kfold.train(&train, fold.fold));
+                    let val = train.subset(kfold.validation(fold.fold));
+                    prop_assert_eq!(
+                        fold.accuracy(model.as_ref(), &train).to_bits(),
+                        accuracy(model.as_ref(), &val).to_bits(),
+                        "{} fold {}", name, fold.fold
+                    );
+                }
+            }
+        }
 
         #[test]
         fn pruning_never_changes_the_outcome(

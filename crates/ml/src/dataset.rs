@@ -5,7 +5,7 @@
 //! module stores such data densely and provides the categorical one-hot
 //! encoding the models consume.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A dense, labelled classification dataset.
@@ -137,6 +137,30 @@ impl Dataset {
             y: indices.iter().map(|&i| self.y[i]).collect(),
             n_classes: self.n_classes,
         }
+    }
+
+    /// Groups the rows by the exact bit patterns of their features.
+    ///
+    /// Returns the group of every row and, per group, the index of its
+    /// first row. Groups are numbered in order of first appearance. Rows
+    /// that differ only in the sign of a zero fall into different groups.
+    pub(crate) fn distinct_rows(&self) -> (Vec<usize>, Vec<usize>) {
+        let mut groups: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut first = Vec::new();
+        let group_of = self
+            .x
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                *groups
+                    .entry(row.iter().map(|v| v.to_bits()).collect())
+                    .or_insert_with(|| {
+                        first.push(i);
+                        first.len() - 1
+                    })
+            })
+            .collect();
+        (group_of, first)
     }
 
     /// Per-class sample counts.

@@ -22,7 +22,12 @@ struct Stump {
 
 impl Stump {
     fn predict(&self, row: &[f64]) -> usize {
-        if row[self.feature] <= self.threshold {
+        self.class_of(row[self.feature])
+    }
+
+    /// The predicted class for the value `v` of the stump's feature.
+    fn class_of(&self, v: f64) -> usize {
+        if v <= self.threshold {
             self.left
         } else {
             self.right
@@ -70,28 +75,28 @@ impl AdaBoost {
         Self::new(30)
     }
 
-    /// Finds the weighted-error-minimizing stump.
-    fn best_stump(data: &Dataset, weights: &[f64]) -> Option<(Stump, f64)> {
-        let n_classes = data.n_classes();
+    /// Finds the weighted-error-minimizing stump over the per-feature
+    /// `columns` and their candidate `thresholds`.
+    fn best_stump(
+        columns: &[Vec<f64>],
+        thresholds: &[Vec<f64>],
+        labels: &[usize],
+        n_classes: usize,
+        weights: &[f64],
+    ) -> Option<(Stump, f64)> {
         let mut best: Option<(Stump, f64)> = None;
-        for feature in 0..data.n_features() {
-            let mut values: Vec<f64> = (0..data.len()).map(|i| data.row(i)[feature]).collect();
-            values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            values.dedup();
-            // Midpoints between distinct values plus an extreme threshold.
-            let mut thresholds: Vec<f64> = values.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
-            if let Some(first) = values.first() {
-                thresholds.push(first - 1.0);
-            }
-            for &threshold in &thresholds {
+        let mut left_votes = vec![0.0f64; n_classes];
+        let mut right_votes = vec![0.0f64; n_classes];
+        for (feature, (column, thresholds)) in columns.iter().zip(thresholds).enumerate() {
+            for &threshold in thresholds {
                 // Weighted class votes on each side.
-                let mut left_votes = vec![0.0f64; n_classes];
-                let mut right_votes = vec![0.0f64; n_classes];
-                for i in 0..data.len() {
-                    if data.row(i)[feature] <= threshold {
-                        left_votes[data.label(i)] += weights[i];
+                left_votes.fill(0.0);
+                right_votes.fill(0.0);
+                for ((&v, &label), &w) in column.iter().zip(labels).zip(weights) {
+                    if v <= threshold {
+                        left_votes[label] += w;
                     } else {
-                        right_votes[data.label(i)] += weights[i];
+                        right_votes[label] += w;
                     }
                 }
                 let argmax = |v: &[f64]| {
@@ -107,8 +112,8 @@ impl AdaBoost {
                     left: argmax(&left_votes),
                     right: argmax(&right_votes),
                 };
-                let error: f64 = (0..data.len())
-                    .filter(|&i| stump.predict(data.row(i)) != data.label(i))
+                let error: f64 = (0..labels.len())
+                    .filter(|&i| stump.class_of(column[i]) != labels[i])
                     .map(|i| weights[i])
                     .sum();
                 if best.as_ref().map(|(_, e)| error < *e).unwrap_or(true) {
@@ -120,15 +125,39 @@ impl AdaBoost {
     }
 }
 
+/// Midpoints between the distinct values of `column`, plus one threshold
+/// below them all. They do not depend on the weights, so a fit computes
+/// them once for all rounds.
+fn thresholds(column: &[f64]) -> Vec<f64> {
+    let mut values = column.to_vec();
+    values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    values.dedup();
+    let mut thresholds: Vec<f64> = values.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
+    if let Some(first) = values.first() {
+        thresholds.push(first - 1.0);
+    }
+    thresholds
+}
+
 impl Classifier for AdaBoost {
     fn fit(&mut self, data: &Dataset) {
         self.stumps.clear();
         self.n_classes = data.n_classes().max(2);
         let n = data.len();
+        let columns: Vec<Vec<f64>> = (0..data.n_features())
+            .map(|f| data.rows().iter().map(|row| row[f]).collect())
+            .collect();
+        let thresholds: Vec<Vec<f64>> = columns.iter().map(|c| thresholds(c)).collect();
         let mut weights = vec![1.0 / n as f64; n];
         let k = self.n_classes as f64;
         for _ in 0..self.rounds {
-            let Some((stump, error)) = Self::best_stump(data, &weights) else {
+            let Some((stump, error)) = Self::best_stump(
+                &columns,
+                &thresholds,
+                data.labels(),
+                data.n_classes(),
+                &weights,
+            ) else {
                 break;
             };
             let error = error.clamp(1e-12, 1.0);

@@ -61,14 +61,21 @@ impl Classifier for RandomForest {
         let n = data.len();
         let n_features = data.n_features();
         let subset_size = ((n_features as f64).sqrt().ceil() as usize).clamp(1, n_features);
+        // A bootstrap sample only matters to a tree through how often it
+        // draws each (distinct row, label) pair.
+        let (group_of, rows) = data.distinct_rows();
+        let mut counts = vec![0usize; rows.len() * self.n_classes];
         for _ in 0..self.n_trees {
-            let sample: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            let boot = data.subset(&sample);
+            counts.fill(0);
+            for _ in 0..n {
+                let i = rng.gen_range(0..n);
+                counts[group_of[i] * self.n_classes + data.label(i)] += 1;
+            }
             let mut features: Vec<usize> = (0..n_features).collect();
             features.shuffle(&mut rng);
             features.truncate(subset_size);
             let mut tree = DecisionTree::new(self.max_depth, 2).with_feature_subset(features);
-            tree.fit(&boot);
+            tree.fit_counts(data, &rows, &counts);
             self.trees.push(tree);
         }
     }

@@ -1,4 +1,18 @@
 //! Multinomial logistic regression trained with mini-batch SGD.
+//!
+//! # Sparse scores, exact results
+//!
+//! SnapShot rows are pairs of one-hot codes, so a class score sums only
+//! the features that are not exactly `0.0` (lists built once per fit), and
+//! one probability buffer serves every SGD step. A skipped term is
+//! `w * 0.0`, which is `±0` while the weights stay finite. Adding `±0` to
+//! a nonzero value returns that value bit for bit, and to a zero returns a
+//! zero, so every score equals the dense one under `==`, differing at most
+//! in the sign of a zero. The softmax (`−`, `exp`, `max`, `+`, `÷` by a sum
+//! `≥ 1`), the dense L2 update and the argmax's `partial_cmp` all give
+//! equal results for operands equal under `==`, so weights stay equal
+//! under `==` step by step and the fitted model predicts exactly what the
+//! dense computation would.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -6,7 +20,7 @@ use rand::SeedableRng;
 
 use crate::dataset::Dataset;
 
-use super::Classifier;
+use super::{nonzero_features, softmax_in_place, Classifier, NonZeros};
 
 /// Multinomial logistic regression (softmax) with L2 regularization,
 /// trained by seeded stochastic gradient descent.
@@ -34,8 +48,11 @@ pub struct LogisticRegression {
     epochs: usize,
     l2: f64,
     seed: u64,
-    /// weights[class][feature], last entry per class is the bias
-    weights: Vec<Vec<f64>>,
+    /// One row of `features + 1` weights per class; the last one is the
+    /// bias.
+    weights: Vec<f64>,
+    /// `features + 1`.
+    width: usize,
 }
 
 impl LogisticRegression {
@@ -47,6 +64,7 @@ impl LogisticRegression {
             l2,
             seed,
             weights: Vec::new(),
+            width: 1,
         }
     }
 
@@ -55,34 +73,23 @@ impl LogisticRegression {
         Self::new(0.3, 100, 1e-4, seed)
     }
 
-    fn scores(&self, row: &[f64]) -> Vec<f64> {
-        self.weights
-            .iter()
-            .map(|w| {
-                let bias = *w.last().expect("fitted weights include bias");
-                w[..w.len() - 1]
-                    .iter()
-                    .zip(row)
-                    .map(|(wi, xi)| wi * xi)
-                    .sum::<f64>()
-                    + bias
-            })
-            .collect()
+    /// Writes the class scores to `out`, summing over the features `nz`.
+    fn scores(&self, row: &[f64], nz: &[usize], out: &mut [f64]) {
+        for (w, s) in self.weights.chunks_exact(self.width).zip(out) {
+            *s = nz.iter().map(|&f| w[f] * row[f]).sum::<f64>() + w[self.width - 1];
+        }
     }
-}
-
-fn softmax(scores: &[f64]) -> Vec<f64> {
-    let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
 }
 
 impl Classifier for LogisticRegression {
     fn fit(&mut self, data: &Dataset) {
         let n_features = data.n_features();
         let n_classes = data.n_classes().max(2);
-        self.weights = vec![vec![0.0; n_features + 1]; n_classes];
+        self.width = n_features + 1;
+        self.weights = vec![0.0; n_classes * self.width];
+        let nonzeros = NonZeros::new(data);
+        let mut probs = vec![0.0; n_classes];
+        let (lr, l2, width) = (self.learning_rate, self.l2, self.width);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..self.epochs {
@@ -90,15 +97,14 @@ impl Classifier for LogisticRegression {
             for &i in &order {
                 let row = data.row(i);
                 let target = data.label(i);
-                let probs = softmax(&self.scores(row));
-                for (class, w) in self.weights.iter_mut().enumerate() {
+                self.scores(row, nonzeros.of(i), &mut probs);
+                softmax_in_place(&mut probs);
+                for (class, w) in self.weights.chunks_exact_mut(width).enumerate() {
                     let err = probs[class] - usize::from(class == target) as f64;
-                    let lr = self.learning_rate;
                     for (wi, xi) in w[..n_features].iter_mut().zip(row) {
-                        *wi -= lr * (err * xi + self.l2 * *wi);
+                        *wi -= lr * (err * xi + l2 * *wi);
                     }
-                    let bias = w.last_mut().expect("bias present");
-                    *bias -= lr * err;
+                    w[n_features] -= lr * err;
                 }
             }
         }
@@ -106,7 +112,9 @@ impl Classifier for LogisticRegression {
 
     fn predict(&self, row: &[f64]) -> usize {
         assert!(!self.weights.is_empty(), "predict called before fit");
-        let scores = self.scores(row);
+        let nz: Vec<usize> = nonzero_features(row).collect();
+        let mut scores = vec![0.0; self.weights.len() / self.width];
+        self.scores(row, &nz, &mut scores);
         scores
             .iter()
             .enumerate()

@@ -3,6 +3,23 @@
 //! The original SnapShot attack [6] trains neural networks (found by
 //! neuroevolution); this MLP puts an equivalent hypothesis class into the
 //! auto-ml candidate pool. ReLU hidden layer, softmax output, seeded SGD.
+//!
+//! # Sparse rows, exact results
+//!
+//! SnapShot rows are pairs of one-hot codes: 2 of 4–22 features are
+//! nonzero. The forward pass and the first-layer update therefore sum and
+//! update only the features that are not exactly `0.0` (lists built once
+//! per fit), and one set of scratch buffers serves every SGD step. This
+//! changes no result. A skipped term is `w * 0.0` or `lr * dh * 0.0`,
+//! which is `±0` while the weights stay finite. Adding `±0` to a nonzero
+//! value returns that value bit for bit, and to a zero returns a zero, so
+//! every partial sum, activation, score and weight equals the dense one
+//! under `==`, differing at most in the sign of a zero. Every later
+//! operation gives equal results for operands equal under `==`: `+`, `−`,
+//! `×`, `÷` by a softmax sum `≥ 1`, `exp`, `max`, the ReLU test `<=` and
+//! the argmax's `partial_cmp`. So the fitted model predicts exactly what
+//! the dense computation would. Every other operation runs in the order
+//! the dense computation uses.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -10,7 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
 
-use super::Classifier;
+use super::{nonzero_features, softmax_in_place, Classifier, NonZeros};
 
 /// One-hidden-layer MLP classifier.
 ///
@@ -37,9 +54,10 @@ pub struct Mlp {
     learning_rate: f64,
     epochs: usize,
     seed: u64,
-    /// w1[h][feature+1] (last = bias), w2[class][h+1] (last = bias)
-    w1: Vec<Vec<f64>>,
-    w2: Vec<Vec<f64>>,
+    /// `hidden` rows of `features + 1` weights; the last one is the bias.
+    w1: Vec<f64>,
+    /// One row of `hidden + 1` weights per class; the last one is the bias.
+    w2: Vec<f64>,
 }
 
 impl Mlp {
@@ -60,104 +78,75 @@ impl Mlp {
         Self::new(16, 0.1, 120, seed)
     }
 
-    fn forward(&self, row: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let h: Vec<f64> = self
-            .w1
-            .iter()
-            .map(|w| {
-                let bias = *w.last().expect("bias");
-                let z: f64 = w[..w.len() - 1]
-                    .iter()
-                    .zip(row)
-                    .map(|(wi, xi)| wi * xi)
-                    .sum::<f64>()
-                    + bias;
-                z.max(0.0)
-            })
-            .collect();
-        let scores: Vec<f64> = self
-            .w2
-            .iter()
-            .map(|w| {
-                let bias = *w.last().expect("bias");
-                w[..w.len() - 1]
-                    .iter()
-                    .zip(&h)
-                    .map(|(wi, hi)| wi * hi)
-                    .sum::<f64>()
-                    + bias
-            })
-            .collect();
-        (h, scores)
+    /// Writes the hidden activations to `h` and the class scores to
+    /// `scores`, summing the first layer over the features `nz` only.
+    fn forward(&self, row: &[f64], nz: &[usize], h: &mut [f64], scores: &mut [f64]) {
+        let width = self.w1.len() / self.hidden;
+        for (w, hj) in self.w1.chunks_exact(width).zip(h.iter_mut()) {
+            let z = nz.iter().map(|&f| w[f] * row[f]).sum::<f64>() + w[width - 1];
+            *hj = z.max(0.0);
+        }
+        for (w, s) in self.w2.chunks_exact(self.hidden + 1).zip(scores) {
+            *s = w[..self.hidden]
+                .iter()
+                .zip(h.iter())
+                .map(|(wi, hi)| wi * hi)
+                .sum::<f64>()
+                + w[self.hidden];
+        }
     }
-}
-
-fn softmax(scores: &[f64]) -> Vec<f64> {
-    let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
 }
 
 impl Classifier for Mlp {
     fn fit(&mut self, data: &Dataset) {
         let n_features = data.n_features();
         let n_classes = data.n_classes().max(2);
+        let hidden = self.hidden;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let scale = (2.0 / (n_features.max(1) as f64)).sqrt();
-        self.w1 = (0..self.hidden)
-            .map(|_| {
-                (0..=n_features)
-                    .map(|_| rng.gen_range(-scale..scale))
-                    .collect()
-            })
+        self.w1 = (0..hidden * (n_features + 1))
+            .map(|_| rng.gen_range(-scale..scale))
             .collect();
-        self.w2 = (0..n_classes)
-            .map(|_| {
-                (0..=self.hidden)
-                    .map(|_| rng.gen_range(-scale..scale))
-                    .collect()
-            })
+        self.w2 = (0..n_classes * (hidden + 1))
+            .map(|_| rng.gen_range(-scale..scale))
             .collect();
 
+        let nonzeros = NonZeros::new(data);
+        let mut h = vec![0.0; hidden];
+        let mut dh = vec![0.0; hidden];
+        // Scores, then probabilities, then the output-layer gradient.
+        let mut dout = vec![0.0; n_classes];
+        let lr = self.learning_rate;
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..self.epochs {
             order.shuffle(&mut rng);
             for &i in &order {
                 let row = data.row(i);
-                let target = data.label(i);
-                let (h, scores) = self.forward(row);
-                let probs = softmax(&scores);
-                // Output layer gradient.
-                let dout: Vec<f64> = probs
-                    .iter()
-                    .enumerate()
-                    .map(|(c, p)| p - usize::from(c == target) as f64)
-                    .collect();
+                let nz = nonzeros.of(i);
+                self.forward(row, nz, &mut h, &mut dout);
+                softmax_in_place(&mut dout);
+                dout[data.label(i)] -= 1.0;
                 // Hidden gradient through ReLU.
-                let mut dh = vec![0.0; self.hidden];
-                for (c, w) in self.w2.iter().enumerate() {
+                dh.fill(0.0);
+                for (c, w) in self.w2.chunks_exact(hidden + 1).enumerate() {
                     for (j, dh_j) in dh.iter_mut().enumerate() {
                         *dh_j += dout[c] * w[j];
                     }
                 }
-                let lr = self.learning_rate;
-                for (c, w) in self.w2.iter_mut().enumerate() {
-                    for (j, wj) in w[..self.hidden].iter_mut().enumerate() {
-                        *wj -= lr * dout[c] * h[j];
+                for (c, w) in self.w2.chunks_exact_mut(hidden + 1).enumerate() {
+                    for (wj, hj) in w[..hidden].iter_mut().zip(&h) {
+                        *wj -= lr * dout[c] * hj;
                     }
-                    let bias = w.last_mut().expect("bias");
-                    *bias -= lr * dout[c];
+                    w[hidden] -= lr * dout[c];
                 }
-                for (j, w) in self.w1.iter_mut().enumerate() {
+                for (j, w) in self.w1.chunks_exact_mut(n_features + 1).enumerate() {
                     if h[j] <= 0.0 {
                         continue; // ReLU dead for this sample
                     }
-                    for (wi, xi) in w[..n_features].iter_mut().zip(row) {
-                        *wi -= lr * dh[j] * xi;
+                    for &f in nz {
+                        w[f] -= lr * dh[j] * row[f];
                     }
-                    let bias = w.last_mut().expect("bias");
-                    *bias -= lr * dh[j];
+                    w[n_features] -= lr * dh[j];
                 }
             }
         }
@@ -165,7 +154,10 @@ impl Classifier for Mlp {
 
     fn predict(&self, row: &[f64]) -> usize {
         assert!(!self.w1.is_empty(), "predict called before fit");
-        let (_, scores) = self.forward(row);
+        let nz: Vec<usize> = nonzero_features(row).collect();
+        let mut h = vec![0.0; self.hidden];
+        let mut scores = vec![0.0; self.w2.len() / (self.hidden + 1)];
+        self.forward(row, &nz, &mut h, &mut scores);
         scores
             .iter()
             .enumerate()

@@ -52,6 +52,51 @@ pub trait Classifier: std::fmt::Debug {
     fn name(&self) -> &'static str;
 }
 
+/// Softmax of `scores`, in place. The same f64 operations in the same
+/// order as exponentiating `s - max` into a new vector, summing it and
+/// dividing every entry by the sum.
+pub(crate) fn softmax_in_place(scores: &mut [f64]) {
+    let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for s in scores.iter_mut() {
+        *s = (*s - max).exp();
+    }
+    let sum: f64 = scores.iter().sum();
+    for s in scores.iter_mut() {
+        *s /= sum;
+    }
+}
+
+/// The features of `row` that are not exactly `0.0` (either sign), in
+/// ascending order.
+pub(crate) fn nonzero_features(row: &[f64]) -> impl Iterator<Item = usize> + '_ {
+    (0..row.len()).filter(|&f| row[f] != 0.0)
+}
+
+/// Per-row [`nonzero_features`] lists of a dataset, built once per fit.
+#[derive(Debug)]
+pub(crate) struct NonZeros {
+    start: Vec<usize>,
+    features: Vec<usize>,
+}
+
+impl NonZeros {
+    pub(crate) fn new(data: &Dataset) -> Self {
+        let mut start = Vec::with_capacity(data.len() + 1);
+        let mut features = Vec::new();
+        start.push(0);
+        for row in data.rows() {
+            features.extend(nonzero_features(row));
+            start.push(features.len());
+        }
+        Self { start, features }
+    }
+
+    /// The nonzero features of row `i`.
+    pub(crate) fn of(&self, i: usize) -> &[usize] {
+        &self.features[self.start[i]..self.start[i + 1]]
+    }
+}
+
 /// Accuracy of `model` on `data`, in `[0, 1]`.
 pub fn accuracy(model: &dyn Classifier, data: &Dataset) -> f64 {
     if data.is_empty() {

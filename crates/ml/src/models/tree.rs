@@ -1,4 +1,10 @@
 //! CART decision tree with Gini impurity.
+//!
+//! A fit works on the distinct rows of the training set with per-class
+//! counts rather than on individual rows: SnapShot training sets repeat a
+//! handful of feature vectors thousands of times, and a split depends
+//! only on how many rows of each class fall on each side. Random forests
+//! pass their bootstrap samples in the same form, without copying rows.
 
 use crate::dataset::Dataset;
 
@@ -72,24 +78,53 @@ impl DecisionTree {
         self
     }
 
-    fn build(&mut self, data: &Dataset, indices: &[usize], depth: usize) -> usize {
-        let majority = majority_of(data, indices);
-        let done = depth >= self.max_depth
-            || indices.len() < self.min_samples_split
-            || is_pure(data, indices);
+    /// Fits the tree to distinct rows with label counts: `rows[g]` is a
+    /// row of `data`, occurring `counts[g * n_classes + c]` times with
+    /// label `c`. Equivalent to fitting on the dataset that repeats every
+    /// row that often, in any order.
+    pub(crate) fn fit_counts(&mut self, data: &Dataset, rows: &[usize], counts: &[usize]) {
+        self.nodes.clear();
+        let groups = Groups {
+            data,
+            rows,
+            counts,
+            n_classes: data.n_classes(),
+        };
+        let present: Vec<usize> = (0..rows.len())
+            .filter(|&g| groups.counts(g).iter().any(|&c| c > 0))
+            .collect();
+        self.build(&groups, &present, 0);
+    }
+
+    fn build(&mut self, groups: &Groups, node: &[usize], depth: usize) -> usize {
+        let mut class_counts = vec![0usize; groups.n_classes];
+        for &g in node {
+            for (total, c) in class_counts.iter_mut().zip(groups.counts(g)) {
+                *total += c;
+            }
+        }
+        let total: usize = class_counts.iter().sum();
+        let majority = class_counts
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, c)| **c)
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        let pure = class_counts.iter().filter(|&&c| c > 0).count() == 1;
+        let done = depth >= self.max_depth || total < self.min_samples_split || pure;
         if done {
             self.nodes.push(Node::Leaf { class: majority });
             return self.nodes.len() - 1;
         }
-        match best_split(data, indices, self.feature_subset.as_deref()) {
+        match best_split(groups, node, &class_counts, self.feature_subset.as_deref()) {
             None => {
                 self.nodes.push(Node::Leaf { class: majority });
                 self.nodes.len() - 1
             }
             Some((feature, threshold)) => {
-                let (li, ri): (Vec<usize>, Vec<usize>) = indices
+                let (li, ri): (Vec<usize>, Vec<usize>) = node
                     .iter()
-                    .partition(|&&i| data.row(i)[feature] <= threshold);
+                    .partition(|&&g| groups.value(g, feature) <= threshold);
                 if li.is_empty() || ri.is_empty() {
                     self.nodes.push(Node::Leaf { class: majority });
                     return self.nodes.len() - 1;
@@ -97,8 +132,8 @@ impl DecisionTree {
                 // Reserve the split slot before recursing.
                 self.nodes.push(Node::Leaf { class: majority });
                 let slot = self.nodes.len() - 1;
-                let left = self.build(data, &li, depth + 1);
-                let right = self.build(data, &ri, depth + 1);
+                let left = self.build(groups, &li, depth + 1);
+                let right = self.build(groups, &ri, depth + 1);
                 self.nodes[slot] = Node::Split {
                     feature,
                     threshold,
@@ -111,22 +146,22 @@ impl DecisionTree {
     }
 }
 
-fn majority_of(data: &Dataset, indices: &[usize]) -> usize {
-    let mut counts = vec![0usize; data.n_classes()];
-    for &i in indices {
-        counts[data.label(i)] += 1;
-    }
-    counts
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, c)| **c)
-        .map(|(i, _)| i)
-        .unwrap_or(0)
+/// The training set as distinct rows with per-class counts.
+struct Groups<'a> {
+    data: &'a Dataset,
+    rows: &'a [usize],
+    counts: &'a [usize],
+    n_classes: usize,
 }
 
-fn is_pure(data: &Dataset, indices: &[usize]) -> bool {
-    let first = data.label(indices[0]);
-    indices.iter().all(|&i| data.label(i) == first)
+impl Groups<'_> {
+    fn value(&self, g: usize, feature: usize) -> f64 {
+        self.data.row(self.rows[g])[feature]
+    }
+
+    fn counts(&self, g: usize) -> &[usize] {
+        &self.counts[g * self.n_classes..(g + 1) * self.n_classes]
+    }
 }
 
 fn gini(counts: &[usize], total: usize) -> f64 {
@@ -139,47 +174,54 @@ fn gini(counts: &[usize], total: usize) -> f64 {
 
 /// Finds the `(feature, threshold)` split minimizing weighted Gini, or
 /// `None` if no split improves purity.
+///
+/// Per feature, the node's distinct rows are sorted by value and the
+/// sweep adds each row's class counts to the left side. Values that
+/// compare `==` (so `-0.0` and `0.0`) form one run, and only the
+/// boundaries between runs are candidate thresholds. At each boundary the
+/// left and right counts are the integers a sweep over the node's
+/// individual rows would reach, so the Gini values and the chosen split
+/// are the same. The midpoint does not depend on which zero ends a run:
+/// `±0 + v` is `v` for the nonzero neighbour `v`.
 fn best_split(
-    data: &Dataset,
-    indices: &[usize],
+    groups: &Groups,
+    node: &[usize],
+    parent_counts: &[usize],
     feature_subset: Option<&[usize]>,
 ) -> Option<(usize, f64)> {
-    let n_classes = data.n_classes();
-    let total = indices.len();
-    let mut parent_counts = vec![0usize; n_classes];
-    for &i in indices {
-        parent_counts[data.label(i)] += 1;
-    }
-    let parent_gini = gini(&parent_counts, total);
+    let total: usize = parent_counts.iter().sum();
+    let parent_gini = gini(parent_counts, total);
     let mut best: Option<(f64, usize, f64)> = None;
 
-    let all_features: Vec<usize> = (0..data.n_features()).collect();
+    let all_features: Vec<usize> = (0..groups.data.n_features()).collect();
     let features = feature_subset.unwrap_or(&all_features);
 
+    let mut sorted = node.to_vec();
+    let mut left_counts = vec![0usize; groups.n_classes];
+    let mut right_counts = vec![0usize; groups.n_classes];
     for &feature in features {
-        // Sort indices by this feature; sweep thresholds between distinct
-        // values.
-        let mut sorted: Vec<usize> = indices.to_vec();
         sorted.sort_by(|&a, &b| {
-            data.row(a)[feature]
-                .partial_cmp(&data.row(b)[feature])
+            groups
+                .value(a, feature)
+                .partial_cmp(&groups.value(b, feature))
                 .expect("finite features")
         });
-        let mut left_counts = vec![0usize; n_classes];
+        left_counts.fill(0);
+        let mut left_n = 0;
         for w in 0..sorted.len().saturating_sub(1) {
-            left_counts[data.label(sorted[w])] += 1;
-            let cur = data.row(sorted[w])[feature];
-            let next = data.row(sorted[w + 1])[feature];
+            for (l, c) in left_counts.iter_mut().zip(groups.counts(sorted[w])) {
+                *l += c;
+                left_n += c;
+            }
+            let cur = groups.value(sorted[w], feature);
+            let next = groups.value(sorted[w + 1], feature);
             if cur == next {
                 continue;
             }
-            let left_n = w + 1;
             let right_n = total - left_n;
-            let right_counts: Vec<usize> = parent_counts
-                .iter()
-                .zip(&left_counts)
-                .map(|(p, l)| p - l)
-                .collect();
+            for ((r, p), l) in right_counts.iter_mut().zip(parent_counts).zip(&left_counts) {
+                *r = p - l;
+            }
             let weighted = (left_n as f64 * gini(&left_counts, left_n)
                 + right_n as f64 * gini(&right_counts, right_n))
                 / total as f64;
@@ -194,9 +236,13 @@ fn best_split(
 
 impl Classifier for DecisionTree {
     fn fit(&mut self, data: &Dataset) {
-        self.nodes.clear();
-        let indices: Vec<usize> = (0..data.len()).collect();
-        self.build(data, &indices, 0);
+        let (group_of, rows) = data.distinct_rows();
+        let n_classes = data.n_classes();
+        let mut counts = vec![0usize; rows.len() * n_classes];
+        for (i, &g) in group_of.iter().enumerate() {
+            counts[g * n_classes + data.label(i)] += 1;
+        }
+        self.fit_counts(data, &rows, &counts);
     }
 
     fn predict(&self, row: &[f64]) -> usize {

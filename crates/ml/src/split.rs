@@ -63,9 +63,8 @@ impl StratifiedKFold {
         self.folds.len()
     }
 
-    /// Indices of the validation samples of fold `fold`, in the order
-    /// [`StratifiedKFold::split`] copies them. The folds partition the
-    /// dataset the splitter was built on.
+    /// Indices of the validation samples of fold `fold`. The folds
+    /// partition the dataset the splitter was built on.
     ///
     /// # Panics
     ///
@@ -74,13 +73,14 @@ impl StratifiedKFold {
         &self.folds[fold]
     }
 
-    /// The `(train, validation)` datasets of fold `fold`.
+    /// The training side of fold `fold`: every other fold's samples, fold
+    /// by fold.
     ///
     /// # Panics
     ///
     /// Panics if `fold >= k`.
-    pub fn split(&self, data: &Dataset, fold: usize) -> (Dataset, Dataset) {
-        let val_idx = self.validation(fold);
+    pub fn train(&self, data: &Dataset, fold: usize) -> Dataset {
+        assert!(fold < self.folds.len(), "fold out of range");
         let train_idx: Vec<usize> = self
             .folds
             .iter()
@@ -88,7 +88,7 @@ impl StratifiedKFold {
             .filter(|(i, _)| *i != fold)
             .flat_map(|(_, f)| f.iter().copied())
             .collect();
-        (data.subset(&train_idx), data.subset(val_idx))
+        data.subset(&train_idx)
     }
 }
 
@@ -138,7 +138,7 @@ mod tests {
         let ds = skewed(200);
         let kf = StratifiedKFold::new(&ds, 4, 0);
         for fold in 0..4 {
-            let (_, val) = kf.split(&ds, fold);
+            let val = ds.subset(kf.validation(fold));
             let counts = val.class_counts();
             let ratio = counts[1] as f64 / val.len() as f64;
             assert!((ratio - 0.75).abs() < 0.05, "fold {fold} ratio {ratio}");
@@ -156,7 +156,7 @@ mod tests {
     fn split_train_val_cover_everything() {
         let ds = skewed(30);
         let kf = StratifiedKFold::new(&ds, 3, 1);
-        let (train, val) = kf.split(&ds, 0);
-        assert_eq!(train.len() + val.len(), 30);
+        let train = kf.train(&ds, 0);
+        assert_eq!(train.len() + kf.validation(0).len(), 30);
     }
 }

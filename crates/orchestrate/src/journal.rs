@@ -18,6 +18,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use mlrl_engine::report::escape_for_header;
+use mlrl_obs::json;
 
 /// File name of the journal inside a run directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
@@ -162,16 +163,14 @@ impl Journal {
     }
 }
 
-/// Grid index of a canonical record line (`{"index":N,...}`). `None`
-/// for malformed *or truncated* lines: a record's single `}` is its last
-/// byte, so a line not ending in `}` was cut mid-write.
+/// Grid index of a canonical record line (`{"index":N,...}`): the
+/// non-negative integer `index` of a line that parses in full as one JSON
+/// object. `None` for malformed, truncated or spliced lines.
 pub fn record_index(line: &str) -> Option<usize> {
-    if !line.ends_with('}') {
-        return None;
-    }
-    line.strip_prefix("{\"index\":")?
-        .split_once(',')
-        .and_then(|(index, _)| index.parse().ok())
+    let index = json::parse(line)?.as_object()?.get("index")?.as_f64()?;
+    // Integers up to 2^53 are exact in f64.
+    (index >= 0.0 && index.fract() == 0.0 && index < 9_007_199_254_740_992.0)
+        .then_some(index as usize)
 }
 
 #[cfg(test)]
@@ -292,6 +291,46 @@ mod tests {
         drop(resumed);
         let again = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("second resume");
         assert_eq!(again.completed()[&2], line(2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_index_accepts_only_whole_records() {
+        assert_eq!(record_index(&line(7)), Some(7));
+        let spliced = format!("{{\"index\":1,\"benchmark\":\"S{}", line(1));
+        assert_eq!(record_index(&spliced), None);
+        for bad in [
+            "{\"index\":3,\"bench",
+            "{\"index\":3}}",
+            "{\"index\":-1,\"kpa\":1}",
+            "{\"index\":1.5,\"kpa\":1}",
+            "{\"index\":\"2\",\"kpa\":1}",
+            "{\"kpa\":1}",
+            "[1]",
+            "garbage",
+        ] {
+            assert_eq!(record_index(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn resume_skips_a_spliced_record() {
+        let dir = tmp("spliced");
+        let mut journal = Journal::open(&dir, "demo", 4, 0xABCD, false).expect("fresh");
+        journal.record(0, &line(0)).expect("append");
+        drop(journal);
+        {
+            use std::io::Write;
+            let mut file = std::fs::OpenOptions::new()
+                .append(true)
+                .open(Journal::path_in(&dir))
+                .expect("reopen");
+            // What an append onto a torn tail used to leave behind.
+            writeln!(file, "{{\"index\":1,\"benchmark\":\"S{}", line(1)).expect("write");
+        }
+        let resumed = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("resume");
+        assert_eq!(resumed.len(), 1, "the spliced line does not replay");
+        assert!(!resumed.contains(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,7 +17,11 @@
 //! lines flow on an interval so the supervisor can tell a wedged worker
 //! (no lines at all) from one grinding through an expensive SAT cell.
 //! Unknown lines are ignored (forward compatibility; stray prints must
-//! not kill a campaign), and every emitter flushes per line.
+//! not kill a campaign), and every emitter flushes per line. A `done`
+//! line whose record does not parse as a whole record of its own index is
+//! dropped like an unknown line.
+
+use crate::journal::record_index;
 
 /// Protocol revision spoken by [`hello_line`].
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -157,8 +161,14 @@ pub fn parse_line(line: &str) -> Option<WorkerEvent> {
     }
     if let Some(rest) = line.strip_prefix("done ") {
         let (index, record) = rest.split_once(' ')?;
+        let index = index.parse().ok()?;
+        // The record is journaled as is: it must be a whole canonical
+        // record for this very cell.
+        if record_index(record) != Some(index) {
+            return None;
+        }
         return Some(WorkerEvent::Done {
-            index: index.parse().ok()?,
+            index,
             record: record.to_owned(),
         });
     }
@@ -275,6 +285,18 @@ mod tests {
         assert_eq!(parse_line(""), None);
         assert_eq!(parse_line("warning: something"), None);
         assert_eq!(parse_line("done notanumber {}"), None);
+    }
+
+    #[test]
+    fn done_lines_need_a_whole_record_for_their_own_index() {
+        assert_eq!(parse_line(r#"done 3 {"index":4,"benchmark":"FIR"}"#), None);
+        assert_eq!(parse_line("done 3 garbage"), None);
+        assert_eq!(parse_line(r#"done 3 {"index":3,"bench"#), None);
+        assert_eq!(
+            parse_line(r#"done 3 {"index":3,"benchmark":"S{"index":3,"benchmark":"FIR"}"#),
+            None
+        );
+        assert!(parse_line(r#"done 3 {"index":3,"benchmark":"FIR"}"#).is_some());
         assert_eq!(parse_line("start"), None);
     }
 }

@@ -162,10 +162,30 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.flag(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The value of numeric flag `name`, or `default` when it is absent.
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        Ok(self.opt_num(name)?.unwrap_or(default))
+    }
+
+    /// The value of numeric flag `name`, if given. A flag given without a
+    /// parsable value is a usage error.
+    fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        if !self.has(name) {
+            return Ok(None);
+        }
+        let value = self
+            .flag(name)
+            .ok_or_else(|| format!("usage: --{name} needs a value"))?;
+        value
+            .parse()
+            .map(Some)
+            .map_err(|e| format!("usage: bad --{name} `{value}`: {e}"))
     }
 }
 
@@ -201,7 +221,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         )
     })?;
     let spec = benchmark_by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let module = generate(&spec, args.num("seed", 2022u64));
+    let module = generate(&spec, args.num("seed", 2022u64)?);
     let text = emit_verilog(&module).map_err(|e| e.to_string())?;
     match args.flag("o") {
         Some(path) => {
@@ -272,9 +292,9 @@ fn cmd_lock(args: &Args) -> Result<(), String> {
     let original = load_module(path)?;
     let mut locked = original.clone();
     let total = visit::binary_ops(&locked).len();
-    let fraction: f64 = args.num("budget", 0.75);
+    let fraction: f64 = args.num("budget", 0.75)?;
     let budget = ((total as f64) * fraction).round().max(1.0) as usize;
-    let seed: u64 = args.num("seed", 2022);
+    let seed: u64 = args.num("seed", 2022)?;
     let scheme = args.flag("scheme").unwrap_or("era");
     let key: Key = match scheme {
         "assure" => lock_operations(&mut locked, &AssureConfig::serial(budget, seed))
@@ -328,7 +348,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     let key_path = args.flag("key").ok_or("missing --key <file>")?;
     let key = key_from_string(&fs::read_to_string(key_path).map_err(|e| e.to_string())?)?;
     let cfg = EquivConfig {
-        patterns: args.num("patterns", 64usize),
+        patterns: args.num("patterns", 64usize)?,
         ticks: 2,
         seed: 7,
     };
@@ -355,9 +375,9 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
             .ok_or("usage: mlrl attack <locked.v> [--key key.txt]")?,
     )?;
     let relock = RelockConfig {
-        rounds: args.num("relocks", 60usize),
+        rounds: args.num("relocks", 60usize)?,
         budget_fraction: 0.75,
-        seed: args.num("seed", 7u64),
+        seed: args.num("seed", 7u64)?,
     };
     // Build a scoring key: the real one if provided, else zeros (KPA then
     // meaningless and suppressed).
@@ -427,8 +447,8 @@ fn cmd_gatelock(args: &Args) -> Result<(), String> {
     )?)?;
     let mut netlist = lower_module(&module).map_err(|e| e.to_string())?;
     netlist.sweep();
-    let bits = args.num("bits", 32usize);
-    let seed = args.num("seed", 7u64);
+    let bits = args.num("bits", 32usize)?;
+    let seed = args.num("seed", 7u64)?;
     let scheme = match args.flag("scheme").unwrap_or("xor") {
         "xor" => GateLockScheme::XorXnor,
         "mux" => GateLockScheme::Mux,
@@ -475,7 +495,7 @@ fn cmd_sat_attack(args: &Args) -> Result<(), String> {
         netlist.key_width()
     );
     let cfg = SatAttackConfig {
-        max_dips: args.num("max-dips", 512usize),
+        max_dips: args.num("max-dips", 512usize)?,
         ..Default::default()
     };
     let (report, correct) =
@@ -505,13 +525,13 @@ fn arm_telemetry(args: &Args) -> bool {
 }
 
 /// Applies the trace-overhead controls once the sink is armed:
-/// `--trace-sample N` keeps 1-in-N hot-class spans (phase and cell
-/// spans always kept; aggregate stats stay exact), and a background
+/// `--trace-sample N` (`sample`) keeps 1-in-N hot-class spans (phase and
+/// cell spans always kept; aggregate stats stay exact), and a background
 /// `/proc/self` sampler exports `proc.rss_bytes` / `proc.cpu_ms`
 /// gauges so process memory shows up in metrics, baselines, and
 /// `mlrl top`.
-fn arm_trace_overhead_controls(args: &Args) {
-    if let Some(n) = args.flag("trace-sample").and_then(|v| v.parse().ok()) {
+fn arm_trace_overhead_controls(sample: Option<u64>) {
+    if let Some(n) = sample {
         mlrl::obs::set_span_sample(n);
     }
     mlrl::obs::proc::start_sampler(Duration::from_millis(200));
@@ -542,13 +562,14 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     let path = args.positional.get(1).ok_or(
         "usage: mlrl campaign <spec.txt> [--threads N] [--opt-level o0|o1|o2] [--jsonl out.jsonl] [--cache-dir DIR] [--cache-cap BYTES] [--canonical] [--shard I/N] [--trace-out FILE] [--metrics-out FILE]",
     )?;
+    let trace_sample = args.opt_num("trace-sample")?;
     if arm_telemetry(args) {
-        arm_trace_overhead_controls(args);
+        arm_trace_overhead_controls(trace_sample);
     }
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut spec = CampaignSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(threads) = args.flag("threads") {
-        spec.threads = threads.parse().map_err(|e| format!("bad --threads: {e}"))?;
+    if let Some(threads) = args.opt_num("threads")? {
+        spec.threads = threads;
     }
     if let Some(level) = args.flag("opt-level") {
         spec.opt_level = OptLevel::parse(level).map_err(|e| format!("bad --opt-level: {e}"))?;
@@ -637,13 +658,14 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
         "usage: mlrl worker <spec.txt> --cells 0,2,5 [--threads N] [--opt-level o0|o1|o2] [--cache-dir DIR] [--cache-cap BYTES] [--heartbeat-ms MS] [--telemetry] [--trace-sample N]",
     )?;
     let telemetry = args.has("telemetry");
+    let trace_sample = args.opt_num("trace-sample")?;
     if telemetry {
         mlrl::obs::enable();
-        arm_trace_overhead_controls(args);
+        arm_trace_overhead_controls(trace_sample);
     }
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut spec = CampaignSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    spec.threads = args.num("threads", 1usize);
+    spec.threads = args.num("threads", 1usize)?;
     if let Some(level) = args.flag("opt-level") {
         spec.opt_level = OptLevel::parse(level).map_err(|e| format!("bad --opt-level: {e}"))?;
     }
@@ -680,7 +702,7 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
     let finished = Arc::new(AtomicBool::new(false));
     {
         let finished = Arc::clone(&finished);
-        let interval = Duration::from_millis(args.num("heartbeat-ms", 1000u64).max(10));
+        let interval = Duration::from_millis(args.num("heartbeat-ms", 1000u64)?.max(10));
         std::thread::spawn(move || loop {
             std::thread::sleep(interval);
             if finished.load(Ordering::Relaxed) {
@@ -782,11 +804,12 @@ fn cmd_orchestrate(args: &Args) -> Result<(), String> {
          [--wedge-timeout SECS] [--max-restarts N] [--canonical] [--jsonl out.jsonl] [--quick] \
          [--trace-out FILE] [--metrics-out FILE] [--trace-sample N]",
     )?;
+    let trace_sample = args.opt_num("trace-sample")?;
     let telemetry = arm_telemetry(args);
     if telemetry {
         // The supervisor samples its own /proc too, so the fleet
         // metrics include the orchestrator's footprint.
-        arm_trace_overhead_controls(args);
+        arm_trace_overhead_controls(trace_sample);
     }
     let (run_dir, resume) = match args.flag("resume") {
         Some(dir) => (PathBuf::from(dir), true),
@@ -799,7 +822,7 @@ fn cmd_orchestrate(args: &Args) -> Result<(), String> {
 
     let mut cfg = OrchestratorConfig::new(path, &run_dir);
     cfg.resume = resume;
-    cfg.workers = args.num("workers", 2usize).max(1);
+    cfg.workers = args.num("workers", 2usize)?.max(1);
     cfg.worker_cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_owned()];
     cfg.cache_dir = args.flag("cache-dir").map(PathBuf::from);
     cfg.cache_cap = args
@@ -807,16 +830,16 @@ fn cmd_orchestrate(args: &Args) -> Result<(), String> {
         .map(parse_byte_size)
         .transpose()
         .map_err(|e| format!("bad --cache-cap: {e}"))?;
-    cfg.worker_threads = args.num("worker-threads", 1usize).max(1);
+    cfg.worker_threads = args.num("worker-threads", 1usize)?.max(1);
     if let Some(level) = args.flag("opt-level") {
         // Validate here; workers receive the token verbatim.
         OptLevel::parse(level).map_err(|e| format!("bad --opt-level: {e}"))?;
         cfg.opt_level = Some(level.to_owned());
     }
-    cfg.wedge_timeout = Duration::from_secs(args.num("wedge-timeout", 30u64).max(1));
-    cfg.max_restarts = args.num("max-restarts", 3usize);
+    cfg.wedge_timeout = Duration::from_secs(args.num("wedge-timeout", 30u64)?.max(1));
+    cfg.max_restarts = args.num("max-restarts", 3usize)?;
     cfg.telemetry = telemetry;
-    cfg.trace_sample = args.flag("trace-sample").and_then(|v| v.parse().ok());
+    cfg.trace_sample = trace_sample;
     if args.has("quick") {
         // Smoke-test timing: tight heartbeats and wedge detection so a
         // small campaign's supervision overhead stays negligible. Never
@@ -864,9 +887,9 @@ fn cmd_top(args: &Args) -> Result<(), String> {
         .get(1)
         .ok_or("usage: mlrl top <run-dir> [--once] [--refresh-ms MS] [--stale-ms MS] [--top N]")?;
     let opts = mlrl::orchestrate::TopOptions {
-        refresh_ms: args.num("refresh-ms", 1000u64),
-        stale_ms: args.num("stale-ms", 5000u64),
-        top_k: args.num("top", 3usize),
+        refresh_ms: args.num("refresh-ms", 1000u64)?,
+        stale_ms: args.num("stale-ms", 5000u64)?,
+        top_k: args.num("top", 3usize)?,
     };
     mlrl::orchestrate::run_top(std::path::Path::new(run_dir), &opts, args.has("once"))
 }
@@ -877,7 +900,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         .get(1)
         .ok_or("usage: mlrl report <run-dir> [--trace FILE] [--top N] [--folded-out FILE]")?;
     let opts = mlrl::orchestrate::ReportOptions {
-        top: args.num("top", 10usize),
+        top: args.num("top", 10usize)?,
         trace: args.flag("trace").map(PathBuf::from),
         folded_out: args.flag("folded-out").map(PathBuf::from),
     };
@@ -897,7 +920,7 @@ fn cmd_bench_diff(args: &Args) -> Result<(), String> {
     };
     let old = load(old_path)?;
     let new = load(new_path)?;
-    let diff = mlrl::obs::baseline::diff(&old, &new, args.num("threshold", 10.0f64));
+    let diff = mlrl::obs::baseline::diff(&old, &new, args.num("threshold", 10.0f64)?);
     print!("{}", diff.render());
     if diff.has_regressions() {
         return Err(format!(

@@ -213,6 +213,36 @@ fn unknown_subcommand_fails_with_usage() {
 }
 
 #[test]
+fn unparsable_numeric_flags_are_usage_errors() {
+    let dir = tmpdir("bad-flags");
+    let spec = dir.join("c.spec");
+    std::fs::write(
+        &spec,
+        "benchmarks = FIR\nschemes = assure\nbudgets = 0.5\nseeds = 3\nattacks = none\n",
+    )
+    .expect("write spec");
+    let spec = spec.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["campaign", spec, "--threads", "banana"], "--threads"),
+        (
+            vec!["campaign", spec, "--trace-sample", "banana"],
+            "--trace-sample",
+        ),
+        (vec!["campaign", spec, "--threads"], "--threads"),
+        (vec!["gen", "FIR", "--seed", "-1"], "--seed"),
+    ] {
+        let out = mlrl().args(&args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            stderr.contains("usage") && stderr.contains(flag),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_benchmark_is_reported() {
     let out = mlrl().args(["gen", "NOPE"]).output().expect("run");
     assert!(!out.status.success());
