@@ -139,11 +139,6 @@ pub fn build_engine(args: &BenchArgs) -> Result<Engine, String> {
 /// - `--trace-out FILE` / `--metrics-out FILE` enable run telemetry and
 ///   export a Chrome trace / metrics rollup after the campaigns finish.
 ///   Telemetry is a pure side channel: canonical bytes never change;
-/// - `--bench-json FILE` also enables telemetry and writes a
-///   `BENCH.json` baseline after the campaigns finish: per-campaign
-///   wall time plus the full metrics rollup (histogram percentiles of
-///   the instrumented hot paths included, and the `/proc` sampler's
-///   `proc.rss_bytes.peak` gauge) — the input of `mlrl bench-diff`;
 /// - `--trace-sample N` keeps 1-in-N hot-class trace spans (phase and
 ///   cell spans always kept; aggregate stats stay exact).
 ///
@@ -161,15 +156,11 @@ pub fn run_campaigns(
     args: &BenchArgs,
 ) -> Result<Option<Vec<CampaignReport>>, String> {
     let shard = args.shard()?;
-    if args.flag("trace-out").is_some()
-        || args.flag("metrics-out").is_some()
-        || args.flag("bench-json").is_some()
-    {
+    if args.flag("trace-out").is_some() || args.flag("metrics-out").is_some() {
         mlrl_obs::enable();
         // `--trace-sample N` bounds trace volume on long sweeps (phase
         // and cell spans always kept; stats stay exact); the /proc
-        // sampler puts `proc.rss_bytes.peak` into the baseline so
-        // `mlrl bench-diff` can flag memory regressions advisorily.
+        // sampler puts `proc.rss_bytes.peak` into the metrics rollup.
         if let Some(n) = args.flag("trace-sample").and_then(|v| v.parse().ok()) {
             mlrl_obs::set_span_sample(n);
         }
@@ -194,29 +185,17 @@ pub fn run_campaigns(
             spec
         })
         .collect();
-    let mut baseline = mlrl_obs::baseline::BenchBaseline::default();
     if shard.is_some() || args.has("canonical") {
         for spec in &specs {
-            let start = std::time::Instant::now();
             print!("{}", engine.run_shard(spec, shard).canonical_jsonl());
-            baseline.record(
-                &format!("campaign/{}", spec.name),
-                &[start.elapsed().as_nanos() as u64],
-            );
         }
         write_telemetry_artifacts(args)?;
-        write_bench_baseline(args, baseline)?;
         return Ok(None);
     }
     let reports: Vec<CampaignReport> = specs
         .iter()
         .map(|spec| {
-            let start = std::time::Instant::now();
             let report = engine.run(spec);
-            baseline.record(
-                &format!("campaign/{}", spec.name),
-                &[start.elapsed().as_nanos() as u64],
-            );
             if report.failed_count() > 0 {
                 eprintln!("warning: {}", report.summary());
             }
@@ -224,24 +203,7 @@ pub fn run_campaigns(
         })
         .collect();
     write_telemetry_artifacts(args)?;
-    write_bench_baseline(args, baseline)?;
     Ok(Some(reports))
-}
-
-/// Writes the `--bench-json` baseline (campaign wall timings + the
-/// telemetry rollup snapshot), a no-op without the flag.
-fn write_bench_baseline(
-    args: &BenchArgs,
-    mut baseline: mlrl_obs::baseline::BenchBaseline,
-) -> Result<(), String> {
-    let Some(path) = args.flag("bench-json") else {
-        return Ok(());
-    };
-    baseline.metrics = mlrl_obs::snapshot();
-    std::fs::write(path, format!("{}\n", baseline.to_json()))
-        .map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("wrote {path}");
-    Ok(())
 }
 
 /// Exports the telemetry artifacts requested by `--trace-out` /

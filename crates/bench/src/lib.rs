@@ -8,8 +8,11 @@
 //! deterministic JSON-lines stream) and `--shard I/N` (run one
 //! deterministic partition; merge the outputs with `mlrl merge`).
 //! [`experiments`] keeps the one non-campaign-shaped runner — the
-//! Fig. 5a metric surface and the 5b per-bit trajectories. Criterion
-//! benches under `benches/` measure the building blocks.
+//! Fig. 5a metric surface and the 5b per-bit trajectories. The two
+//! Criterion benches under `benches/` are the controlled-input ones:
+//! simulator lane width (`sim_throughput`) and the O2 optimizer
+//! (`opt_pipeline`). End-to-end performance is measured by
+//! `campaign_bench` at the repository root.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -10,6 +10,7 @@
 //!   full picture including timing and cache hit rate.
 
 use crate::cache::CacheStats;
+use mlrl_obs::json;
 
 /// Terminal state of one job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -317,6 +318,30 @@ pub fn escape_for_header(name: &str) -> String {
         .collect()
 }
 
+/// Grid index of a canonical record line (`{"index":N,...}`): the
+/// non-negative integer `index` of a line that parses in full as one JSON
+/// object. `None` for malformed, truncated or spliced lines.
+pub fn record_index(line: &str) -> Option<usize> {
+    uint_field(&json::parse(line)?, "index")
+}
+
+/// `(campaign, jobs)` of a campaign header line
+/// (`{"campaign":"NAME","jobs":N}`, plus `"spec"` in a run journal): a
+/// line that parses in full as one JSON object with a string `campaign`
+/// and a non-negative integer `jobs`. `None` for anything else.
+pub fn header_fields(line: &str) -> Option<(String, usize)> {
+    let header = json::parse(line)?;
+    let campaign = header.as_object()?.get("campaign")?.as_str()?.to_owned();
+    Some((campaign, uint_field(&header, "jobs")?))
+}
+
+/// The non-negative integer field `key` of a JSON object.
+fn uint_field(value: &json::Value, key: &str) -> Option<usize> {
+    let n = value.as_object()?.get(key)?.as_f64()?;
+    // Integers up to 2^53 are exact in f64.
+    (n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0).then_some(n as usize)
+}
+
 enum JsonValue<'a> {
     Int(i64),
     OptInt(Option<i64>),
@@ -587,10 +612,11 @@ pub fn scheme_averages(cells: &[CellSummary]) -> Vec<(String, f64)> {
 ///
 /// # Errors
 ///
-/// Returns a message on malformed headers/records, campaign sequences
-/// that differ between inputs, duplicate grid indices (overlapping
-/// shards), or a job count that does not match the collected records
-/// (missing shards).
+/// Returns a message on a line that is neither a whole header nor a
+/// whole record ([`header_fields`], [`record_index`]), campaign
+/// sequences that differ between inputs, duplicate grid indices
+/// (overlapping shards), or a job count that does not match the
+/// collected records (missing shards).
 pub fn merge_canonical_streams(inputs: &[String]) -> Result<String, String> {
     struct Segment {
         header_name: String,
@@ -604,32 +630,20 @@ pub fn merge_canonical_streams(inputs: &[String]) -> Result<String, String> {
             if line.is_empty() {
                 continue;
             }
-            if let Some(rest) = line.strip_prefix("{\"campaign\":\"") {
-                let (name, rest) = rest
-                    .split_once('"')
-                    .ok_or_else(|| format!("malformed header line `{line}`"))?;
-                let jobs: usize = rest
-                    .strip_prefix(",\"jobs\":")
-                    .and_then(|r| r.strip_suffix('}'))
-                    .and_then(|r| r.parse().ok())
-                    .ok_or_else(|| format!("malformed header line `{line}`"))?;
-                segments.push(Segment {
-                    header_name: name.to_owned(),
-                    jobs,
-                    records: Vec::new(),
-                });
-            } else if let Some(rest) = line.strip_prefix("{\"index\":") {
-                let index: usize = rest
-                    .split_once(',')
-                    .and_then(|(i, _)| i.parse().ok())
-                    .ok_or_else(|| format!("malformed record line `{line}`"))?;
+            if let Some(index) = record_index(line) {
                 segments
                     .last_mut()
                     .ok_or_else(|| format!("record line `{line}` before any campaign header"))?
                     .records
                     .push((index, line.to_owned()));
+            } else if let Some((header_name, jobs)) = header_fields(line) {
+                segments.push(Segment {
+                    header_name,
+                    jobs,
+                    records: Vec::new(),
+                });
             } else {
-                return Err(format!("unrecognized line `{line}`"));
+                return Err(format!("malformed line `{line}`"));
             }
         }
         Ok(segments)
@@ -918,6 +932,69 @@ mod tests {
         let err =
             merge_canonical_streams(&[shard, other.canonical_jsonl()]).expect_err("name mismatch");
         assert!(err.contains("disagree"), "{err}");
+    }
+
+    #[test]
+    fn merge_rejects_spliced_truncated_and_trailing_garbage_lines() {
+        let full = report_with(vec![
+            record(),
+            JobRecord {
+                index: 1,
+                ..record()
+            },
+        ])
+        .canonical_jsonl();
+        let lines: Vec<&str> = full.lines().collect();
+        let (header, first, second) = (lines[0], lines[1], lines[2]);
+        assert_eq!(
+            merge_canonical_streams(std::slice::from_ref(&full)).expect("merges"),
+            full
+        );
+        // What an append onto a torn tail leaves behind: a prefix sniffer
+        // would read the outer `"index":1`.
+        let spliced = format!("{},\"benchmark\":\"S{first}", &second[..10]);
+        let truncated = first[..first.len() - 5].to_owned();
+        let garbage_header = format!("{header}}}");
+        for (bad, at) in [(spliced, 2), (truncated, 1), (garbage_header, 0)] {
+            let mut torn = lines.clone();
+            torn[at] = &bad;
+            let stream = format!("{}\n", torn.join("\n"));
+            let err = merge_canonical_streams(&[stream]).expect_err("rejected");
+            assert!(err.contains("malformed line"), "{err}");
+        }
+    }
+
+    #[test]
+    fn header_and_record_lines_parse_in_full() {
+        assert_eq!(
+            header_fields("{\"campaign\":\"t\",\"jobs\":3}"),
+            Some(("t".to_owned(), 3))
+        );
+        assert_eq!(
+            header_fields("{\"campaign\":\"t\",\"jobs\":3,\"spec\":\"00ab\"}"),
+            Some(("t".to_owned(), 3))
+        );
+        assert_eq!(record_index("{\"index\":7,\"kpa\":null}"), Some(7));
+        for bad in [
+            "{\"campaign\":\"t\",\"jobs\":3}}",
+            "{\"campaign\":\"t\",\"jobs\":1.5}",
+            "{\"campaign\":3,\"jobs\":3}",
+            "{\"campaign\":\"t\"}",
+        ] {
+            assert_eq!(header_fields(bad), None, "{bad}");
+        }
+        for bad in [
+            "{\"index\":3,\"bench",
+            "{\"index\":3}}",
+            "{\"index\":-1,\"kpa\":1}",
+            "{\"index\":1.5,\"kpa\":1}",
+            "{\"index\":\"2\",\"kpa\":1}",
+            "{\"kpa\":1}",
+            "[1]",
+            "garbage",
+        ] {
+            assert_eq!(record_index(bad), None, "{bad}");
+        }
     }
 
     #[test]

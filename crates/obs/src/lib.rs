@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod hist;
 pub mod proc;
 

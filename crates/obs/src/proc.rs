@@ -2,7 +2,7 @@
 //! and CPU usage as gauges — `proc.rss_bytes` (current),
 //! `proc.rss_bytes.peak` (running maximum), and `proc.cpu_ms`
 //! (user+system) — so memory blowups are visible live in `mlrl top`,
-//! post-hoc in `mlrl report`, and across commits in bench baselines.
+//! post-hoc in `mlrl report`, and in the `--metrics-out` rollup.
 //! The data source is Linux `/proc`; on other platforms (or when a
 //! read fails) the sampler silently records nothing.
 

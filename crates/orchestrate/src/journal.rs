@@ -12,13 +12,15 @@
 //! A truncated trailing line (the kill landed mid-write) is skipped on
 //! resume and cut from the file before anything is appended; the
 //! affected cell simply recomputes.
+//!
+//! [`read_journal`] is the read-only view `mlrl report` and `mlrl top`
+//! share. It keeps the same records a resume would replay.
 
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use mlrl_engine::report::escape_for_header;
-use mlrl_obs::json;
+use mlrl_engine::report::{escape_for_header, header_fields, record_index};
 
 /// File name of the journal inside a run directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
@@ -62,7 +64,6 @@ impl Journal {
             "{{\"campaign\":\"{}\",\"jobs\":{jobs},\"spec\":\"{spec_digest:016x}\"}}",
             escape_for_header(campaign)
         );
-        let mut completed = BTreeMap::new();
         if resume {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot resume: no journal at {} ({e})", path.display()))?;
@@ -74,15 +75,7 @@ impl Journal {
                     path.display()
                 ));
             }
-            for line in lines {
-                // A truncated final line parses as None and is skipped:
-                // that cell recomputes.
-                if let Some(index) = record_index(line) {
-                    if index < jobs {
-                        completed.entry(index).or_insert_with(|| line.to_owned());
-                    }
-                }
-            }
+            let completed = complete_records(lines, jobs);
             let mut file = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&path)
@@ -120,7 +113,7 @@ impl Journal {
         Ok(Self {
             path,
             file,
-            completed,
+            completed: BTreeMap::new(),
         })
     }
 
@@ -163,14 +156,60 @@ impl Journal {
     }
 }
 
-/// Grid index of a canonical record line (`{"index":N,...}`): the
-/// non-negative integer `index` of a line that parses in full as one JSON
-/// object. `None` for malformed, truncated or spliced lines.
-pub fn record_index(line: &str) -> Option<usize> {
-    let index = json::parse(line)?.as_object()?.get("index")?.as_f64()?;
-    // Integers up to 2^53 are exact in f64.
-    (index >= 0.0 && index.fract() == 0.0 && index < 9_007_199_254_740_992.0)
-        .then_some(index as usize)
+/// A run's journal as read back for display: the header's campaign and
+/// grid size, and every complete record line by grid index.
+#[derive(Debug)]
+pub struct JournalContents {
+    /// Campaign name from the header.
+    pub campaign: String,
+    /// Number of cells in the campaign grid.
+    pub jobs: usize,
+    /// Complete record lines by grid index, as a resume would replay them.
+    pub records: BTreeMap<usize, String>,
+}
+
+impl JournalContents {
+    /// Parses journal text: a whole header line (see [`header_fields`])
+    /// followed by records. `None` when the header does not parse.
+    pub fn parse(text: &str) -> Option<Self> {
+        let mut lines = text.lines();
+        let (campaign, jobs) = header_fields(lines.next()?)?;
+        Some(Self {
+            campaign,
+            jobs,
+            records: complete_records(lines, jobs),
+        })
+    }
+}
+
+/// Reads and parses the journal of `run_dir`.
+///
+/// # Errors
+///
+/// Returns a message when the journal is missing or its header does not
+/// parse.
+pub fn read_journal(run_dir: &Path) -> Result<JournalContents, String> {
+    let path = Journal::path_in(run_dir);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("no journal at {}: {e}", path.display()))?;
+    JournalContents::parse(&text)
+        .ok_or_else(|| format!("malformed journal header in {}", path.display()))
+}
+
+/// The record lines a journal holds for cells of its grid. A line that is
+/// not a whole record (see [`record_index`]) is skipped, so a torn or
+/// spliced cell recomputes; a replayed duplicate keeps its first copy.
+fn complete_records<'a>(
+    lines: impl Iterator<Item = &'a str>,
+    jobs: usize,
+) -> BTreeMap<usize, String> {
+    let mut records = BTreeMap::new();
+    for line in lines {
+        if let Some(index) = record_index(line).filter(|&i| i < jobs) {
+            records.entry(index).or_insert_with(|| line.to_owned());
+        }
+    }
+    records
 }
 
 #[cfg(test)]
@@ -295,21 +334,36 @@ mod tests {
     }
 
     #[test]
-    fn record_index_accepts_only_whole_records() {
-        assert_eq!(record_index(&line(7)), Some(7));
+    fn contents_parse_the_header_and_keep_whole_records_of_the_grid() {
         let spliced = format!("{{\"index\":1,\"benchmark\":\"S{}", line(1));
-        assert_eq!(record_index(&spliced), None);
-        for bad in [
+        let text = [
+            "{\"campaign\":\"demo\",\"jobs\":4,\"spec\":\"00\"}",
+            &line(2),
+            &line(0),
+            &spliced,
+            &line(9),
+            &line(2).replace("FIR", "SPI"),
             "{\"index\":3,\"bench",
-            "{\"index\":3}}",
-            "{\"index\":-1,\"kpa\":1}",
-            "{\"index\":1.5,\"kpa\":1}",
-            "{\"index\":\"2\",\"kpa\":1}",
-            "{\"kpa\":1}",
-            "[1]",
-            "garbage",
+        ]
+        .join("\n");
+        let contents = JournalContents::parse(&text).expect("parses");
+        assert_eq!((contents.campaign.as_str(), contents.jobs), ("demo", 4));
+        // Spliced, torn and out-of-grid lines are dropped; a duplicate
+        // keeps its first copy.
+        let kept: Vec<(usize, &str)> = contents
+            .records
+            .iter()
+            .map(|(i, l)| (*i, l.as_str()))
+            .collect();
+        assert_eq!(kept, [(0, line(0).as_str()), (2, line(2).as_str())]);
+
+        for bad in [
+            "",
+            "{\"campaign\":\"demo\",\"jobs\":4}}",
+            "{\"campaign\":\"demo\",\"jobs\":4.5}",
+            "{\"campaign\":\"demo\"}",
         ] {
-            assert_eq!(record_index(bad), None, "{bad}");
+            assert!(JournalContents::parse(bad).is_none(), "{bad}");
         }
     }
 

@@ -21,7 +21,7 @@
 //! line whose record does not parse as a whole record of its own index is
 //! dropped like an unknown line.
 
-use crate::journal::record_index;
+use mlrl_engine::report::record_index;
 
 /// Protocol revision spoken by [`hello_line`].
 pub const PROTOCOL_VERSION: u32 = 1;

@@ -19,6 +19,8 @@ use std::path::{Path, PathBuf};
 use mlrl_obs::json::{self, Value};
 use mlrl_obs::Metrics;
 
+use crate::journal::{read_journal, JournalContents};
+
 /// Options for [`render_report`].
 #[derive(Debug, Clone)]
 pub struct ReportOptions {
@@ -96,55 +98,9 @@ impl Trace {
     }
 }
 
-/// Journal summary: header fields plus a label per completed cell.
-#[derive(Debug, Default)]
-struct JournalSummary {
-    campaign: String,
-    jobs: u64,
-    /// `index → "benchmark/level/attack"`.
-    cells: BTreeMap<u64, String>,
-}
-
-fn parse_journal(text: &str) -> Option<JournalSummary> {
-    let mut lines = text.lines();
-    let header = json::parse(lines.next()?)?;
-    let header = header.as_object()?;
-    let mut out = JournalSummary {
-        campaign: header.get("campaign")?.as_str()?.to_owned(),
-        jobs: header.get("jobs")?.as_f64()? as u64,
-        cells: BTreeMap::new(),
-    };
-    for line in lines {
-        // Tolerate truncated trailing lines exactly like resume does.
-        let Some(record) = json::parse(line) else {
-            continue;
-        };
-        let Some(obj) = record.as_object() else {
-            continue;
-        };
-        let Some(index) = obj.get("index").and_then(Value::as_f64) else {
-            continue;
-        };
-        let field = |key: &str| {
-            obj.get(key)
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_owned()
-        };
-        out.cells.insert(
-            index as u64,
-            format!(
-                "{}/{}/{}",
-                field("benchmark"),
-                field("level"),
-                field("attack")
-            ),
-        );
-    }
-    Some(out)
-}
-
-fn fmt_us(us: u64) -> String {
+/// A duration in microseconds as `us`, `ms` or `s`, two decimals past
+/// a microsecond (`mlrl report` and `mlrl top` share it).
+pub(crate) fn fmt_us(us: u64) -> String {
     if us >= 1_000_000 {
         format!("{:.2}s", us as f64 / 1e6)
     } else if us >= 1_000 {
@@ -173,11 +129,7 @@ fn pct(part: u64, whole: u64) -> String {
 /// Returns a message when the journal is missing/malformed or the
 /// folded output cannot be written.
 pub fn render_report(run_dir: &Path, opts: &ReportOptions) -> Result<String, String> {
-    let journal_path = crate::Journal::path_in(run_dir);
-    let journal_text = std::fs::read_to_string(&journal_path)
-        .map_err(|e| format!("cannot read {}: {e}", journal_path.display()))?;
-    let journal = parse_journal(&journal_text)
-        .ok_or_else(|| format!("malformed journal header in {}", journal_path.display()))?;
+    let journal = read_journal(run_dir)?;
 
     let metrics_path = run_dir.join("metrics.json");
     let metrics = std::fs::read_to_string(&metrics_path)
@@ -197,7 +149,7 @@ pub fn render_report(run_dir: &Path, opts: &ReportOptions) -> Result<String, Str
         "run report: {}\ncampaign \"{}\": {} of {} cells journaled\n",
         run_dir.display(),
         journal.campaign,
-        journal.cells.len(),
+        journal.records.len(),
         journal.jobs
     ));
 
@@ -480,8 +432,29 @@ fn render_worker_phases(out: &mut String, trace: &Trace, metrics: Option<&Metric
     }
 }
 
+/// `benchmark/level/attack` of a journaled record line (`?` for a
+/// missing field).
+fn cell_label(record: &str) -> String {
+    let record = json::parse(record);
+    let field = |key: &str| {
+        record
+            .as_ref()
+            .and_then(Value::as_object)
+            .and_then(|obj| obj.get(key))
+            .and_then(Value::as_str)
+            .unwrap_or("?")
+            .to_owned()
+    };
+    format!(
+        "{}/{}/{}",
+        field("benchmark"),
+        field("level"),
+        field("attack")
+    )
+}
+
 /// Top-N slowest cells from the trace, labeled via the journal records.
-fn render_slowest_cells(out: &mut String, trace: &Trace, journal: &JournalSummary, top: usize) {
+fn render_slowest_cells(out: &mut String, trace: &Trace, journal: &JournalContents, top: usize) {
     let mut cells: Vec<&TraceSpan> = trace
         .spans
         .iter()
@@ -496,9 +469,9 @@ fn render_slowest_cells(out: &mut String, trace: &Trace, journal: &JournalSummar
         let label = s
             .name
             .strip_prefix("cell ")
-            .and_then(|n| n.parse::<u64>().ok())
-            .and_then(|n| journal.cells.get(&n))
-            .map_or_else(String::new, |l| format!("  {l}"));
+            .and_then(|n| n.parse().ok())
+            .and_then(|n| journal.records.get(&n))
+            .map_or_else(String::new, |record| format!("  {}", cell_label(record)));
         out.push_str(&format!(
             "  {:>2}. {:<10} {:>10}  on {}{label}\n",
             rank + 1,
@@ -615,19 +588,17 @@ mod tests {
     }
 
     #[test]
-    fn journal_parse_labels_cells_and_skips_garbage() {
+    fn cells_are_labelled_from_their_journal_records() {
         let text = concat!(
             "{\"campaign\":\"demo\",\"jobs\":4}\n",
             "{\"index\":0,\"benchmark\":\"FIR\",\"level\":\"rtl\",\"attack\":\"sat\",\"kpa\":50.0}\n",
-            "{\"index\":2,\"benchmark\":\"SPI\",\"level\":\"gate\",\"attack\":\"kpa\",\"kpa\":null}\n",
+            "{\"index\":2,\"benchmark\":\"SPI\",\"level\":\"gate\",\"kpa\":null}\n",
             "{\"index\":3,\"bench", // truncated mid-write
         );
-        let j = parse_journal(text).expect("parses");
-        assert_eq!(j.campaign, "demo");
-        assert_eq!(j.jobs, 4);
-        assert_eq!(j.cells.len(), 2);
-        assert_eq!(j.cells[&0], "FIR/rtl/sat");
-        assert_eq!(j.cells[&2], "SPI/gate/kpa");
+        let j = JournalContents::parse(text).expect("parses");
+        assert_eq!(j.records.len(), 2);
+        assert_eq!(cell_label(&j.records[&0]), "FIR/rtl/sat");
+        assert_eq!(cell_label(&j.records[&2]), "SPI/gate/?");
     }
 
     #[test]

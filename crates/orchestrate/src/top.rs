@@ -24,7 +24,8 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use mlrl_obs::{json, Metrics};
 
-use crate::journal::{record_index, JOURNAL_FILE};
+use crate::journal::read_journal;
+use crate::report::fmt_us;
 
 /// Knobs for [`render_top`] / [`run_top`].
 #[derive(Debug, Clone)]
@@ -45,37 +46,6 @@ impl Default for TopOptions {
             top_k: 3,
         }
     }
-}
-
-/// Journal facts: campaign name, grid size, completed cells.
-struct JournalView {
-    campaign: String,
-    jobs: usize,
-    done: usize,
-}
-
-fn read_journal(run_dir: &Path) -> Result<JournalView, String> {
-    let path = run_dir.join(JOURNAL_FILE);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("no journal at {}: {e}", path.display()))?;
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or("");
-    let doc = json::parse(header).ok_or_else(|| format!("unreadable journal header: {header}"))?;
-    let obj = doc
-        .as_object()
-        .ok_or_else(|| format!("unreadable journal header: {header}"))?;
-    let campaign = obj
-        .get("campaign")
-        .and_then(json::Value::as_str)
-        .unwrap_or("?")
-        .to_owned();
-    let jobs = obj.get("jobs").and_then(json::Value::as_f64).unwrap_or(0.0) as usize;
-    let done = lines.filter(|l| record_index(l).is_some()).count();
-    Ok(JournalView {
-        campaign,
-        jobs,
-        done,
-    })
 }
 
 /// One worker row of `fleet.json`.
@@ -128,16 +98,6 @@ fn fmt_secs(ms: u64) -> String {
     format!("{:.1}s", ms as f64 / 1e3)
 }
 
-fn fmt_us(us: u64) -> String {
-    if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else if us >= 1_000 {
-        format!("{:.1}ms", us as f64 / 1e3)
-    } else {
-        format!("{us}us")
-    }
-}
-
 fn fmt_bytes(b: f64) -> String {
     if b >= 1024.0 * 1024.0 * 1024.0 {
         format!("{:.2}GB", b / (1024.0 * 1024.0 * 1024.0))
@@ -171,16 +131,18 @@ pub fn render_top(run_dir: &Path, opts: &TopOptions) -> Result<String, String> {
 
     // Header: progress, ETA, snapshot freshness.
     let pct = if journal.jobs > 0 {
-        journal.done as f64 * 100.0 / journal.jobs as f64
+        journal.records.len() as f64 * 100.0 / journal.jobs as f64
     } else {
         100.0
     };
     out.push_str(&format!(
         "mlrl top · campaign \"{}\" · {}/{} cells ({pct:.0}%)",
-        journal.campaign, journal.done, journal.jobs
+        journal.campaign,
+        journal.records.len(),
+        journal.jobs
     ));
     if let Some(f) = &fleet {
-        if journal.done < journal.jobs {
+        if journal.records.len() < journal.jobs {
             match f.eta_s {
                 Some(s) => out.push_str(&format!(" · ETA {s}s")),
                 None => out.push_str(" · ETA -"),
@@ -325,7 +287,7 @@ pub fn run_top(run_dir: &Path, opts: &TopOptions, once: bool) -> Result<(), Stri
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         let journal = read_journal(run_dir)?;
-        if journal.jobs > 0 && journal.done >= journal.jobs {
+        if journal.jobs > 0 && journal.records.len() >= journal.jobs {
             return Ok(());
         }
         std::thread::sleep(Duration::from_millis(opts.refresh_ms.max(100)));

@@ -23,7 +23,7 @@
 //! wrong key it should corrupt outputs. Division and modulo by zero evaluate
 //! to 0 (a deterministic stand-in for Verilog's `x`).
 
-use crate::ast::{Expr, ExprId, Module, PortDir};
+use crate::ast::{Module, PortDir};
 use crate::error::{Result, RtlError};
 use crate::op::{BinaryOp, UnaryOp};
 use crate::tape::{mask, Instr, Program};
@@ -393,62 +393,6 @@ impl<'m> Simulator<'m> {
     /// Propagates [`Simulator::settle`] errors.
     pub fn tick(&mut self) -> Result<()> {
         self.inner.tick()
-    }
-
-    /// Evaluates the expression rooted at `id` with current signal values.
-    ///
-    /// This is the cold-path companion of the compiled tapes (used for
-    /// ad-hoc probing, not by `settle`/`tick`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtlError::UnknownSignal`] for undeclared identifiers and
-    /// [`RtlError::InvalidExprId`] for dangling ids.
-    pub fn eval(&self, id: ExprId) -> Result<u64> {
-        let expr = self.inner.module.expr(id)?;
-        Ok(match expr {
-            Expr::Const { value, width } => match width {
-                Some(w) => value & mask(*w),
-                None => *value,
-            },
-            Expr::Ident(name) => self.get(name)?,
-            Expr::KeyBit(i) => self.inner.key.get(*i as usize).copied().unwrap_or(false) as u64,
-            Expr::KeySlice { lsb, width } => {
-                let mut v = 0u64;
-                for b in 0..*width {
-                    let idx = (*lsb + b) as usize;
-                    if self.inner.key.get(idx).copied().unwrap_or(false) {
-                        v |= 1 << b;
-                    }
-                }
-                v
-            }
-            Expr::Index { base, bit } => (self.get(base)? >> bit.min(&63)) & 1,
-            Expr::Unary { op, arg } => {
-                let v = self.eval(*arg)?;
-                match op {
-                    UnaryOp::Not => !v,
-                    UnaryOp::Neg => v.wrapping_neg(),
-                    UnaryOp::LNot => (v == 0) as u64,
-                }
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.eval(*lhs)?;
-                let b = self.eval(*rhs)?;
-                eval_binary(*op, a, b)
-            }
-            Expr::Ternary {
-                cond,
-                then_expr,
-                else_expr,
-            } => {
-                if self.eval(*cond)? != 0 {
-                    self.eval(*then_expr)?
-                } else {
-                    self.eval(*else_expr)?
-                }
-            }
-        })
     }
 }
 

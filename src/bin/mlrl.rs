@@ -30,7 +30,6 @@
 //!             [--trace-sample N]
 //! mlrl top    <run-dir> [--once] [--refresh-ms MS] [--stale-ms MS] [--top N]
 //! mlrl report <run-dir> [--trace FILE] [--top N] [--folded-out FILE]
-//! mlrl bench-diff <old.json> <new.json> [--threshold PCT]
 //! ```
 //!
 //! Keys are stored as plain bit strings, `K[0]` first. Campaign spec
@@ -73,10 +72,7 @@
 //! latency percentiles from the histogram rollup, cache hit rates,
 //! per-worker utilization with straggler ranking, the top-N slowest
 //! cells, and (with `--folded-out`) folded stacks for flamegraph
-//! tooling. `bench-diff` compares two `BENCH.json` baselines (emitted
-//! by the bench bins' `--bench-json` flag) under a noise threshold
-//! (default 10%) and exits nonzero when any benchmark regressed past
-//! it — the regression gate CI runs advisorily.
+//! tooling.
 
 use std::fs;
 use std::path::PathBuf;
@@ -113,7 +109,8 @@ use mlrl::rtl::{visit, Module};
 use mlrl::sat::attack::{sat_attack_with_sim_oracle, SatAttackConfig};
 
 /// Flags that take no value; the parser must not consume the next token
-/// as their argument (`mlrl campaign --canonical spec.txt`).
+/// as their argument (`mlrl campaign --canonical spec.txt`). Every other
+/// flag takes one.
 const BOOLEAN_FLAGS: &[&str] = &["canonical", "quick", "telemetry", "once"];
 
 struct Args {
@@ -122,33 +119,33 @@ struct Args {
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Self {
+    /// Splits `argv` into positionals and flags. A value flag with no
+    /// value after it (`--trace-out` last, or followed by another
+    /// `--flag`) is a usage error.
+    fn parse(argv: &[String]) -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = argv.iter().peekable();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                let value = if BOOLEAN_FLAGS.contains(&name) {
-                    None
-                } else {
-                    let value = it
-                        .peek()
-                        .filter(|v| !v.starts_with("--"))
-                        .map(|v| (*v).clone());
-                    if value.is_some() {
-                        it.next();
-                    }
-                    value
-                };
-                flags.push((name.to_owned(), value));
+                if BOOLEAN_FLAGS.contains(&name) {
+                    flags.push((name.to_owned(), None));
+                    continue;
+                }
+                let value = it
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("usage: --{name} needs a value"))?;
+                flags.push((name.to_owned(), Some(value.clone())));
             } else if let Some(name) = a.strip_prefix('-') {
-                let value = it.next().cloned();
-                flags.push((name.to_owned(), value));
+                let value = it
+                    .next()
+                    .ok_or_else(|| format!("usage: -{name} needs a value"))?;
+                flags.push((name.to_owned(), Some(value.clone())));
             } else {
                 positional.push(a.clone());
             }
         }
-        Self { positional, flags }
+        Ok(Self { positional, flags })
     }
 
     fn has(&self, name: &str) -> bool {
@@ -170,22 +167,19 @@ impl Args {
         Ok(self.opt_num(name)?.unwrap_or(default))
     }
 
-    /// The value of numeric flag `name`, if given. A flag given without a
-    /// parsable value is a usage error.
+    /// The value of numeric flag `name`, if given. An unparsable value is
+    /// a usage error.
     fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
     where
         T::Err: std::fmt::Display,
     {
-        if !self.has(name) {
-            return Ok(None);
-        }
-        let value = self
-            .flag(name)
-            .ok_or_else(|| format!("usage: --{name} needs a value"))?;
-        value
-            .parse()
-            .map(Some)
-            .map_err(|e| format!("usage: bad --{name} `{value}`: {e}"))
+        self.flag(name)
+            .map(|value| {
+                value
+                    .parse()
+                    .map_err(|e| format!("usage: bad --{name} `{value}`: {e}"))
+            })
+            .transpose()
     }
 }
 
@@ -528,8 +522,7 @@ fn arm_telemetry(args: &Args) -> bool {
 /// `--trace-sample N` (`sample`) keeps 1-in-N hot-class spans (phase and
 /// cell spans always kept; aggregate stats stay exact), and a background
 /// `/proc/self` sampler exports `proc.rss_bytes` / `proc.cpu_ms`
-/// gauges so process memory shows up in metrics, baselines, and
-/// `mlrl top`.
+/// gauges so process memory shows up in metrics and `mlrl top`.
 fn arm_trace_overhead_controls(sample: Option<u64>) {
     if let Some(n) = sample {
         mlrl::obs::set_span_sample(n);
@@ -909,31 +902,9 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench_diff(args: &Args) -> Result<(), String> {
-    let usage = "usage: mlrl bench-diff <old.json> <new.json> [--threshold PCT]";
-    let old_path = args.positional.get(1).ok_or(usage)?;
-    let new_path = args.positional.get(2).ok_or(usage)?;
-    let load = |path: &str| -> Result<mlrl::obs::baseline::BenchBaseline, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        mlrl::obs::baseline::BenchBaseline::parse(&text)
-            .ok_or_else(|| format!("{path} is not a BENCH.json baseline"))
-    };
-    let old = load(old_path)?;
-    let new = load(new_path)?;
-    let diff = mlrl::obs::baseline::diff(&old, &new, args.num("threshold", 10.0f64)?);
-    print!("{}", diff.render());
-    if diff.has_regressions() {
-        return Err(format!(
-            "{} benchmark(s) regressed past the threshold",
-            diff.regressions.len()
-        ));
-    }
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(&argv);
+    let args = Args::parse(&argv)?;
     match args.positional.first().map(String::as_str) {
         Some("gen") => cmd_gen(&args),
         Some("flatten") => cmd_flatten(&args),
@@ -950,9 +921,8 @@ fn run() -> Result<(), String> {
         Some("worker") => cmd_worker(&args),
         Some("top") => cmd_top(&args),
         Some("report") => cmd_report(&args),
-        Some("bench-diff") => cmd_bench_diff(&args),
         _ => Err(
-            "usage: mlrl <gen|flatten|stats|lock|verify|attack|synth|gatelock|sat-attack|campaign|merge|orchestrate|worker|top|report|bench-diff> ...\nsee `src/bin/mlrl.rs` docs"
+            "usage: mlrl <gen|flatten|stats|lock|verify|attack|synth|gatelock|sat-attack|campaign|merge|orchestrate|worker|top|report> ...\nsee `src/bin/mlrl.rs` docs"
                 .to_owned(),
         ),
     }

@@ -230,6 +230,13 @@ fn unparsable_numeric_flags_are_usage_errors() {
         ),
         (vec!["campaign", spec, "--threads"], "--threads"),
         (vec!["gen", "FIR", "--seed", "-1"], "--seed"),
+        // A value flag with no value is a usage error, not a silent no-op.
+        (vec!["campaign", spec, "--trace-out"], "--trace-out"),
+        (
+            vec!["campaign", spec, "--metrics-out", "--canonical"],
+            "--metrics-out",
+        ),
+        (vec!["gen", "FIR", "-o"], "-o"),
     ] {
         let out = mlrl().args(&args).output().expect("run");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,7 +1,6 @@
-//! Integration coverage for the performance-intelligence tooling:
-//! `mlrl report` against a frozen run-dir fixture (golden snapshot, so
-//! the renderer stays byte-stable) and `mlrl bench-diff` exit-code
-//! semantics over `BENCH.json` baselines.
+//! Integration coverage for the run analyzer: `mlrl report` against a
+//! frozen run-dir fixture (golden snapshot, so the renderer stays
+//! byte-stable), its folded-stack export, and the CLI subcommand.
 //!
 //! The fixture under `tests/data/report_fixture/` is a real (quick)
 //! 2-worker orchestration's `journal.jsonl` + `metrics.json` +
@@ -72,63 +71,4 @@ fn report_subcommand_prints_the_report() {
     assert!(text.contains("campaign \"gate-vs-rtl-sweep\": 16 of 16 cells journaled"));
     assert!(text.contains("slowest cells (top 3)"));
     assert!(!text.contains(" 4. cell"), "--top 3 must truncate the list");
-}
-
-#[test]
-fn bench_diff_exits_nonzero_only_on_regressions_past_the_threshold() {
-    let dir = std::env::temp_dir().join(format!("mlrl-bench-diff-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let old = dir.join("old.json");
-    let new = dir.join("new.json");
-    std::fs::write(
-        &old,
-        r#"{"benches":{"a":{"median_ns":1000,"min_ns":900,"max_ns":1100,"samples":5}}}"#,
-    )
-    .expect("old baseline");
-    std::fs::write(
-        &new,
-        r#"{"benches":{"a":{"median_ns":1300,"min_ns":1200,"max_ns":1400,"samples":5}}}"#,
-    )
-    .expect("new baseline");
-
-    // +30% against a 10% threshold: regression, nonzero exit.
-    let out = mlrl()
-        .args([
-            "bench-diff",
-            old.to_str().unwrap(),
-            new.to_str().unwrap(),
-            "--threshold",
-            "10",
-        ])
-        .output()
-        .expect("run bench-diff");
-    assert!(!out.status.success(), "a >threshold regression must fail");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("REGRESSED  a: 1000 ns -> 1300 ns (+30.0%)"),
-        "{text}"
-    );
-
-    // The same move under a 50% threshold is noise: clean exit.
-    let out = mlrl()
-        .args([
-            "bench-diff",
-            old.to_str().unwrap(),
-            new.to_str().unwrap(),
-            "--threshold",
-            "50",
-        ])
-        .output()
-        .expect("run bench-diff");
-    assert!(out.status.success(), "within-threshold moves must pass");
-
-    // The committed CI baseline parses and diffs cleanly against itself.
-    let baseline = "tests/data/bench_baseline.json";
-    let out = mlrl()
-        .args(["bench-diff", baseline, baseline])
-        .output()
-        .expect("run bench-diff on the committed baseline");
-    assert!(out.status.success(), "self-diff must never regress");
-    let _ = std::fs::remove_dir_all(&dir);
 }
