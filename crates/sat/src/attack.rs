@@ -192,6 +192,14 @@ pub struct SatAttackReport {
     /// oracle on; `None` when no validation sweep ran (proof reached,
     /// single candidate, or `validation_probes = 0`).
     pub validation_agreement: Option<f64>,
+    /// Conflicts the miter solver met over the whole attack.
+    pub conflicts: u64,
+    /// Decisions the miter solver made over the whole attack.
+    pub decisions: u64,
+    /// Literals the miter solver propagated over the whole attack,
+    /// clause additions included (the per-DIP `sat.propagations`
+    /// counter samples only the `solve` calls).
+    pub propagations: u64,
 }
 
 /// Configuration of a SAT attack run.
@@ -469,6 +477,9 @@ pub fn sat_attack(
         proved,
         candidates: enumerated,
         validation_agreement,
+        conflicts: solver.conflicts(),
+        decisions: solver.decisions(),
+        propagations: solver.propagations(),
     })
 }
 
@@ -562,13 +573,9 @@ fn add_io_constraint(
     stimulus: &[(String, u64)],
     response: &[(String, u64)],
 ) -> Result<(), NetlistError> {
-    // Fresh variables must continue the solver's numbering: pre-allocate the
-    // existing variable space inside a scratch builder, then merge only the
-    // new clauses.
-    let mut cc = CnfBuilder::new();
-    for _ in 0..solver.num_vars() {
-        cc.new_var();
-    }
+    // Fresh variables continue the solver's numbering; the scratch builder
+    // holds only the new clauses, which are then merged.
+    let mut cc = CnfBuilder::starting_at(solver.num_vars());
     let mut bound: HashMap<NetId, Lit> = key_map.clone();
     for (name, v) in stimulus {
         bind_input_const(locked, &mut cc, &mut bound, name, *v);

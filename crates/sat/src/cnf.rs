@@ -116,6 +116,17 @@ impl CnfBuilder {
         Self::default()
     }
 
+    /// Empty formula whose first fresh variable is `first_var`. The
+    /// variables below it belong to another formula (an incremental
+    /// solver's), so clauses built here can be merged into it; they count
+    /// towards [`CnfBuilder::num_vars`].
+    pub fn starting_at(first_var: usize) -> Self {
+        Self {
+            num_vars: u32::try_from(first_var).expect("variable index fits u32"),
+            ..Self::default()
+        }
+    }
+
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.num_vars);
@@ -240,6 +251,16 @@ mod tests {
         assert_eq!(b.clauses().len(), 7);
         b.define_mux(o.pos(), s.pos(), x.pos(), y.pos());
         assert_eq!(b.clauses().len(), 11);
+    }
+
+    #[test]
+    fn offset_builders_continue_the_numbering() {
+        let mut b = CnfBuilder::starting_at(5);
+        assert_eq!(b.num_vars(), 5);
+        assert_eq!(b.new_var(), Var(5));
+        assert_eq!(b.true_lit(), Var(6).pos());
+        assert_eq!(b.num_vars(), 7);
+        assert_eq!(b.clauses(), [vec![Var(6).pos()]]);
     }
 
     #[test]

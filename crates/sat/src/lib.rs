@@ -6,8 +6,9 @@
 //! question quantitatively:
 //!
 //! - [`cnf`] — CNF formulas and a builder with gate-definition helpers,
-//! - [`solver`] — a from-scratch CDCL SAT solver (two-watched literals,
-//!   first-UIP learning, VSIDS, phase saving, restarts),
+//! - [`solver`] — a from-scratch CDCL SAT solver (two-watched literals
+//!   over a flat clause arena, first-UIP learning, a VSIDS decision heap,
+//!   phase saving, restarts),
 //! - [`tseitin`] — Tseitin encoding of `mlrl-netlist` circuits with
 //!   pre-binding support for multi-copy constructions,
 //! - [`attack`] — the classic SAT attack: iterate distinguishing input

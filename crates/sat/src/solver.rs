@@ -9,6 +9,34 @@
 //! The solver is *incremental* in the simple sense the SAT attack needs:
 //! clauses may be added between `solve` calls and all learned clauses remain
 //! valid (they are implied by the original formula).
+//!
+//! ## Data layout
+//!
+//! - **Clause arena.** Every clause lives in one `Vec<Lit>`; a clause is a
+//!   `(start, end)` range into it, and watch lists hold `u32` clause
+//!   indices. Propagation swaps literals inside a clause in place, exactly
+//!   as it would in a per-clause vector.
+//! - **Literal values.** A table indexed by literal code holds `1` (true),
+//!   `-1` (false) or `0` (unassigned), so a watch check is one load.
+//! - **Decision heap.** Unassigned variables sit in a binary max-heap
+//!   ordered by activity, highest first, then by index, lowest first: the
+//!   same total order a scan over all variables would maximise, so the
+//!   heap picks the same decision. Deletion is lazy (a pop skips assigned
+//!   variables); a variable re-enters on unassignment, moves up when its
+//!   activity is bumped, and the heap is rebuilt after the 1e-100 rescale,
+//!   which can turn distinct activities into ties.
+//!
+//! ## The level-0 invariant
+//!
+//! Outside `propagate`, the level-0 part of the trail is at fixpoint and
+//! `qhead` never rewinds into it: backtracking to level 0 leaves `qhead`
+//! at the trail length, and adding a unit clause propagates just that
+//! unit. Re-walking a propagated level-0 literal would be a no-op — every
+//! clause still watching a false level-0 literal has its other watch true
+//! at level 0 — so skipping the re-walk changes no assignment, watch list
+//! or literal order, only the propagation count. The one exception is a
+//! formula refuted by a level-0 conflict, which stops propagation short
+//! of fixpoint; see [`Solver::add_clause`].
 
 use crate::cnf::{CnfBuilder, Lit, Var};
 
@@ -36,9 +64,20 @@ impl SolveResult {
     }
 }
 
-const INVALID: usize = usize::MAX;
+/// No reason clause: a decision, a unit, or an unassigned variable.
+const INVALID: u32 = u32::MAX;
+
+/// Literal values in `Solver::values`.
+const L_TRUE: i8 = 1;
+const L_FALSE: i8 = -1;
+const L_UNDEF: i8 = 0;
 
 /// A CDCL solver instance.
+///
+/// Invariant: outside propagation the level-0 trail is at fixpoint and
+/// `qhead` never rewinds into it, so each level-0 literal is propagated
+/// once over the solver's lifetime — until a level-0 conflict refutes
+/// the formula (see the module docs).
 ///
 /// # Examples
 ///
@@ -60,12 +99,15 @@ const INVALID: usize = usize::MAX;
 #[derive(Debug)]
 pub struct Solver {
     num_vars: usize,
-    /// Clause database; learned clauses are appended after input clauses.
-    clauses: Vec<Vec<Lit>>,
+    /// Literals of every clause, back to back; learned clauses follow the
+    /// input clauses.
+    arena: Vec<Lit>,
+    /// `(start, end)` of each clause in `arena`, by clause index.
+    headers: Vec<(u32, u32)>,
     /// Watch lists indexed by literal code; entries are clause indices.
-    watches: Vec<Vec<usize>>,
-    /// Current assignment per variable (None = unassigned).
-    assign: Vec<Option<bool>>,
+    watches: Vec<Vec<u32>>,
+    /// Value of each literal, indexed by literal code.
+    values: Vec<i8>,
     /// Assignment stack, in order.
     trail: Vec<Lit>,
     /// Trail indices where each decision level starts.
@@ -73,14 +115,21 @@ pub struct Solver {
     /// Head of the propagation queue into `trail`.
     qhead: usize,
     /// Clause that implied each variable (INVALID = decision/unset).
-    reason: Vec<usize>,
+    reason: Vec<u32>,
     /// Decision level of each variable.
-    level: Vec<usize>,
+    level: Vec<u32>,
     /// VSIDS activity per variable.
     activity: Vec<f64>,
     var_inc: f64,
+    /// Decision order over the unassigned variables.
+    order: VarHeap,
     /// Saved phases for decision polarity.
     phase: Vec<bool>,
+    /// Conflict analysis marks; all false between calls.
+    seen: Vec<bool>,
+    /// Scratch clause: the normalised input clause in `add_clause`, the
+    /// learned clause after `analyze`.
+    buf: Vec<Lit>,
     /// Formula already proven unsatisfiable at level 0.
     proven_unsat: bool,
     /// Statistics: conflicts seen over the solver lifetime.
@@ -94,24 +143,30 @@ pub struct Solver {
 impl Solver {
     /// Creates a solver over `num_vars` variables with no clauses.
     pub fn new(num_vars: usize) -> Self {
-        Self {
-            num_vars,
-            clauses: Vec::new(),
-            watches: vec![Vec::new(); num_vars * 2],
-            assign: vec![None; num_vars],
+        let mut s = Self {
+            num_vars: 0,
+            arena: Vec::new(),
+            headers: Vec::new(),
+            watches: Vec::new(),
+            values: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            reason: vec![INVALID; num_vars],
-            level: vec![0; num_vars],
-            activity: vec![0.0; num_vars],
+            reason: Vec::new(),
+            level: Vec::new(),
+            activity: Vec::new(),
             var_inc: 1.0,
-            phase: vec![false; num_vars],
+            order: VarHeap::default(),
+            phase: Vec::new(),
+            seen: Vec::new(),
+            buf: Vec::new(),
             proven_unsat: false,
             conflicts: 0,
             decisions: 0,
             propagations: 0,
-        }
+        };
+        s.ensure_vars(num_vars);
+        s
     }
 
     /// Creates a solver loaded with every clause of `builder`.
@@ -130,7 +185,7 @@ impl Solver {
 
     /// Number of clauses in the database, learned clauses included.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.headers.len()
     }
 
     /// Lifetime conflict count (diagnostic).
@@ -153,17 +208,25 @@ impl Solver {
         if num_vars <= self.num_vars {
             return;
         }
+        assert!(num_vars < INVALID as usize, "too many variables");
         self.num_vars = num_vars;
         self.watches.resize(num_vars * 2, Vec::new());
-        self.assign.resize(num_vars, None);
+        self.values.resize(num_vars * 2, L_UNDEF);
         self.reason.resize(num_vars, INVALID);
         self.level.resize(num_vars, 0);
         self.activity.resize(num_vars, 0.0);
         self.phase.resize(num_vars, false);
+        self.seen.resize(num_vars, false);
+        self.order.grow(num_vars, &self.activity);
     }
 
     /// Adds a clause. May be called between `solve` calls; the solver
-    /// backtracks to level 0 first.
+    /// backtracks to level 0 first. A unit clause propagates only its own
+    /// literal — except once the formula is refuted: a level-0 conflict
+    /// stops propagation short of fixpoint, and a unit added afterwards
+    /// re-propagates the whole level-0 trail, which fixes more variables
+    /// and so decides which later clauses are stored. That keeps
+    /// [`Solver::num_clauses`] of a refuted solver what it always was.
     ///
     /// # Panics
     ///
@@ -172,56 +235,71 @@ impl Solver {
     pub fn add_clause(&mut self, lits: &[Lit]) {
         self.backtrack_to(0);
         // Normalize: drop duplicates and detect tautologies.
-        let mut c: Vec<Lit> = lits.to_vec();
-        c.sort_unstable();
-        c.dedup();
-        for w in c.windows(2) {
-            if w[0].var() == w[1].var() {
-                return; // x OR !x: tautology, skip
-            }
+        self.buf.clear();
+        self.buf.extend_from_slice(lits);
+        self.buf.sort_unstable();
+        self.buf.dedup();
+        if self.buf.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return; // x OR !x: tautology, skip
         }
         // Drop literals already false at level 0; satisfied clauses skip.
-        let mut reduced = Vec::with_capacity(c.len());
-        for &l in &c {
+        let mut kept = 0;
+        for i in 0..self.buf.len() {
+            let l = self.buf[i];
             assert!(l.var().index() < self.num_vars, "literal out of range");
-            match self.value(l) {
-                Some(true) => return,
-                Some(false) => {}
-                None => reduced.push(l),
+            match self.values[l.code()] {
+                L_TRUE => return,
+                L_FALSE => {}
+                _ => {
+                    self.buf[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match reduced.len() {
+        self.buf.truncate(kept);
+        match kept {
             0 => {
                 self.proven_unsat = true;
             }
             1 => {
-                if !self.enqueue(reduced[0], INVALID) || self.propagate().is_some() {
+                if self.proven_unsat {
+                    self.qhead = 0;
+                }
+                if !self.enqueue(self.buf[0], INVALID) || self.propagate().is_some() {
                     self.proven_unsat = true;
                 }
             }
             _ => {
-                let idx = self.clauses.len();
-                self.watches[reduced[0].code()].push(idx);
-                self.watches[reduced[1].code()].push(idx);
-                self.clauses.push(reduced);
+                self.attach_buf();
             }
         }
     }
 
-    fn value(&self, l: Lit) -> Option<bool> {
-        self.assign[l.var().index()].map(|v| l.value_under(v))
+    /// Stores `buf` as a clause watched by its first two literals and
+    /// returns its index.
+    fn attach_buf(&mut self) -> u32 {
+        let idx = u32::try_from(self.headers.len()).expect("clause count fits u32");
+        let start = self.arena.len() as u32; // the previous clause's checked end
+        self.arena.extend_from_slice(&self.buf);
+        let end = u32::try_from(self.arena.len()).expect("clause arena fits u32");
+        self.headers.push((start, end));
+        self.watches[self.buf[0].code()].push(idx);
+        self.watches[self.buf[1].code()].push(idx);
+        idx
     }
 
     /// Pushes `l` onto the trail with the given reason; `false` on conflict
     /// with an existing assignment.
-    fn enqueue(&mut self, l: Lit, reason: usize) -> bool {
-        match self.value(l) {
-            Some(v) => v,
-            None => {
+    fn enqueue(&mut self, l: Lit, reason: u32) -> bool {
+        match self.values[l.code()] {
+            L_TRUE => true,
+            L_FALSE => false,
+            _ => {
                 let vi = l.var().index();
-                self.assign[vi] = Some(!l.is_neg());
+                self.values[l.code()] = L_TRUE;
+                self.values[l.inverted().code()] = L_FALSE;
                 self.reason[vi] = reason;
-                self.level[vi] = self.trail_lim.len();
+                self.level[vi] = self.trail_lim.len() as u32;
                 self.trail.push(l);
                 true
             }
@@ -230,50 +308,48 @@ impl Solver {
 
     /// Unit propagation with two watched literals. Returns the index of a
     /// conflicting clause, or `None` when the queue drains.
-    fn propagate(&mut self) -> Option<usize> {
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
             let falsified = p.inverted();
+            // Nothing is pushed onto a false literal's list while it is
+            // walked, so the list goes back whole, in the same order.
             let mut watch_list = std::mem::take(&mut self.watches[falsified.code()]);
             let mut i = 0;
             while i < watch_list.len() {
                 let ci = watch_list[i];
+                let (start, end) = self.headers[ci as usize];
+                let clause = &mut self.arena[start as usize..end as usize];
                 // Make sure the falsified literal sits at position 1.
-                if self.clauses[ci][0] == falsified {
-                    self.clauses[ci].swap(0, 1);
+                if clause[0] == falsified {
+                    clause.swap(0, 1);
                 }
-                let first = self.clauses[ci][0];
-                if self.value(first) == Some(true) {
+                let first = clause[0];
+                if self.values[first.code()] == L_TRUE {
                     i += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                let mut moved = false;
-                for k in 2..self.clauses[ci].len() {
-                    let cand = self.clauses[ci][k];
-                    if self.value(cand) != Some(false) {
-                        self.clauses[ci].swap(1, k);
-                        self.watches[cand.code()].push(ci);
-                        watch_list.swap_remove(i);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                if let Some(k) =
+                    (2..clause.len()).find(|&k| self.values[clause[k].code()] != L_FALSE)
+                {
+                    let cand = clause[k];
+                    clause.swap(1, k);
+                    self.watches[cand.code()].push(ci);
+                    watch_list.swap_remove(i);
                     continue;
                 }
                 // Clause is unit or conflicting.
                 if !self.enqueue(first, ci) {
-                    // Conflict: restore remaining watches before returning.
-                    self.watches[falsified.code()].append(&mut watch_list);
+                    self.watches[falsified.code()] = watch_list;
                     self.qhead = self.trail.len();
                     return Some(ci);
                 }
                 i += 1;
             }
-            self.watches[falsified.code()].extend(watch_list);
+            self.watches[falsified.code()] = watch_list;
         }
         None
     }
@@ -285,14 +361,13 @@ impl Solver {
                 let l = self.trail.pop().expect("trail entry");
                 let vi = l.var().index();
                 self.phase[vi] = !l.is_neg();
-                self.assign[vi] = None;
+                self.values[l.code()] = L_UNDEF;
+                self.values[l.inverted().code()] = L_UNDEF;
                 self.reason[vi] = INVALID;
+                self.order.insert(vi as u32, &self.activity);
             }
         }
         self.qhead = self.trail.len().min(self.qhead);
-        if target_level == 0 {
-            self.qhead = 0;
-        }
     }
 
     fn bump(&mut self, v: Var) {
@@ -302,35 +377,39 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.raised(v.0, &self.activity);
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, usize) {
-        let current_level = self.trail_lim.len();
-        let mut learned: Vec<Lit> = Vec::new();
-        let mut seen = vec![false; self.num_vars];
+    /// First-UIP conflict analysis. Leaves the learned clause in `buf`
+    /// (asserting literal first) and returns the backjump level.
+    fn analyze(&mut self, conflict: u32) -> usize {
+        let current_level = self.trail_lim.len() as u32;
+        self.buf.clear();
+        self.buf.push(Lit(0)); // the asserting literal, filled in below
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut reason_idx = conflict;
         let mut trail_pos = self.trail.len();
 
         loop {
-            let reason_clause = self.clauses[reason_idx].clone();
+            let (start, end) = self.headers[reason_idx as usize];
             let skip = p.map(|l| l.var());
-            for &q in &reason_clause {
+            for k in start as usize..end as usize {
+                let q = self.arena[k];
                 if Some(q.var()) == skip {
                     continue;
                 }
                 let vi = q.var().index();
-                if !seen[vi] && self.level[vi] > 0 {
-                    seen[vi] = true;
+                if !self.seen[vi] && self.level[vi] > 0 {
+                    self.seen[vi] = true;
                     self.bump(q.var());
                     if self.level[vi] == current_level {
                         counter += 1;
                     } else {
-                        learned.push(q);
+                        self.buf.push(q);
                     }
                 }
             }
@@ -338,13 +417,13 @@ impl Solver {
             loop {
                 trail_pos -= 1;
                 let l = self.trail[trail_pos];
-                if seen[l.var().index()] {
+                if self.seen[l.var().index()] {
                     p = Some(l);
                     break;
                 }
             }
             let pv = p.expect("UIP literal").var();
-            seen[pv.index()] = false;
+            self.seen[pv.index()] = false;
             counter -= 1;
             if counter == 0 {
                 break;
@@ -352,40 +431,40 @@ impl Solver {
             reason_idx = self.reason[pv.index()];
             debug_assert_ne!(reason_idx, INVALID, "non-decision must have a reason");
         }
-
-        let uip = p.expect("first UIP").inverted();
-        let mut clause = vec![uip];
-        clause.extend(learned);
+        self.buf[0] = p.expect("first UIP").inverted();
+        // Only the lower-level literals are still marked.
+        for l in &self.buf[1..] {
+            self.seen[l.var().index()] = false;
+        }
 
         // Backjump level: highest level among the non-asserting literals.
+        let clause = &mut self.buf;
+        let level = &self.level;
         let backjump = clause[1..]
             .iter()
-            .map(|l| self.level[l.var().index()])
+            .map(|l| level[l.var().index()])
             .max()
             .unwrap_or(0);
         // Put a literal of the backjump level in watch position 1.
         if clause.len() > 1 {
             let pos = clause[1..]
                 .iter()
-                .position(|l| self.level[l.var().index()] == backjump)
+                .position(|l| level[l.var().index()] == backjump)
                 .expect("literal at backjump level")
                 + 1;
             clause.swap(1, pos);
         }
-        (clause, backjump)
+        backjump as usize
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        let mut best: Option<(usize, f64)> = None;
-        for v in 0..self.num_vars {
-            if self.assign[v].is_none() {
-                let a = self.activity[v];
-                if best.is_none_or(|(_, ba)| a > ba) {
-                    best = Some((v, a));
-                }
+        while let Some(v) = self.order.pop(&self.activity) {
+            let var = Var(v);
+            if self.values[var.pos().code()] == L_UNDEF {
+                return Some(var.lit(self.phase[var.index()]));
             }
         }
-        best.map(|(v, _)| Var(v as u32).lit(self.phase[v]))
+        None
     }
 
     /// Decides satisfiability of the current clause database.
@@ -397,11 +476,7 @@ impl Solver {
             return SolveResult::Unsat;
         }
         self.backtrack_to(0);
-        self.qhead = 0;
-        if self.propagate().is_some() {
-            self.proven_unsat = true;
-            return SolveResult::Unsat;
-        }
+        debug_assert_eq!(self.qhead, self.trail.len(), "level 0 at fixpoint");
 
         let mut restart_limit = 100u64;
         let mut conflicts_since_restart = 0u64;
@@ -415,23 +490,17 @@ impl Solver {
                         self.proven_unsat = true;
                         return SolveResult::Unsat;
                     }
-                    let (clause, backjump) = self.analyze(conflict);
+                    let backjump = self.analyze(conflict);
                     self.backtrack_to(backjump);
-                    if clause.len() == 1 {
-                        if !self.enqueue(clause[0], INVALID) {
-                            self.proven_unsat = true;
-                            return SolveResult::Unsat;
-                        }
+                    let asserting = self.buf[0];
+                    let reason = if self.buf.len() == 1 {
+                        INVALID
                     } else {
-                        let idx = self.clauses.len();
-                        self.watches[clause[0].code()].push(idx);
-                        self.watches[clause[1].code()].push(idx);
-                        let asserting = clause[0];
-                        self.clauses.push(clause);
-                        if !self.enqueue(asserting, idx) {
-                            self.proven_unsat = true;
-                            return SolveResult::Unsat;
-                        }
+                        self.attach_buf()
+                    };
+                    if !self.enqueue(asserting, reason) {
+                        self.proven_unsat = true;
+                        return SolveResult::Unsat;
                     }
                     self.var_inc *= 1.0 / 0.95;
                     if conflicts_since_restart >= restart_limit {
@@ -448,13 +517,122 @@ impl Solver {
                         debug_assert!(ok, "decision variable was unassigned");
                     }
                     None => {
-                        let model: Vec<bool> =
-                            self.assign.iter().map(|a| a.unwrap_or(false)).collect();
+                        let model: Vec<bool> = (0..self.num_vars)
+                            .map(|v| self.values[Var(v as u32).pos().code()] == L_TRUE)
+                            .collect();
                         return SolveResult::Sat(model);
                     }
                 },
             }
         }
+    }
+}
+
+/// Position marker of a variable outside the heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// Binary max-heap of variables ordered by (activity descending, index
+/// ascending). The order is total, so the top is the variable a linear
+/// scan for the highest activity (first index on ties) would return,
+/// whatever the heap's internal shape.
+#[derive(Debug, Default)]
+struct VarHeap {
+    heap: Vec<u32>,
+    /// Index of each variable in `heap`, or [`NOT_IN_HEAP`].
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    /// Adds the variables `pos.len()..num_vars`.
+    fn grow(&mut self, num_vars: usize, activity: &[f64]) {
+        for v in self.pos.len()..num_vars {
+            self.pos.push(NOT_IN_HEAP);
+            self.insert(v as u32, activity);
+        }
+    }
+
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        if self.pos[v as usize] != NOT_IN_HEAP {
+            return;
+        }
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Restores the order after `v`'s activity grew.
+    fn raised(&mut self, v: u32, activity: &[f64]) {
+        let i = self.pos[v as usize];
+        if i != NOT_IN_HEAP {
+            self.sift_up(i as usize, activity);
+        }
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let last = self.heap.pop()?;
+        let top = match self.heap.first_mut() {
+            Some(root) => std::mem::replace(root, last),
+            None => last,
+        };
+        self.pos[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Re-establishes the heap property after every activity changed.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let pv = self.heap[parent];
+            if !Self::before(activity, v, pv) {
+                break;
+            }
+            self.heap[i] = pv;
+            self.pos[pv as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let cv = self.heap[child];
+            if !Self::before(activity, cv, v) {
+                break;
+            }
+            self.heap[i] = cv;
+            self.pos[cv as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
     }
 }
 
@@ -620,6 +798,71 @@ mod tests {
                 check_model(&b, m);
             }
         }
+    }
+
+    #[test]
+    fn heap_pops_what_a_linear_scan_would_pick() {
+        // Random inserts, bumps, rescales (which collapse tiny activities
+        // into ties) and pops: every pop must return the member with the
+        // highest activity, the lowest index among equals.
+        let mut rng = StdRng::seed_from_u64(7);
+        let n = 48;
+        let mut activity: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(0..3) {
+                0 => rng.gen_range(0u32..4) as f64,
+                1 => f64::from_bits(rng.gen_range(1u64..64)), // subnormal
+                _ => rng.gen::<f64>(),
+            })
+            .collect();
+        let mut heap = VarHeap::default();
+        heap.grow(n, &activity);
+        let mut member = vec![true; n];
+        for _ in 0..4000 {
+            let v = rng.gen_range(0..n);
+            match rng.gen_range(0..8) {
+                0 | 1 => {
+                    member[v] = true;
+                    heap.insert(v as u32, &activity);
+                }
+                2 | 3 => {
+                    activity[v] += rng.gen_range(0u32..3) as f64;
+                    heap.raised(v as u32, &activity);
+                }
+                4 => {
+                    for a in &mut activity {
+                        *a *= 1e-100;
+                    }
+                    heap.rebuild(&activity);
+                }
+                _ => {
+                    let want = (0..n).filter(|&u| member[u]).fold(
+                        None,
+                        |best: Option<usize>, u| match best {
+                            Some(b) if activity[u] <= activity[b] => Some(b),
+                            _ => Some(u),
+                        },
+                    );
+                    let got = heap.pop(&activity).map(|u| u as usize);
+                    assert_eq!(got, want);
+                    if let Some(u) = got {
+                        member[u] = false;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unit_clauses_propagate_once() {
+        // Each unit propagates only itself, and `solve` re-walks nothing:
+        // the level-0 trail is already at fixpoint.
+        let mut s = Solver::new(1000);
+        for v in 0..1000 {
+            s.add_clause(&[Var(v).pos()]);
+        }
+        assert_eq!(s.propagations(), 1000);
+        assert!(s.solve().is_sat());
+        assert_eq!(s.propagations(), 1000);
     }
 
     #[test]

@@ -498,6 +498,10 @@ fn cmd_sat_attack(args: &Args) -> Result<(), String> {
     println!("UNSAT proof:           {}", report.proved);
     println!("recovered key:         {}", key_to_string(&report.key));
     println!("functionally correct:  {correct}");
+    println!(
+        "solver effort:         {} conflicts, {} decisions, {} propagations",
+        report.conflicts, report.decisions, report.propagations
+    );
     Ok(())
 }
 

@@ -206,6 +206,62 @@ fn flatten_subcommand_inlines_hierarchy() {
 }
 
 #[test]
+fn sat_attack_subcommand_recovers_an_era_key() {
+    let dir = tmpdir("sat-attack");
+    let design = dir.join("spi.v");
+    let locked = dir.join("spi_locked.v");
+    let key = dir.join("spi.key");
+    assert_success(
+        &mlrl()
+            .args(["gen", "SIM_SPI", "-o", design.to_str().unwrap()])
+            .output()
+            .expect("run gen"),
+        "gen",
+    );
+    assert_success(
+        &mlrl()
+            .args([
+                "lock",
+                design.to_str().unwrap(),
+                "--scheme",
+                "era",
+                "--budget",
+                "0.25",
+                "-o",
+                locked.to_str().unwrap(),
+                "--key-out",
+                key.to_str().unwrap(),
+            ])
+            .output()
+            .expect("run lock"),
+        "lock",
+    );
+    let out = mlrl()
+        .args([
+            "sat-attack",
+            locked.to_str().unwrap(),
+            "--key",
+            key.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run sat-attack");
+    assert_success(&out, "sat-attack");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("functionally correct:  true"),
+        "attack failed: {stdout}"
+    );
+    let effort = stdout
+        .lines()
+        .find(|l| l.starts_with("solver effort:"))
+        .unwrap_or_else(|| panic!("effort line missing: {stdout}"));
+    for unit in ["conflicts", "decisions", "propagations"] {
+        assert!(effort.contains(unit), "{unit} missing: {effort}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_subcommand_fails_with_usage() {
     let out = mlrl().args(["frobnicate"]).output().expect("run");
     assert!(!out.status.success());
