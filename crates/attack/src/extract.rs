@@ -47,7 +47,7 @@ fn encode_branch(module: &Module, id: ExprId) -> u32 {
 
 /// A locality extended with structural context: the operator consuming the
 /// multiplexer output (`parent`) — the RTL analogue of SnapShot's wider
-/// netlist window at gate level [6].
+/// netlist window at gate level \[6\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContextLocality {
     /// The core `[K[i], C1, C2]` locality.

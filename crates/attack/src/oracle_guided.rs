@@ -15,7 +15,7 @@
 //! expected answer to the paper's question: **ERA/HRA defend against
 //! learning attacks, not oracle-guided ones**, and must be combined with
 //! SAT-resistant mechanisms when the threat model includes an oracle
-//! (the paper cites [3] on this point).
+//! (the paper cites \[3\] on this point).
 
 use mlrl_locking::key::Key;
 use mlrl_rtl::ast::PortDir;

@@ -1,6 +1,6 @@
 //! ASSURE RTL locking (§2.3 of the paper).
 //!
-//! Three obfuscation techniques from the ASSURE paper [5]:
+//! Three obfuscation techniques from the ASSURE paper \[5\]:
 //!
 //! - **Operation obfuscation** ([`lock_operations`]): each selected binary
 //!   operation is replaced by a key-controlled multiplexer choosing between

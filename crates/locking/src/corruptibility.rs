@@ -2,7 +2,7 @@
 //!
 //! The paper's §5.1 names three security objectives a locking scheme may
 //! have to satisfy at once: *learning resilience* (this paper's subject,
-//! measured by KPA), *SAT resistance* (deferred to Karfa et al. [3]), and
+//! measured by KPA), *SAT resistance* (deferred to Karfa et al. \[3\]), and
 //! *output corruptibility* — a locked design protects nothing if wrong
 //! keys still produce (nearly) correct outputs. This module makes the
 //! third objective measurable so heuristics like HRA can trade all three.

@@ -1,4 +1,4 @@
-//! Auto-ml model search — the stand-in for auto-sklearn [13].
+//! Auto-ml model search — the stand-in for auto-sklearn \[13\].
 //!
 //! The paper lets auto-sklearn search model families and hyper-parameters
 //! for 600 s per attack iteration. This module performs the same job

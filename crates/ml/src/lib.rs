@@ -1,6 +1,6 @@
 //! # mlrl-ml — self-contained ML stack for the SnapShot-RTL attack
 //!
-//! The paper trains its RTL-adapted SnapShot attack with auto-sklearn [13],
+//! The paper trains its RTL-adapted SnapShot attack with auto-sklearn \[13\],
 //! a Python auto-ml library. This crate is the from-scratch Rust
 //! substitution (DESIGN.md, substitution 2): datasets and one-hot encoding
 //! ([`dataset`]), train/test splitting and stratified k-fold CV ([`split`]),

@@ -2,7 +2,7 @@
 //!
 //! All models implement the object-safe [`Classifier`] trait so the
 //! [auto-ml search](crate::automl) can treat them uniformly — the stand-in
-//! for the paper's auto-sklearn [13]. The families cover the spectrum
+//! for the paper's auto-sklearn \[13\]. The families cover the spectrum
 //! auto-sklearn would explore on a small categorical problem: a majority
 //! baseline, a linear model, instance-based learning, a generative model,
 //! and axis-aligned trees/ensembles.

@@ -9,7 +9,7 @@
 //! complete decision procedure.
 //!
 //! The gate side batches vectors onto simulator lanes. The simulator width
-//! is picked per call from [`configured_width`] clamped to the sample
+//! is picked per call from [`configured_width`](crate::sim::configured_width) clamped to the sample
 //! count (a walk costs `W` word-ops per gate whether or not the lanes are
 //! full, so small probes stay narrow). The stimulus stream is drawn
 //! sample-major — all ports of a sample before the next sample — so the

@@ -16,25 +16,25 @@
 //!
 //! Passes (see the per-pass modules for the exact rule sets):
 //!
-//! - [`const_fold`] — propagates tied-0/1 nets through
+//! - `const_fold` — propagates tied-0/1 nets through
 //!   [`GateKind::eval`]'s truth tables; gates whose inputs are all
 //!   constant fold to `CONST0`/`CONST1`.
-//! - [`rewrite`] — local strength reduction: buffer forwarding,
+//! - `rewrite` — local strength reduction: buffer forwarding,
 //!   double-inverter collapse, identity/annihilator absorption
 //!   (`a&1 = a`, `a|1 = 1`, `a^a = 0`, MUX with constant or equal
 //!   branches, ...), and at `O2` inverter-fusion rules that merge a
 //!   single-use inverter into its consumer (`NOT(AND) → NAND`,
 //!   `XOR(NOT a, b) → XNOR(a, b)`, MUX select-inversion branch swap)
 //!   plus XOR-chain cancellation (`a ^ (a ^ b) → b`).
-//! - [`cse`] — structural hashing: hash-cons on `(kind, operands)` with
+//! - `cse` — structural hashing: hash-cons on `(kind, operands)` with
 //!   commutative operands sorted, so structurally identical gates share
 //!   one output net.
-//! - [`cut_sweep`] (`O2` only) — exact functional merging over ≤6-leaf
+//! - `cut_sweep` (`O2` only) — exact functional merging over ≤6-leaf
 //!   cuts: per-net truth tables with support reduction, so absorption
 //!   laws, functionally-duplicate cones, and single-cell resyntheses
 //!   (`NOT(a)·NOT(b) → NOR`, AND/OR select networks → `MUX`) all fall
 //!   out of one truth-table hash.
-//! - [`dce`] — dead-gate elimination over the CSR
+//! - `dce` — dead-gate elimination over the CSR
 //!   [`FanoutIndex`](crate::ir::FanoutIndex):
 //!   worklist removal of gates with no path to an output port or
 //!   flip-flop data pin.

@@ -154,7 +154,7 @@ impl Progress {
     }
 
     /// Blended ETA. The static model (elapsed wall over completed live
-    /// cost) is the only signal early on; once ≥[`MEASURED_BLEND_K`]
+    /// cost) is the only signal early on; once ≥`MEASURED_BLEND_K`
     /// cells carry measured wall times, the observed seconds-per-cost
     /// (divided across active workers) is blended in with weight
     /// `m / (m + k)`, so the estimate converges on real throughput as

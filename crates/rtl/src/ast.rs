@@ -8,6 +8,7 @@
 //! node and truncate the arena), which HRA's tentative-evaluation inner loop
 //! requires (Alg. 4 of the paper).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -366,8 +367,16 @@ pub struct Module {
     always: Vec<AlwaysBlock>,
     instances: Vec<Instance>,
     key_width: u32,
-    /// name -> width for every declared signal
-    widths: HashMap<String, u32>,
+    /// name -> declaration for every declared signal
+    widths: HashMap<String, Decl>,
+}
+
+/// A declared signal's width, and whether a continuous assignment drives
+/// it (so [`Module::add_assign`] finds a second driver with one lookup).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Decl {
+    width: u32,
+    assigned: bool,
 }
 
 impl Module {
@@ -480,10 +489,19 @@ impl Module {
         if name == KEY_PORT {
             return Err(RtlError::DuplicateSignal(name.to_owned()));
         }
-        if self.widths.insert(name.to_owned(), width).is_some() {
-            return Err(RtlError::DuplicateSignal(name.to_owned()));
+        match self.widths.entry(name.to_owned()) {
+            Entry::Occupied(mut slot) => {
+                slot.get_mut().width = width;
+                Err(RtlError::DuplicateSignal(name.to_owned()))
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Decl {
+                    width,
+                    assigned: false,
+                });
+                Ok(())
+            }
         }
-        Ok(())
     }
 
     /// Declares an input port.
@@ -553,7 +571,7 @@ impl Module {
 
     /// Width of a declared signal, if any.
     pub fn signal_width(&self, name: &str) -> Option<u32> {
-        self.widths.get(name).copied()
+        self.widths.get(name).map(|d| d.width)
     }
 
     /// Whether `name` is a declared signal (port or net).
@@ -591,13 +609,14 @@ impl Module {
     /// Returns an error if `lhs` is undeclared or already driven.
     pub fn add_assign(&mut self, lhs: impl Into<String>, rhs: ExprId) -> Result<()> {
         let lhs = lhs.into();
-        if !self.is_declared(&lhs) {
+        let Some(decl) = self.widths.get_mut(&lhs) else {
             return Err(RtlError::UnknownSignal(lhs));
-        }
-        if self.assigns.iter().any(|a| a.lhs == lhs) {
+        };
+        if decl.assigned {
             return Err(RtlError::MultipleDrivers(lhs));
         }
         self.arena.get(rhs)?;
+        decl.assigned = true;
         self.assigns.push(Assign { lhs, rhs });
         Ok(())
     }

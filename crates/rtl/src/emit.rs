@@ -2,7 +2,7 @@
 //!
 //! Produces synthesizable Verilog-2001 text for a [`Module`], including the
 //! key input port for locked designs. Output round-trips through the crate's
-//! [parser](crate::parse) (verified by property tests): for tree-shaped
+//! [parser](crate::parser) (verified by property tests): for tree-shaped
 //! designs `parse(emit(m)) == m` up to arena node numbering.
 
 use std::fmt::Write as _;

@@ -6,7 +6,7 @@
 //!
 //! - an arena-based RTL intermediate representation ([`ast`]) in which
 //!   locking transformations are O(1) and undoable,
-//! - a Verilog-subset [lexer](lexer) and [parser](parser) plus a
+//! - a Verilog-subset [lexer] and [parser] plus a
 //!   round-tripping [emitter](emit) (the paper uses Pyverilog; we ship our
 //!   own front end),
 //! - an RTL [simulator](sim) used to verify that locking preserves function

@@ -126,6 +126,34 @@ impl BinaryOp {
         }
     }
 
+    /// Inverse of [`BinaryOp::token`], also accepting `^~` for
+    /// [`BinaryOp::Xnor`].
+    pub(crate) fn from_token(token: &str) -> Option<Self> {
+        Some(match token {
+            "+" => BinaryOp::Add,
+            "-" => BinaryOp::Sub,
+            "*" => BinaryOp::Mul,
+            "/" => BinaryOp::Div,
+            "%" => BinaryOp::Mod,
+            "**" => BinaryOp::Pow,
+            "&" => BinaryOp::And,
+            "|" => BinaryOp::Or,
+            "^" => BinaryOp::Xor,
+            "~^" | "^~" => BinaryOp::Xnor,
+            "<<" => BinaryOp::Shl,
+            ">>" => BinaryOp::Shr,
+            "<" => BinaryOp::Lt,
+            ">" => BinaryOp::Gt,
+            "<=" => BinaryOp::Le,
+            ">=" => BinaryOp::Ge,
+            "==" => BinaryOp::Eq,
+            "!=" => BinaryOp::Neq,
+            "&&" => BinaryOp::LAnd,
+            "||" => BinaryOp::LOr,
+            _ => return None,
+        })
+    }
+
     /// Binding strength for the emitter; higher binds tighter.
     /// Mirrors Verilog operator precedence.
     pub fn precedence(self) -> u8 {
@@ -202,13 +230,9 @@ impl FromStr for BinaryOp {
     type Err = ParseOpError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ALL_BINARY_OPS
-            .iter()
-            .copied()
-            .find(|op| op.token() == s || (*op == BinaryOp::Xnor && s == "^~"))
-            .ok_or_else(|| ParseOpError {
-                token: s.to_owned(),
-            })
+        Self::from_token(s).ok_or_else(|| ParseOpError {
+            token: s.to_owned(),
+        })
     }
 }
 
@@ -278,7 +302,9 @@ mod tests {
             assert_eq!(op.token().parse::<BinaryOp>().unwrap(), op);
         }
         assert_eq!("^~".parse::<BinaryOp>().unwrap(), BinaryOp::Xnor);
-        assert!("@@".parse::<BinaryOp>().is_err());
+        for other in ["@@", "~", "!", ".", "", "+ ", "<>"] {
+            assert!(other.parse::<BinaryOp>().is_err(), "`{other}`");
+        }
     }
 
     #[test]

@@ -9,11 +9,24 @@
 //! A declared `input [n-1:0] K;` port is recognized as the locking key: it
 //! sets the module's key width, and selects on `K` parse to
 //! [`Expr::KeyBit`]/[`Expr::KeySlice`] nodes.
+//!
+//! The parser pulls borrowed, `Copy` tokens from the [lexer](crate::lexer)
+//! one at a time and keeps one token of lookahead. Keywords, the key port
+//! and the header's port list are compared as slices of the source; an
+//! owned `String` is made only for a name the [`Module`] stores (a
+//! declaration, an identifier or bit-select base, an assignment target, a
+//! clock, an instance and its connections). Binary operators come from a
+//! direct match on the operator token.
+//!
+//! Errors are those of a lexer run over the whole source followed by a
+//! parse of its tokens: a lexical error anywhere in the source is reported
+//! in preference to any parse or declaration error, and a parse error
+//! carries the position of the token after the one that failed to match.
 
 use crate::ast::{AlwaysBlock, Connection, Expr, ExprId, Instance, Module, SeqStmt, KEY_PORT};
 use crate::error::{Result, RtlError};
 use crate::hier::Design;
-use crate::lexer::{tokenize, Tok, Token};
+use crate::lexer::{Lexer, Tok, Token};
 use crate::op::{BinaryOp, UnaryOp};
 
 /// Parses Verilog source containing a single module.
@@ -40,11 +53,11 @@ use crate::op::{BinaryOp, UnaryOp};
 /// and declaration errors ([`RtlError::DuplicateSignal`], ...) on semantic
 /// ones.
 pub fn parse_verilog(src: &str) -> Result<Module> {
-    let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let module = parser.parse_module()?;
-    parser.expect_eof()?;
-    Ok(module)
+    Parser::run(src, |parser| {
+        let module = parser.parse_module()?;
+        parser.expect_eof()?;
+        Ok(module)
+    })
 }
 
 /// Parses Verilog source containing one or more modules into a
@@ -54,49 +67,88 @@ pub fn parse_verilog(src: &str) -> Result<Module> {
 ///
 /// Same conditions as [`parse_verilog`], plus duplicate module names.
 pub fn parse_design(src: &str) -> Result<Design> {
-    let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let mut design = Design::new();
-    loop {
-        design.add_module(parser.parse_module()?)?;
-        if parser.at_eof() {
-            return Ok(design);
+    Parser::run(src, |parser| {
+        let mut design = Design::new();
+        loop {
+            design.add_module(parser.parse_module()?)?;
+            if parser.at_eof() {
+                return Ok(design);
+            }
+        }
+    })
+}
+
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The lookahead token.
+    cur: Token<'src>,
+    /// The lexer's error, once it has failed; the lookahead is then
+    /// [`Tok::Eof`], so the parse stops soon after.
+    lex_error: Option<RtlError>,
+}
+
+impl<'src> Parser<'src> {
+    /// Runs `parse` over `src`. A lexical error anywhere in the source
+    /// wins over the parse's result, as if the whole source had been lexed
+    /// before parsing began: after a parse error the rest of the source is
+    /// lexed to find one.
+    fn run<T>(src: &'src str, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let mut parser = Parser {
+            lexer: Lexer::new(src),
+            cur: Token {
+                tok: Tok::Eof,
+                line: 1,
+                col: 1,
+            },
+            lex_error: None,
+        };
+        parser.advance();
+        let result = parse(&mut parser);
+        if result.is_err() {
+            while parser.lex_error.is_none() && !parser.at_eof() {
+                parser.advance();
+            }
+        }
+        match parser.lex_error {
+            Some(err) => Err(err),
+            None => result,
         }
     }
-}
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
-
-impl Parser {
-    fn cur(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    /// Lexes the next lookahead token.
+    fn advance(&mut self) {
+        match self.lexer.next_token() {
+            Ok(token) => self.cur = token,
+            Err(err) => {
+                self.cur.tok = Tok::Eof;
+                self.lex_error = Some(err);
+            }
+        }
     }
 
-    fn peek(&self) -> &Tok {
-        &self.cur().tok
+    fn peek(&self) -> Tok<'src> {
+        self.cur.tok
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.cur().tok.clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// Consumes and returns the lookahead token; at the end of input the
+    /// lookahead stays [`Tok::Eof`].
+    fn bump(&mut self) -> Tok<'src> {
+        let t = self.cur.tok;
+        if t != Tok::Eof {
+            self.advance();
         }
         t
     }
 
     fn err(&self, msg: impl Into<String>) -> RtlError {
-        let t = self.cur();
         RtlError::Parse {
-            line: t.line,
-            col: t.col,
+            line: self.cur.line,
+            col: self.cur.col,
             msg: msg.into(),
         }
     }
 
-    fn expect(&mut self, tok: &Tok, what: &str) -> Result<()> {
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<()> {
         if self.peek() == tok {
             self.bump();
             Ok(())
@@ -105,7 +157,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String> {
+    fn expect_ident(&mut self, what: &str) -> Result<&'src str> {
         match self.bump() {
             Tok::Ident(s) => Ok(s),
             other => Err(self.err(format!("expected {what}, found {other:?}"))),
@@ -131,7 +183,7 @@ impl Parser {
     }
 
     fn at_eof(&self) -> bool {
-        self.peek() == &Tok::Eof
+        self.peek() == Tok::Eof
     }
 
     fn expect_eof(&self) -> Result<()> {
@@ -148,20 +200,20 @@ impl Parser {
         self.expect_keyword("module")?;
         let name = self.expect_ident("module name")?;
         let mut module = Module::new(name);
-        let mut header: Vec<String> = Vec::new();
-        self.expect(&Tok::LParen, "`(`")?;
-        if self.peek() != &Tok::RParen {
+        let mut header: Vec<&'src str> = Vec::new();
+        self.expect(Tok::LParen, "`(`")?;
+        if self.peek() != Tok::RParen {
             loop {
                 header.push(self.expect_ident("port name")?);
-                if self.peek() == &Tok::Comma {
+                if self.peek() == Tok::Comma {
                     self.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RParen, "`)`")?;
-        self.expect(&Tok::Semi, "`;`")?;
+        self.expect(Tok::RParen, "`)`")?;
+        self.expect(Tok::Semi, "`;`")?;
 
         loop {
             if self.at_keyword("endmodule") {
@@ -169,20 +221,18 @@ impl Parser {
                 break;
             }
             match self.peek() {
-                Tok::Ident(kw) => match kw.as_str() {
-                    "input" | "output" | "wire" | "reg" => self.parse_decl(&mut module)?,
-                    "assign" => self.parse_assign(&mut module)?,
-                    "always" => self.parse_always(&mut module)?,
-                    _ => self.parse_instance(&mut module)?,
-                },
+                Tok::Ident("input" | "output" | "wire" | "reg") => self.parse_decl(&mut module)?,
+                Tok::Ident("assign") => self.parse_assign(&mut module)?,
+                Tok::Ident("always") => self.parse_always(&mut module)?,
+                Tok::Ident(_) => self.parse_instance(&mut module)?,
                 Tok::Eof => return Err(self.err("unexpected end of file, missing `endmodule`")),
                 other => return Err(self.err(format!("unexpected token {other:?}"))),
             }
         }
 
-        for p in &header {
+        for p in header {
             if p != KEY_PORT && !module.is_declared(p) {
-                return Err(RtlError::UnknownSignal(p.clone()));
+                return Err(RtlError::UnknownSignal(p.to_owned()));
             }
         }
         Ok(module)
@@ -190,11 +240,11 @@ impl Parser {
 
     /// Parses `ModuleName instName (.port(signal), ...);`.
     fn parse_instance(&mut self, module: &mut Module) -> Result<()> {
-        let module_name = self.expect_ident("module name")?;
-        let instance_name = self.expect_ident("instance name")?;
-        self.expect(&Tok::LParen, "`(`")?;
+        let module_name = self.expect_ident("module name")?.to_owned();
+        let instance_name = self.expect_ident("instance name")?.to_owned();
+        self.expect(Tok::LParen, "`(`")?;
         let mut connections = Vec::new();
-        if self.peek() != &Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
                 match self.bump() {
                     Tok::Op(".") => {}
@@ -202,20 +252,20 @@ impl Parser {
                         return Err(self.err(format!("expected `.port(...)`, found {other:?}")))
                     }
                 }
-                let port = self.expect_ident("port name")?;
-                self.expect(&Tok::LParen, "`(`")?;
-                let signal = self.expect_ident("signal name")?;
-                self.expect(&Tok::RParen, "`)`")?;
+                let port = self.expect_ident("port name")?.to_owned();
+                self.expect(Tok::LParen, "`(`")?;
+                let signal = self.expect_ident("signal name")?.to_owned();
+                self.expect(Tok::RParen, "`)`")?;
                 connections.push(Connection { port, signal });
-                if self.peek() == &Tok::Comma {
+                if self.peek() == Tok::Comma {
                     self.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RParen, "`)`")?;
-        self.expect(&Tok::Semi, "`;`")?;
+        self.expect(Tok::RParen, "`)`")?;
+        self.expect(Tok::Semi, "`;`")?;
         module.add_instance(Instance {
             module_name,
             instance_name,
@@ -224,14 +274,14 @@ impl Parser {
     }
 
     fn parse_range(&mut self) -> Result<Option<u32>> {
-        if self.peek() != &Tok::LBracket {
+        if self.peek() != Tok::LBracket {
             return Ok(None);
         }
         self.bump();
         let hi = self.expect_number()?;
-        self.expect(&Tok::Colon, "`:`")?;
+        self.expect(Tok::Colon, "`:`")?;
         let lo = self.expect_number()?;
-        self.expect(&Tok::RBracket, "`]`")?;
+        self.expect(Tok::RBracket, "`]`")?;
         if lo != 0 {
             return Err(self.err(format!(
                 "only [n:0] ranges are supported, found [{hi}:{lo}]"
@@ -251,7 +301,7 @@ impl Parser {
                 }
                 module.set_key_width(width);
             } else {
-                match kind.as_str() {
+                match kind {
                     "input" => module.add_input(name, width)?,
                     "output" => module.add_output(name, width)?,
                     "wire" => module.add_wire(name, width)?,
@@ -259,31 +309,31 @@ impl Parser {
                     _ => unreachable!("caller checked keyword"),
                 }
             }
-            if self.peek() == &Tok::Comma {
+            if self.peek() == Tok::Comma {
                 self.bump();
             } else {
                 break;
             }
         }
-        self.expect(&Tok::Semi, "`;`")
+        self.expect(Tok::Semi, "`;`")
     }
 
     fn parse_assign(&mut self, module: &mut Module) -> Result<()> {
         self.expect_keyword("assign")?;
         let lhs = self.expect_ident("assignment target")?;
-        self.expect(&Tok::Assign, "`=`")?;
+        self.expect(Tok::Assign, "`=`")?;
         let rhs = self.parse_expr(module)?;
-        self.expect(&Tok::Semi, "`;`")?;
+        self.expect(Tok::Semi, "`;`")?;
         module.add_assign(lhs, rhs)
     }
 
     fn parse_always(&mut self, module: &mut Module) -> Result<()> {
         self.expect_keyword("always")?;
-        self.expect(&Tok::At, "`@`")?;
-        self.expect(&Tok::LParen, "`(`")?;
+        self.expect(Tok::At, "`@`")?;
+        self.expect(Tok::LParen, "`(`")?;
         self.expect_keyword("posedge")?;
-        let clock = self.expect_ident("clock signal")?;
-        self.expect(&Tok::RParen, "`)`")?;
+        let clock = self.expect_ident("clock signal")?.to_owned();
+        self.expect(Tok::RParen, "`)`")?;
         let body = self.parse_stmt_block(module)?;
         module.add_always(AlwaysBlock { clock, body })
     }
@@ -294,7 +344,7 @@ impl Parser {
             self.bump();
             let mut stmts = Vec::new();
             while !self.at_keyword("end") {
-                if self.peek() == &Tok::Eof {
+                if self.peek() == Tok::Eof {
                     return Err(self.err("unexpected end of file inside `begin` block"));
                 }
                 stmts.push(self.parse_stmt(module)?);
@@ -309,9 +359,9 @@ impl Parser {
     fn parse_stmt(&mut self, module: &mut Module) -> Result<SeqStmt> {
         if self.at_keyword("if") {
             self.bump();
-            self.expect(&Tok::LParen, "`(`")?;
+            self.expect(Tok::LParen, "`(`")?;
             let cond = self.parse_expr(module)?;
-            self.expect(&Tok::RParen, "`)`")?;
+            self.expect(Tok::RParen, "`)`")?;
             let then_body = self.parse_stmt_block(module)?;
             let else_body = if self.at_keyword("else") {
                 self.bump();
@@ -325,20 +375,20 @@ impl Parser {
                 else_body,
             })
         } else {
-            let lhs = self.expect_ident("register name")?;
-            self.expect(&Tok::LeOrNonBlocking, "`<=`")?;
+            let lhs = self.expect_ident("register name")?.to_owned();
+            self.expect(Tok::LeOrNonBlocking, "`<=`")?;
             let rhs = self.parse_expr(module)?;
-            self.expect(&Tok::Semi, "`;`")?;
+            self.expect(Tok::Semi, "`;`")?;
             Ok(SeqStmt::NonBlocking { lhs, rhs })
         }
     }
 
     fn parse_expr(&mut self, module: &mut Module) -> Result<ExprId> {
         let cond = self.parse_binary(module, 1)?;
-        if self.peek() == &Tok::Question {
+        if self.peek() == Tok::Question {
             self.bump();
             let then_expr = self.parse_expr(module)?;
-            self.expect(&Tok::Colon, "`:`")?;
+            self.expect(Tok::Colon, "`:`")?;
             let else_expr = self.parse_expr(module)?;
             Ok(module.alloc_expr(Expr::Ternary {
                 cond,
@@ -350,17 +400,9 @@ impl Parser {
         }
     }
 
-    fn peek_binop(&self) -> Option<BinaryOp> {
-        match self.peek() {
-            Tok::Op(s) => s.parse().ok(),
-            Tok::LeOrNonBlocking => Some(BinaryOp::Le),
-            _ => None,
-        }
-    }
-
     fn parse_binary(&mut self, module: &mut Module, min_prec: u8) -> Result<ExprId> {
         let mut lhs = self.parse_unary(module)?;
-        while let Some(op) = self.peek_binop() {
+        while let Some(op) = self.peek().binary_op() {
             let prec = op.precedence();
             if prec < min_prec {
                 break;
@@ -393,21 +435,21 @@ impl Parser {
         match self.bump() {
             Tok::LParen => {
                 let e = self.parse_expr(module)?;
-                self.expect(&Tok::RParen, "`)`")?;
+                self.expect(Tok::RParen, "`)`")?;
                 Ok(e)
             }
             Tok::Number { value, width } => Ok(module.alloc_expr(Expr::Const { value, width })),
             Tok::Ident(name) => {
-                if self.peek() == &Tok::LBracket {
+                if self.peek() == Tok::LBracket {
                     self.bump();
                     let hi = self.expect_number()?;
-                    let lo = if self.peek() == &Tok::Colon {
+                    let lo = if self.peek() == Tok::Colon {
                         self.bump();
                         Some(self.expect_number()?)
                     } else {
                         None
                     };
-                    self.expect(&Tok::RBracket, "`]`")?;
+                    self.expect(Tok::RBracket, "`]`")?;
                     if name == KEY_PORT {
                         match lo {
                             None => Ok(module.alloc_expr(Expr::KeyBit(hi as u32))),
@@ -426,7 +468,7 @@ impl Parser {
                     } else {
                         match lo {
                             None => Ok(module.alloc_expr(Expr::Index {
-                                base: name,
+                                base: name.to_owned(),
                                 bit: hi as u32,
                             })),
                             Some(_) => {
@@ -436,7 +478,7 @@ impl Parser {
                         }
                     }
                 } else {
-                    Ok(module.alloc_expr(Expr::Ident(name)))
+                    Ok(module.alloc_expr(Expr::Ident(name.to_owned())))
                 }
             }
             other => Err(self.err(format!("expected expression, found {other:?}"))),

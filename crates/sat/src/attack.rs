@@ -5,7 +5,7 @@
 //! (Subramanyan et al.) recovers a correct key for *any* locking scheme
 //! whose only defence is structural/learning resilience — including ERA and
 //! HRA after lowering to gates. SAT resistance is an orthogonal objective
-//! the paper defers to [3] (Karfa et al., DATE 2020), and this module makes
+//! the paper defers to \[3\] (Karfa et al., DATE 2020), and this module makes
 //! that trade-off measurable.
 //!
 //! ## Algorithm

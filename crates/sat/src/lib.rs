@@ -19,7 +19,7 @@
 //! provably ML-resilient at RTL — falls to the SAT attack in a handful of
 //! DIPs once lowered to gates, confirming that learning resilience and SAT
 //! resistance are orthogonal objectives, exactly as the paper notes when it
-//! defers SAT resistance to Karfa et al. [3].
+//! defers SAT resistance to Karfa et al. \[3\].
 //!
 //! ## Quick example
 //!
