@@ -17,7 +17,7 @@
 //! properties, not timings — the committed regression floor lives in
 //! `tests/netlist_props.rs`).
 //!
-//! Run with `--quick` (or `MLRL_BENCH_QUICK=1`) for the CI smoke mode:
+//! Run with `--quick` for the CI smoke mode:
 //! one sample per benchmark, same workload shape.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -38,7 +38,7 @@ const DESIGNS: &[&str] = &["USB_PHY", "SASC", "DES3"];
 const VECTORS: usize = 256;
 
 fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("MLRL_BENCH_QUICK").is_some()
+    std::env::args().any(|a| a == "--quick")
 }
 
 fn sample_size() -> usize {

@@ -9,7 +9,7 @@
 //! work, directly comparable between the per-vector scalar path and every
 //! batched width.
 //!
-//! Run with `--quick` (or `MLRL_BENCH_QUICK=1`) for the CI smoke mode:
+//! Run with `--quick` for the CI smoke mode:
 //! same vector count, a single sample — the workload size is kept so the
 //! width ratios (and the committed baseline's scale) carry over.
 
@@ -24,7 +24,7 @@ use mlrl_rtl::sim::{BatchSimulator, Simulator};
 const VECTORS: usize = 512;
 
 fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("MLRL_BENCH_QUICK").is_some()
+    std::env::args().any(|a| a == "--quick")
 }
 
 fn vector_count() -> usize {

@@ -7,20 +7,27 @@
 //! whose budget axis *is* the ablation, with locked instances and relock
 //! training sets shared through the artifact cache.
 //!
-//! Usage: `cargo run --release -p mlrl-bench --bin ablation_budget
-//!         [benchmark] [--instances N] [--relocks N] [--seed N]
-//!         [--threads N] [--canonical] [--shard I/N]`
+//! Usage: `cargo run --release -p mlrl-bench --bin ablation_budget -- <CMD flags>`.
 
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::ablation_campaign;
 use mlrl_engine::kpa_cell_means;
 
+const CMD: Command = Command(&[
+    "ablation_budget [benchmark] [--instances N] [--relocks N] [--seed N]",
+    CAMPAIGN_FLAGS,
+]);
+
 fn main() {
-    let args = BenchArgs::from_env(CAMPAIGN_BOOLEAN_FLAGS);
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
     let benchmark = args.positional(0).unwrap_or("MD5").to_owned();
-    let instances: usize = args.num("instances", 2);
-    let relocks: usize = args.num("relocks", 30);
-    let seed: u64 = args.num("seed", 2022);
+    let instances: usize = args.num("--instances", 2)?;
+    let relocks: usize = args.num("--relocks", 30)?;
+    let seed: u64 = args.num("--seed", 2022)?;
 
     let fractions = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5];
     eprintln!(
@@ -28,11 +35,8 @@ fn main() {
         fractions.len()
     );
     let spec = ablation_campaign(&benchmark, &fractions, instances, relocks, seed);
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
-    let Some(reports) =
-        run_campaigns(&engine, std::slice::from_ref(&spec), &args).unwrap_or_else(|e| fail(&e))
-    else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, std::slice::from_ref(&spec))? else {
+        return Ok(()); // canonical / shard output already printed
     };
     let cells = kpa_cell_means(&reports[0].records, "snapshot");
 
@@ -59,4 +63,5 @@ fn main() {
     println!("Expected shape: ASSURE leaks at every budget; HRA's curve falls");
     println!("toward 50 only once the budget covers the total imbalance; ERA");
     println!("stays at the floor because it overruns the budget to balance.");
+    Ok(())
 }

@@ -10,30 +10,34 @@
 //! of each scheme share one relock training set through the
 //! content-addressed artifact cache instead of relocking twice.
 //!
-//! Usage: `cargo run --release -p mlrl-bench --bin attack_baselines
-//!         [benchmark] [--relocks N] [--seed N] [--threads N]
-//!         [--canonical] [--shard I/N]`
+//! Usage: `cargo run --release -p mlrl-bench --bin attack_baselines -- <CMD flags>`.
 
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::attack_baselines_campaign;
 
+const CMD: Command = Command(&[
+    "attack_baselines [benchmark] [--relocks N] [--seed N]",
+    CAMPAIGN_FLAGS,
+]);
+
 fn main() {
-    let args = BenchArgs::from_env(CAMPAIGN_BOOLEAN_FLAGS);
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
     let benchmark = args.positional(0).unwrap_or("SHA256").to_owned();
-    let relocks: usize = args.num("relocks", 50);
-    let seed: u64 = args.num("seed", 2022);
+    let relocks: usize = args.num("--relocks", 50)?;
+    let seed: u64 = args.num("--seed", 2022)?;
 
     let spec = attack_baselines_campaign(&benchmark, relocks, seed);
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
-    let canonical = args.has("canonical") || args.has("shard");
+    let canonical = flags.canonical || flags.shard.is_some();
     if !canonical {
         println!("attack baselines on {benchmark} (seed {seed}, {relocks} relocks)");
         println!();
     }
-    let Some(reports) =
-        run_campaigns(&engine, std::slice::from_ref(&spec), &args).unwrap_or_else(|e| fail(&e))
-    else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, std::slice::from_ref(&spec))? else {
+        return Ok(()); // canonical / shard output already printed
     };
     let report = &reports[0];
 
@@ -69,4 +73,5 @@ fn main() {
     println!("closed form). The oracle-agree column (output agreement of the");
     println!("recovered key) stays high for every scheme — ERA defends against");
     println!("*learning*, not against an activated chip.");
+    Ok(())
 }

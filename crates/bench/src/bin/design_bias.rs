@@ -6,18 +6,23 @@
 //! A thin printer over `mlrl_engine`: one lock-free profile cell per
 //! benchmark (`mlrl_engine::drivers::design_bias_campaign`).
 //!
-//! Usage: `cargo run --release -p mlrl-bench --bin design_bias [seed]
-//!         [--benchmarks a,b,c] [--threads N] [--canonical] [--shard I/N]`
+//! Usage: `cargo run --release -p mlrl-bench --bin design_bias -- <CMD flags>`.
 
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::design_bias_campaign;
 use mlrl_engine::JobRecord;
 use mlrl_rtl::bench_designs::paper_benchmarks;
 
+const CMD: Command = Command(&["design_bias [seed] [--benchmarks a,b,c]", CAMPAIGN_FLAGS]);
+
 fn main() {
-    let args = BenchArgs::from_env(CAMPAIGN_BOOLEAN_FLAGS);
-    let seed: u64 = args.positional_num(0, 2022);
-    let benchmarks: Vec<String> = args.list("benchmarks").unwrap_or_else(|| {
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
+    let seed: u64 = args.positional_num(0, 2022)?;
+    let benchmarks: Vec<String> = args.list("--benchmarks").unwrap_or_else(|| {
         paper_benchmarks()
             .iter()
             .map(|s| s.name.to_owned())
@@ -25,11 +30,8 @@ fn main() {
     });
 
     let spec = design_bias_campaign(&benchmarks, seed);
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
-    let Some(reports) =
-        run_campaigns(&engine, std::slice::from_ref(&spec), &args).unwrap_or_else(|e| fail(&e))
-    else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, std::slice::from_ref(&spec))? else {
+        return Ok(()); // canonical / shard output already printed
     };
 
     let bias = |r: &JobRecord| r.imbalance.unwrap_or(0) as f64 / r.ops.unwrap_or(1).max(1) as f64;
@@ -56,4 +58,5 @@ fn main() {
     println!("absent (N_2046); 0.00 means perfectly balanced (N_1023). The higher");
     println!("the bias, the more a learning attack can extract from relocking —");
     println!("and the more key bits ERA needs to reach Def. 1 security.");
+    Ok(())
 }

@@ -11,11 +11,10 @@
 //! pseudo-I/O) — immaterial to the oracle-less structural attacker, which
 //! never simulates, but the `gates` column counts the scan-view netlist.
 //!
-//! Usage: `cargo run --release -p mlrl-bench --bin fig1_gate_vs_rtl
-//!         [--benchmarks a,b,c] [--instances N] [--seed N] [--threads N]
-//!         [--csv] [--canonical] [--shard I/N]`
+//! Usage: `cargo run --release -p mlrl-bench --bin fig1_gate_vs_rtl -- <CMD flags>`.
 
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::fig1_campaigns;
 use mlrl_engine::JobRecord;
 
@@ -37,9 +36,17 @@ fn kpa_of(records: &[JobRecord], benchmark: &str, scheme: &str) -> f64 {
     mean(&kpas)
 }
 
+const CMD: Command = Command(&[
+    "fig1_gate_vs_rtl [--benchmarks a,b,c] [--instances N] [--seed N] [--csv]",
+    CAMPAIGN_FLAGS,
+]);
+
 fn main() {
-    let args = BenchArgs::from_env(CAMPAIGN_BOOLEAN_FLAGS);
-    let benchmarks: Vec<String> = args.list("benchmarks").unwrap_or_else(|| {
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
+    let benchmarks: Vec<String> = args.list("--benchmarks").unwrap_or_else(|| {
         vec![
             "DES3".into(),
             "MD5".into(),
@@ -49,16 +56,13 @@ fn main() {
             "I2C_SL".into(),
         ]
     });
-    let instances: usize = args.num("instances", 3);
-    let seed: u64 = args.num("seed", 2022);
-    let csv = args.has("csv");
+    let instances: usize = args.num("--instances", 3)?;
+    let seed: u64 = args.num("--seed", 2022)?;
+    let csv = args.has("--csv");
 
     let (gate_spec, rtl_spec) = fig1_campaigns(&benchmarks, instances, seed);
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
-    let Some(reports) =
-        run_campaigns(&engine, &[gate_spec, rtl_spec], &args).unwrap_or_else(|e| fail(&e))
-    else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, &[gate_spec, rtl_spec])? else {
+        return Ok(()); // canonical / shard output already printed
     };
     let (gate, rtl) = (&reports[0], &reports[1]);
 
@@ -108,4 +112,5 @@ fn main() {
         println!("RTL serial ASSURE well above chance, ERA ≈ 50% (random guess).");
         println!("({} + {})", gate.summary(), rtl.summary());
     }
+    Ok(())
 }

@@ -6,12 +6,11 @@
 //! (`mlrl_engine::drivers::fig4_campaign`), one selection scheme per
 //! scenario.
 //!
-//! Usage: `cargo run --release -p mlrl-bench --bin fig4_observations
-//!         [n_ops] [rounds] [seed] [--threads N] [--canonical]
-//!         [--shard I/N]`
+//! Usage: `cargo run --release -p mlrl-bench --bin fig4_observations -- <CMD flags>`.
 
 use mlrl_attack::observations::ObservationPool;
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::fig4_campaign;
 
 /// The Fig. 4 sub-figure each selection scheme reproduces.
@@ -24,18 +23,20 @@ fn scenario_label(scheme: &str) -> &'static str {
     }
 }
 
+const CMD: Command = Command(&["fig4_observations [n_ops] [rounds] [seed]", CAMPAIGN_FLAGS]);
+
 fn main() {
-    let args = BenchArgs::from_env(CAMPAIGN_BOOLEAN_FLAGS);
-    let n_ops: usize = args.positional_num(0, 128);
-    let rounds: usize = args.positional_num(1, 20);
-    let seed: u64 = args.positional_num(2, 2022);
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
+    let n_ops: usize = args.positional_num(0, 128)?;
+    let rounds: usize = args.positional_num(1, 20)?;
+    let seed: u64 = args.positional_num(2, 2022)?;
 
     let spec = fig4_campaign(n_ops, rounds, seed);
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
-    let Some(reports) =
-        run_campaigns(&engine, std::slice::from_ref(&spec), &args).unwrap_or_else(|e| fail(&e))
-    else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, std::slice::from_ref(&spec))? else {
+        return Ok(()); // canonical / shard output already printed
     };
     let report = &reports[0];
 
@@ -67,4 +68,5 @@ fn main() {
     println!();
     println!("Paper (Fig. 4e-4g): serial => confusing observations; random =>");
     println!("'+ mostly correct'; no-overlap => '+ always correct'.");
+    Ok(())
 }

@@ -9,36 +9,39 @@
 //! direct lock runs left in this binary. The surface (5a) stays a direct
 //! metric evaluation — it locks nothing.
 //!
-//! Usage: `cargo run --release -p mlrl-bench --bin fig5_metric [seed]
-//!         [--csv] [--threads N] [--canonical] [--shard I/N]
-//!         [--cache-dir DIR] [--cache-cap BYTES]`
+//! Usage: `cargo run --release -p mlrl-bench --bin fig5_metric -- <CMD flags>`.
 //! Pass `--csv` to dump the raw surface grid as CSV instead of the
 //! summary; `--canonical`/`--shard` emit the 5b campaigns' canonical
 //! stream only (the surface is not campaign-shaped).
 
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
 use mlrl_bench::experiments::fig5_surface;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::{fig5_campaign, fig5_hra_campaign};
 use mlrl_engine::JobRecord;
 
-fn main() {
-    let args = BenchArgs::from_env(CAMPAIGN_BOOLEAN_FLAGS);
-    let seed: u64 = args.positional_num(0, 2022);
+const CMD: Command = Command(&["fig5_metric [seed] [--csv]", CAMPAIGN_FLAGS]);
 
-    if args.has("csv") {
+fn main() {
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
+    let seed: u64 = args.positional_num(0, 2022)?;
+
+    if args.has("--csv") {
         // Surface dump only: locks nothing, so skip the 5b campaigns.
         println!("x_add_sub,y_shl_shr,m_g_sec");
         for (x, y, m) in &fig5_surface(seed) {
             println!("{x},{y},{m:.4}");
         }
-        return;
+        return Ok(());
     }
 
     // Fig. 5b through the engine: one campaign per budget regime.
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
     let specs = [fig5_campaign(seed), fig5_hra_campaign(seed)];
-    let Some(reports) = run_campaigns(&engine, &specs, &args).unwrap_or_else(|e| fail(&e)) else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, &specs)? else {
+        return Ok(()); // canonical / shard output already printed
     };
     let records: Vec<JobRecord> = reports.into_iter().flat_map(|r| r.records).collect();
 
@@ -103,4 +106,5 @@ fn main() {
     println!("Paper: ERA jumps along the surface edges; Greedy takes the steepest");
     println!("path and reaches 100 with the fewest bits; HRA detours randomly to");
     println!("thwart reversibility.");
+    Ok(())
 }

@@ -10,67 +10,64 @@
 //! each relocked up to 1000 times — cacheable, parallel, and linearly
 //! partitionable across machines with `--shard`.
 //!
-//! Usage:
-//!   `cargo run --release -p mlrl-bench --bin fig6_kpa [-- options]`
-//!
-//! Options:
-//!   `--quick`            3 small benchmarks, 1 instance, 20 relocks
-//!   `--full`             paper-scale: 10 instances, 200 relocks
-//!   `--benchmarks a,b,c` restrict the benchmark set
-//!   `--instances N`      locked instances per benchmark (default 3)
-//!   `--relocks N`        relock rounds per instance (default 60)
-//!   `--seed N`           base seed (default 2022)
-//!   `--threads N`        worker threads (default: all cores)
-//!   `--csv`              emit CSV rows instead of the table
-//!   `--canonical`        emit the canonical JSON-lines stream
-//!   `--shard I/N`        run one shard (implies `--canonical`)
+//! Usage: `cargo run --release -p mlrl-bench --bin fig6_kpa -- <CMD flags>`.
+//! Defaults: every benchmark, 3 instances, 60 relocks, seed 2022, all
+//! cores. `--quick` is 3 small benchmarks, 1 instance and 20 relocks;
+//! `--full` is paper scale, 10 instances and 200 relocks; `--csv` prints
+//! CSV rows; `--shard I/N` implies `--canonical`.
 
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::fig6_campaigns;
 use mlrl_engine::{kpa_cell_means, scheme_averages, JobRecord};
 use mlrl_rtl::bench_designs::paper_benchmarks;
 
-fn main() {
-    let mut boolean_flags = vec!["quick", "full"];
-    boolean_flags.extend_from_slice(CAMPAIGN_BOOLEAN_FLAGS);
-    let args = BenchArgs::from_env(&boolean_flags);
+const CMD: Command = Command(&[
+    "fig6_kpa [--quick] [--full] [--benchmarks a,b,c] [--instances N] [--relocks N]",
+    "[--seed N] [--csv]",
+    CAMPAIGN_FLAGS,
+]);
 
+fn main() {
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
     let mut benchmarks: Vec<String> = paper_benchmarks()
         .iter()
         .map(|s| s.name.to_owned())
         .collect();
     let mut instances = 3usize;
     let mut relocks = 60usize;
-    if args.has("quick") {
+    if args.has("--quick") {
         benchmarks = vec!["FIR".into(), "SASC".into(), "N_1023".into()];
         instances = 1;
         relocks = 20;
     }
-    if args.has("full") {
+    if args.has("--full") {
         instances = 10;
         relocks = 200;
     }
-    if let Some(b) = args.list("benchmarks") {
+    if let Some(b) = args.list("--benchmarks") {
         benchmarks = b;
     }
-    instances = args.num("instances", instances);
-    relocks = args.num("relocks", relocks);
-    let seed: u64 = args.num("seed", 2022);
+    instances = args.num("--instances", instances)?;
+    relocks = args.num("--relocks", relocks)?;
+    let seed: u64 = args.num("--seed", 2022)?;
 
     let specs = fig6_campaigns(&benchmarks, instances, relocks, seed);
     eprintln!(
         "Fig. 6 sweep: {} benchmarks x 3 schemes x {instances} instance(s), {relocks} relocks each",
         benchmarks.len()
     );
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
-    let Some(reports) = run_campaigns(&engine, &specs, &args).unwrap_or_else(|e| fail(&e)) else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, &specs)? else {
+        return Ok(()); // canonical / shard output already printed
     };
     let records: Vec<JobRecord> = reports.into_iter().flat_map(|r| r.records).collect();
     let cells = kpa_cell_means(&records, "snapshot");
     let averages = scheme_averages(&cells);
 
-    if args.has("csv") {
+    if args.has("--csv") {
         println!("benchmark,scheme,kpa");
         for cell in &cells {
             println!(
@@ -83,7 +80,7 @@ fn main() {
         for (scheme, avg) in &averages {
             println!("AVERAGE,{},{avg:.2}", scheme.to_ascii_uppercase());
         }
-        return;
+        return Ok(());
     }
 
     println!();
@@ -112,4 +109,5 @@ fn main() {
     for (scheme, avg) in &averages {
         println!("{:<8} {avg:>8.2}", scheme.to_ascii_uppercase());
     }
+    Ok(())
 }

@@ -9,17 +9,25 @@
 //! measurement, the gate half lowers the *same* cached locked instance
 //! and runs the SAT attack — then the rows join by benchmark × scheme.
 //!
-//! Usage: `cargo run --release -p mlrl-bench --bin multi_objective
-//!         [--benchmarks a,b,c] [--width N] [--seed N] [--threads N]
-//!         [--csv] [--canonical] [--shard I/N]`
+//! Usage: `cargo run --release -p mlrl-bench --bin multi_objective -- <CMD flags>`.
 
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::multi_objective_campaigns;
 use mlrl_engine::JobRecord;
 
+const CMD: Command = Command(&[
+    "multi_objective [--benchmarks a,b,c] [--width N] [--relocks N] [--wrong-keys N]",
+    "[--max-dips N] [--seed N] [--csv]",
+    CAMPAIGN_FLAGS,
+]);
+
 fn main() {
-    let args = BenchArgs::from_env(CAMPAIGN_BOOLEAN_FLAGS);
-    let benchmarks: Vec<String> = args.list("benchmarks").unwrap_or_else(|| {
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
+    let benchmarks: Vec<String> = args.list("--benchmarks").unwrap_or_else(|| {
         vec![
             "SASC".into(),
             "SIM_SPI".into(),
@@ -27,19 +35,17 @@ fn main() {
             "I2C_SL".into(),
         ]
     });
-    let width: u32 = args.num("width", 8);
-    let relocks: usize = args.num("relocks", 60);
-    let wrong_keys: usize = args.num("wrong-keys", 32);
-    let max_dips: usize = args.num("max-dips", 512);
-    let seed: u64 = args.num("seed", 2022);
-    let csv = args.has("csv");
+    let width: u32 = args.num("--width", 8)?;
+    let relocks: usize = args.num("--relocks", 60)?;
+    let wrong_keys: usize = args.num("--wrong-keys", 32)?;
+    let max_dips: usize = args.num("--max-dips", 512)?;
+    let seed: u64 = args.num("--seed", 2022)?;
+    let csv = args.has("--csv");
 
     let (rtl, gate) =
         multi_objective_campaigns(&benchmarks, width, relocks, wrong_keys, max_dips, seed);
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
-    let Some(reports) = run_campaigns(&engine, &[rtl, gate], &args).unwrap_or_else(|e| fail(&e))
-    else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, &[rtl, gate])? else {
+        return Ok(()); // canonical / shard output already printed
     };
     let (rtl, gate) = (&reports[0], &reports[1]);
 
@@ -104,4 +110,5 @@ fn main() {
         println!("resists the SAT attack — the multi-objective space HRA is built for.");
         println!("({} + {})", rtl.summary(), gate.summary());
     }
+    Ok(())
 }

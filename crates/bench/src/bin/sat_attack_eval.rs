@@ -8,16 +8,23 @@
 //! one synthesis per locked instance is shared through the lowered-netlist
 //! cache shard, and the canonical report reproduces byte-identically.
 //!
-//! Usage: `cargo run --release -p mlrl-bench --bin sat_attack_eval
-//!         [--benchmarks a,b,c] [--width N] [--max-dips N] [--seed N]
-//!         [--threads N] [--csv] [--canonical] [--shard I/N]`
+//! Usage: `cargo run --release -p mlrl-bench --bin sat_attack_eval -- <CMD flags>`.
 
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::sat_eval_campaign;
 
+const CMD: Command = Command(&[
+    "sat_attack_eval [--benchmarks a,b,c] [--width N] [--max-dips N] [--seed N] [--csv]",
+    CAMPAIGN_FLAGS,
+]);
+
 fn main() {
-    let args = BenchArgs::from_env(CAMPAIGN_BOOLEAN_FLAGS);
-    let benchmarks: Vec<String> = args.list("benchmarks").unwrap_or_else(|| {
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
+    let benchmarks: Vec<String> = args.list("--benchmarks").unwrap_or_else(|| {
         vec![
             "SASC".into(),
             "SIM_SPI".into(),
@@ -25,17 +32,14 @@ fn main() {
             "I2C_SL".into(),
         ]
     });
-    let width: u32 = args.num("width", 8);
-    let max_dips: usize = args.num("max-dips", 512);
-    let seed: u64 = args.num("seed", 2022);
-    let csv = args.has("csv");
+    let width: u32 = args.num("--width", 8)?;
+    let max_dips: usize = args.num("--max-dips", 512)?;
+    let seed: u64 = args.num("--seed", 2022)?;
+    let csv = args.has("--csv");
 
     let spec = sat_eval_campaign(&benchmarks, width, max_dips, seed);
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
-    let Some(reports) =
-        run_campaigns(&engine, std::slice::from_ref(&spec), &args).unwrap_or_else(|e| fail(&e))
-    else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, std::slice::from_ref(&spec))? else {
+        return Ok(()); // canonical / shard output already printed
     };
     let report = &reports[0];
 
@@ -83,4 +87,5 @@ fn main() {
         println!("paper notes when deferring SAT resistance to Karfa et al. [3].");
         println!("({})", report.summary());
     }
+    Ok(())
 }

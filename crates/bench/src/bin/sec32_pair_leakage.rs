@@ -6,16 +6,23 @@
 //! (`mlrl_engine::drivers::sec32_campaign`), sharing base designs through
 //! the artifact cache.
 //!
-//! Usage: `cargo run --release -p mlrl-bench --bin sec32_pair_leakage
-//!         [--benchmarks a,b,c] [--seed N] [--threads N] [--canonical]
-//!         [--shard I/N]`
+//! Usage: `cargo run --release -p mlrl-bench --bin sec32_pair_leakage -- <CMD flags>`.
 
-use mlrl_bench::args::{build_engine, fail, run_campaigns, BenchArgs, CAMPAIGN_BOOLEAN_FLAGS};
+use mlrl_bench::args::run_campaigns;
+use mlrl_engine::cli::{CampaignFlags, Command, Parsed, CAMPAIGN_FLAGS};
 use mlrl_engine::drivers::sec32_campaign;
 
+const CMD: Command = Command(&[
+    "sec32_pair_leakage [--benchmarks a,b,c] [--seed N]",
+    CAMPAIGN_FLAGS,
+]);
+
 fn main() {
-    let args = BenchArgs::from_env(CAMPAIGN_BOOLEAN_FLAGS);
-    let benchmarks: Vec<String> = args.list("benchmarks").unwrap_or_else(|| {
+    mlrl_bench::args::main(&CMD, run);
+}
+
+fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {
+    let benchmarks: Vec<String> = args.list("--benchmarks").unwrap_or_else(|| {
         // The leak needs the §3.2-named ops (*, /, %, ^, **): use the
         // arithmetic- and xor-heavy benchmarks.
         vec![
@@ -26,14 +33,11 @@ fn main() {
             "SHA256".into(),
         ]
     });
-    let seed: u64 = args.num("seed", 2022);
+    let seed: u64 = args.num("--seed", 2022)?;
 
     let spec = sec32_campaign(&benchmarks, seed);
-    let engine = build_engine(&args).unwrap_or_else(|e| fail(&e));
-    let Some(reports) =
-        run_campaigns(&engine, std::slice::from_ref(&spec), &args).unwrap_or_else(|e| fail(&e))
-    else {
-        return; // canonical / shard output already printed
+    let Some(reports) = run_campaigns(flags, std::slice::from_ref(&spec))? else {
+        return Ok(()); // canonical / shard output already printed
     };
     let report = &reports[0];
 
@@ -66,4 +70,5 @@ fn main() {
     println!();
     println!("Paper: 'currently ASSURE can be broken by analyzing operation pairs';");
     println!("the involutive fix ('fixed') is applied to all other evaluations.");
+    Ok(())
 }

@@ -2,9 +2,9 @@
 //!
 //! Every paper sweep runs as a campaign on `mlrl_engine` (built by
 //! `mlrl_engine::drivers`), and the ten `src/bin` binaries are thin
-//! printers over `Engine` output: they parse flags through [`args`],
-//! run the grid in parallel through the content-addressed artifact
-//! cache, and format the records. All of them accept `--canonical` (the
+//! printers over `Engine` output: they check argv against one flag table
+//! each and run the grid through [`args`] and the content-addressed
+//! artifact cache, and format the records. All accept `--canonical` (the
 //! deterministic JSON-lines stream) and `--shard I/N` (run one
 //! deterministic partition; merge the outputs with `mlrl merge`).
 //! [`experiments`] keeps the one non-campaign-shaped runner — the

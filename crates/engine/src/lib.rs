@@ -31,6 +31,8 @@
 //!   `sec32_pair_leakage`, `attack_baselines`, `fig1_gate_vs_rtl`,
 //!   `sat_attack_eval`, `ablation_budget`, `design_bias`, and
 //!   `multi_objective`,
+//! - [`cli`] — the command-line parser of `mlrl` and the bench binaries
+//!   (per-command flag tables that reject unknown flags),
 //! - [`fnv`] — the 64-bit FNV-1a content-address function.
 //!
 //! ## Example
@@ -57,6 +59,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod cli;
 pub mod drivers;
 pub mod fnv;
 pub mod job;

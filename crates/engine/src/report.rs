@@ -363,21 +363,7 @@ fn push_field(out: &mut String, name: &str, value: JsonValue<'_>) {
         JsonValue::Float(Some(v)) if v.is_finite() => out.push_str(&format!("{v:.4}")),
         JsonValue::Float(Some(_)) => out.push_str("null"),
         JsonValue::OptBool(Some(v)) => out.push_str(if v { "true" } else { "false" }),
-        JsonValue::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
+        JsonValue::Str(s) => mlrl_obs::push_json_string(out, s),
     }
     out.push(',');
 }

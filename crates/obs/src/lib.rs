@@ -771,6 +771,12 @@ pub fn write_trace_json(path: &Path) -> std::io::Result<()> {
 /// Escape `s` as a JSON string literal (quotes included).
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+/// Append `s` to `out` as a JSON string literal (quotes included).
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -784,7 +790,6 @@ pub(crate) fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Format a finite `f64` as a JSON number (round-trippable shortest

@@ -490,10 +490,7 @@ impl Module {
             return Err(RtlError::DuplicateSignal(name.to_owned()));
         }
         match self.widths.entry(name.to_owned()) {
-            Entry::Occupied(mut slot) => {
-                slot.get_mut().width = width;
-                Err(RtlError::DuplicateSignal(name.to_owned()))
-            }
+            Entry::Occupied(_) => Err(RtlError::DuplicateSignal(name.to_owned())),
             Entry::Vacant(slot) => {
                 slot.insert(Decl {
                     width,
@@ -806,6 +803,18 @@ mod tests {
             m.add_reg(KEY_PORT, 4),
             Err(RtlError::DuplicateSignal(KEY_PORT.into()))
         );
+    }
+
+    #[test]
+    fn a_rejected_redeclaration_keeps_the_first_width() {
+        let mut m = Module::new("t");
+        m.add_input("a", 8).unwrap();
+        assert_eq!(
+            m.add_wire("a", 4),
+            Err(RtlError::DuplicateSignal("a".into()))
+        );
+        assert_eq!(m.signal_width("a"), Some(8));
+        assert_eq!(m.nets().len(), 0);
     }
 
     #[test]

@@ -178,6 +178,18 @@ impl<'src> Parser<'src> {
         }
     }
 
+    /// A bit index or range bound: a number that fits in a `u32`. An
+    /// oversized literal is an error at its own position, never truncated.
+    fn expect_index(&mut self) -> Result<u32> {
+        let (line, col) = (self.cur.line, self.cur.col);
+        let value = self.expect_number()?;
+        u32::try_from(value).map_err(|_| RtlError::Parse {
+            line,
+            col,
+            msg: format!("index {value} does not fit in 32 bits"),
+        })
+    }
+
     fn at_keyword(&self, kw: &str) -> bool {
         matches!(self.peek(), Tok::Ident(s) if s == kw)
     }
@@ -278,7 +290,7 @@ impl<'src> Parser<'src> {
             return Ok(None);
         }
         self.bump();
-        let hi = self.expect_number()?;
+        let hi = self.expect_index()?;
         self.expect(Tok::Colon, "`:`")?;
         let lo = self.expect_number()?;
         self.expect(Tok::RBracket, "`]`")?;
@@ -287,7 +299,10 @@ impl<'src> Parser<'src> {
                 "only [n:0] ranges are supported, found [{hi}:{lo}]"
             )));
         }
-        Ok(Some(hi as u32 + 1))
+        let width = hi.checked_add(1);
+        width
+            .map(Some)
+            .ok_or_else(|| self.err(format!("range [{hi}:0] is wider than 32 bits can count")))
     }
 
     fn parse_decl(&mut self, module: &mut Module) -> Result<()> {
@@ -442,34 +457,34 @@ impl<'src> Parser<'src> {
             Tok::Ident(name) => {
                 if self.peek() == Tok::LBracket {
                     self.bump();
-                    let hi = self.expect_number()?;
+                    let hi = self.expect_index()?;
                     let lo = if self.peek() == Tok::Colon {
                         self.bump();
-                        Some(self.expect_number()?)
+                        Some(self.expect_index()?)
                     } else {
                         None
                     };
                     self.expect(Tok::RBracket, "`]`")?;
                     if name == KEY_PORT {
                         match lo {
-                            None => Ok(module.alloc_expr(Expr::KeyBit(hi as u32))),
+                            None => Ok(module.alloc_expr(Expr::KeyBit(hi))),
                             Some(lo) => {
                                 if lo > hi {
                                     return Err(self.err(format!(
                                         "descending key slice [{hi}:{lo}] expected msb >= lsb"
                                     )));
                                 }
-                                Ok(module.alloc_expr(Expr::KeySlice {
-                                    lsb: lo as u32,
-                                    width: (hi - lo) as u32 + 1,
-                                }))
+                                let width = (hi - lo).checked_add(1).ok_or_else(|| {
+                                    self.err(format!("key slice [{hi}:{lo}] is too wide"))
+                                })?;
+                                Ok(module.alloc_expr(Expr::KeySlice { lsb: lo, width }))
                             }
                         }
                     } else {
                         match lo {
                             None => Ok(module.alloc_expr(Expr::Index {
                                 base: name.to_owned(),
-                                bit: hi as u32,
+                                bit: hi,
                             })),
                             Some(_) => {
                                 Err(self
@@ -601,6 +616,42 @@ mod tests {
             RtlError::Parse { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn oversized_indices_are_errors_at_their_position() {
+        for (src, line, col) in [
+            ("module t(a);\n input [4294967296:0] a;\nendmodule", 2, 9),
+            ("module t(a);\n input [4294967295:0] a;\nendmodule", 2, 23),
+            (
+                "module t(K, y);\n input K;\n output y;\n assign y = K[4294967296];\nendmodule",
+                4,
+                15,
+            ),
+            (
+                "module t(K, y);\n input K;\n output y;\n assign y = K[9:4294967296];\nendmodule",
+                4,
+                17,
+            ),
+        ] {
+            match parse_verilog(src).unwrap_err() {
+                RtlError::Parse {
+                    line: l,
+                    col: c,
+                    msg,
+                } => {
+                    assert_eq!((l, c), (line, col), "{src}: {msg}");
+                    assert!(msg.contains("4294967"), "{msg}");
+                }
+                other => panic!("{src}: unexpected error {other:?}"),
+            }
+        }
+        let m = parse_verilog(
+            "module t(K, y);\n input K;\n output y;\n assign y = K[4294967295];\nendmodule",
+        )
+        .unwrap();
+        let root = m.assigns()[0].rhs;
+        assert_eq!(*m.expr(root).unwrap(), Expr::KeyBit(u32::MAX));
     }
 
     #[test]

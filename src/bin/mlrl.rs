@@ -1,36 +1,13 @@
 //! `mlrl` — command-line front end for file-based locking workflows.
 //!
 //! ```text
-//! mlrl gen     <benchmark> [--seed N] [-o design.v]
-//! mlrl flatten <hier.v> --top NAME [-o flat.v]
-//! mlrl stats  <design.v>
-//! mlrl lock   <design.v> --scheme assure|hra|era [--budget F] [--seed N]
-//!             [-o locked.v] [--key-out key.txt]
-//! mlrl verify <original.v> <locked.v> --key key.txt [--patterns N]
-//! mlrl attack <locked.v> [--relocks N] [--key key.txt] [--seed N]
-//! mlrl synth  <design.v> [-o netlist.v]
-//! mlrl gatelock <design.v> --scheme xor|mux --bits N [--seed N]
-//!             [-o locked.v] [--key-out key.txt]
-//! mlrl sat-attack <locked.v> --key key.txt [--max-dips N]
-//! mlrl campaign <spec.txt> [--threads N] [--opt-level o0|o1|o2]
-//!             [--jsonl out.jsonl]
-//!             [--cache-dir DIR] [--cache-cap BYTES] [--canonical]
-//!             [--shard I/N] [--trace-out FILE] [--metrics-out FILE]
-//!             [--trace-sample N]
-//! mlrl merge  <shard.jsonl>... [-o merged.jsonl]
-//! mlrl orchestrate <spec.txt> [--workers N] [--run-dir DIR | --resume DIR]
-//!             [--cache-dir DIR] [--cache-cap BYTES] [--worker-threads N]
-//!             [--opt-level o0|o1|o2] [--wedge-timeout SECS]
-//!             [--max-restarts N] [--canonical]
-//!             [--jsonl out.jsonl] [--quick]
-//!             [--trace-out FILE] [--metrics-out FILE] [--trace-sample N]
-//! mlrl worker <spec.txt> --cells 0,2,5 [--threads N] [--opt-level o0|o1|o2]
-//!             [--cache-dir DIR]
-//!             [--cache-cap BYTES] [--heartbeat-ms MS] [--telemetry]
-//!             [--trace-sample N]
-//! mlrl top    <run-dir> [--once] [--refresh-ms MS] [--stale-ms MS] [--top N]
-//! mlrl report <run-dir> [--trace FILE] [--top N] [--folded-out FILE]
+//! mlrl <gen|flatten|stats|lock|verify|attack|synth|gatelock|sat-attack|
+//!       campaign|merge|orchestrate|worker|top|report> <operands> [flags]
 //! ```
+//!
+//! Each subcommand's `mlrl_engine::cli::Command`, next to its handler, is
+//! its usage line and flag table (`mlrl` alone prints them all); a flag
+//! it lacks is a usage error (exit 1) before any work starts.
 //!
 //! Keys are stored as plain bit strings, `K[0]` first. Campaign spec
 //! files use the `key = value` format of `mlrl_engine::spec` (see
@@ -84,10 +61,10 @@ use std::time::Duration;
 use mlrl::attack::freq_table::freq_table_attack;
 use mlrl::attack::relock::RelockConfig;
 use mlrl::engine::cache::parse_byte_size;
-use mlrl::engine::job::ShardSpec;
+use mlrl::engine::cli::{opt_level, CampaignFlags, Command, Parsed, Telemetry, CAMPAIGN_FLAGS};
 use mlrl::engine::report::merge_canonical_streams;
 use mlrl::engine::run::{Engine, JobEvent};
-use mlrl::engine::spec::{CampaignSpec, OptLevel};
+use mlrl::engine::spec::CampaignSpec;
 use mlrl::locking::assure::{lock_operations, AssureConfig};
 use mlrl::locking::era::{era_lock, EraConfig};
 use mlrl::locking::hra::{hra_lock, HraConfig};
@@ -108,92 +85,30 @@ use mlrl::rtl::stats::DesignStats;
 use mlrl::rtl::{visit, Module};
 use mlrl::sat::attack::{sat_attack_with_sim_oracle, SatAttackConfig};
 
-/// Flags that take no value; the parser must not consume the next token
-/// as their argument (`mlrl campaign --canonical spec.txt`). Every other
-/// flag takes one.
-const BOOLEAN_FLAGS: &[&str] = &["canonical", "quick", "telemetry", "once"];
-
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
-}
-
-impl Args {
-    /// Splits `argv` into positionals and flags. A value flag with no
-    /// value after it (`--trace-out` last, or followed by another
-    /// `--flag`) is a usage error.
-    fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = argv.iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if BOOLEAN_FLAGS.contains(&name) {
-                    flags.push((name.to_owned(), None));
-                    continue;
-                }
-                let value = it
-                    .next_if(|v| !v.starts_with("--"))
-                    .ok_or_else(|| format!("usage: --{name} needs a value"))?;
-                flags.push((name.to_owned(), Some(value.clone())));
-            } else if let Some(name) = a.strip_prefix('-') {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("usage: -{name} needs a value"))?;
-                flags.push((name.to_owned(), Some(value.clone())));
-            } else {
-                positional.push(a.clone());
-            }
-        }
-        Ok(Self { positional, flags })
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    /// The value of numeric flag `name`, or `default` when it is absent.
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        Ok(self.opt_num(name)?.unwrap_or(default))
-    }
-
-    /// The value of numeric flag `name`, if given. An unparsable value is
-    /// a usage error.
-    fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        self.flag(name)
-            .map(|value| {
-                value
-                    .parse()
-                    .map_err(|e| format!("usage: bad --{name} `{value}`: {e}"))
-            })
-            .transpose()
-    }
-}
-
 fn load_module(path: &str) -> Result<Module, String> {
     let src = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse_verilog(&src).map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+/// Writes `text` to the `-o` file and returns its path, or prints it to
+/// stdout and returns `None`.
+fn write_output<'a>(args: &'a Parsed, text: &str) -> Result<Option<&'a str>, String> {
+    let Some(path) = args.value("-o") else {
+        print!("{text}");
+        return Ok(None);
+    };
+    fs::write(path, text).map_err(|e| e.to_string())?;
+    Ok(Some(path))
 }
 
 fn key_to_string(key: &[bool]) -> String {
     key.iter().map(|b| if *b { '1' } else { '0' }).collect()
 }
 
-fn key_from_string(s: &str) -> Result<Vec<bool>, String> {
-    s.trim()
+/// Reads a key file: a bit string, `K[0]` first.
+fn load_key(path: &str) -> Result<Vec<bool>, String> {
+    let text = fs::read_to_string(path).map_err(|e| e.to_string())?;
+    text.trim()
         .chars()
         .map(|c| match c {
             '0' => Ok(false),
@@ -203,38 +118,29 @@ fn key_from_string(s: &str) -> Result<Vec<bool>, String> {
         .collect()
 }
 
-fn cmd_gen(args: &Args) -> Result<(), String> {
-    let name = args.positional.get(1).ok_or_else(|| {
-        format!(
-            "usage: mlrl gen <benchmark>\nbenchmarks: {}",
-            paper_benchmarks()
-                .iter()
-                .map(|s| s.name)
-                .collect::<Vec<_>>()
-                .join(" ")
-        )
+const GEN: Command = Command(&["mlrl gen <benchmark> [--seed N] [-o design.v]"]);
+
+fn cmd_gen(args: &Parsed) -> Result<(), String> {
+    let name = args.required(0).map_err(|usage| {
+        let names: Vec<&str> = paper_benchmarks().iter().map(|s| s.name).collect();
+        format!("{usage}\nbenchmarks: {}", names.join(" "))
     })?;
     let spec = benchmark_by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let module = generate(&spec, args.num("seed", 2022u64)?);
+    let module = generate(&spec, args.num("--seed", 2022u64)?);
     let text = emit_verilog(&module).map_err(|e| e.to_string())?;
-    match args.flag("o") {
-        Some(path) => {
-            fs::write(path, &text).map_err(|e| e.to_string())?;
-            eprintln!("wrote {path} ({} ops)", spec.total_ops());
-        }
-        None => print!("{text}"),
+    if let Some(path) = write_output(args, &text)? {
+        eprintln!("wrote {path} ({} ops)", spec.total_ops());
     }
     Ok(())
 }
 
-fn cmd_flatten(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .get(1)
-        .ok_or("usage: mlrl flatten <hier.v> --top NAME [-o flat.v]")?;
+const FLATTEN: Command = Command(&["mlrl flatten <hier.v> [--top NAME] [-o flat.v]"]);
+
+fn cmd_flatten(args: &Parsed) -> Result<(), String> {
+    let path = args.required(0)?;
     let src = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let design = parse_design(&src).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let top = match args.flag("top") {
+    let top = match args.value("--top") {
         Some(t) => t.to_owned(),
         None => {
             let tops = design.tops();
@@ -251,22 +157,16 @@ fn cmd_flatten(args: &Args) -> Result<(), String> {
     let flat = design.flatten(&top).map_err(|e| e.to_string())?;
     eprintln!("{}", DesignStats::of(&flat));
     let text = emit_verilog(&flat).map_err(|e| e.to_string())?;
-    match args.flag("o") {
-        Some(out) => {
-            fs::write(out, &text).map_err(|e| e.to_string())?;
-            eprintln!("wrote {out}");
-        }
-        None => print!("{text}"),
+    if let Some(out) = write_output(args, &text)? {
+        eprintln!("wrote {out}");
     }
     Ok(())
 }
 
-fn cmd_stats(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .get(1)
-        .ok_or("usage: mlrl stats <design.v>")?;
-    let module = load_module(path)?;
+const STATS: Command = Command(&["mlrl stats <design.v>"]);
+
+fn cmd_stats(args: &Parsed) -> Result<(), String> {
+    let module = load_module(args.required(0)?)?;
     println!("{}", DesignStats::of(&module));
     let odt = mlrl::locking::odt::Odt::load(&module, PairTable::fixed());
     println!(
@@ -278,18 +178,19 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lock(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .get(1)
-        .ok_or("usage: mlrl lock <design.v> --scheme era")?;
-    let original = load_module(path)?;
+const LOCK: Command = Command(&[
+    "mlrl lock <design.v> [--scheme assure|assure-random|hra|era] [--budget F] [--seed N]",
+    "[-o locked.v] [--key-out key.txt]",
+]);
+
+fn cmd_lock(args: &Parsed) -> Result<(), String> {
+    let original = load_module(args.required(0)?)?;
     let mut locked = original.clone();
     let total = visit::binary_ops(&locked).len();
-    let fraction: f64 = args.num("budget", 0.75)?;
+    let fraction: f64 = args.num("--budget", 0.75)?;
     let budget = ((total as f64) * fraction).round().max(1.0) as usize;
-    let seed: u64 = args.num("seed", 2022)?;
-    let scheme = args.flag("scheme").unwrap_or("era");
+    let seed: u64 = args.num("--seed", 2022)?;
+    let scheme = args.value("--scheme").unwrap_or("era");
     let key: Key = match scheme {
         "assure" => lock_operations(&mut locked, &AssureConfig::serial(budget, seed))
             .map_err(|e| e.to_string())?,
@@ -314,35 +215,25 @@ fn cmd_lock(args: &Args) -> Result<(), String> {
     let report = LockingReport::build(scheme, &original, &locked, &key, &PairTable::fixed());
     eprintln!("{report}");
     let text = emit_verilog(&locked).map_err(|e| e.to_string())?;
-    match args.flag("o") {
-        Some(out) => {
-            fs::write(out, &text).map_err(|e| e.to_string())?;
-            eprintln!("wrote {out}");
-        }
-        None => print!("{text}"),
+    if let Some(out) = write_output(args, &text)? {
+        eprintln!("wrote {out}");
     }
-    if let Some(key_out) = args.flag("key-out") {
+    if let Some(key_out) = args.value("--key-out") {
         fs::write(key_out, key_to_string(key.as_bits())).map_err(|e| e.to_string())?;
         eprintln!("wrote {key_out} ({} bits)", key.len());
     }
     Ok(())
 }
 
-fn cmd_verify(args: &Args) -> Result<(), String> {
-    let original = load_module(
-        args.positional
-            .get(1)
-            .ok_or("usage: mlrl verify <original.v> <locked.v> --key k.txt")?,
-    )?;
-    let locked = load_module(
-        args.positional
-            .get(2)
-            .ok_or("usage: mlrl verify <original.v> <locked.v> --key k.txt")?,
-    )?;
-    let key_path = args.flag("key").ok_or("missing --key <file>")?;
-    let key = key_from_string(&fs::read_to_string(key_path).map_err(|e| e.to_string())?)?;
+const VERIFY: Command =
+    Command(&["mlrl verify <original.v> <locked.v> [--key key.txt] [--patterns N]"]);
+
+fn cmd_verify(args: &Parsed) -> Result<(), String> {
+    let original = load_module(args.required(0)?)?;
+    let locked = load_module(args.required(1)?)?;
+    let key = load_key(args.value("--key").ok_or("missing --key <file>")?)?;
     let cfg = EquivConfig {
-        patterns: args.num("patterns", 64usize)?,
+        patterns: args.num("--patterns", 64usize)?,
         ticks: 2,
         seed: 7,
     };
@@ -362,36 +253,26 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_attack(args: &Args) -> Result<(), String> {
-    let locked = load_module(
-        args.positional
-            .get(1)
-            .ok_or("usage: mlrl attack <locked.v> [--key key.txt]")?,
-    )?;
+const ATTACK: Command =
+    Command(&["mlrl attack <locked.v> [--relocks N] [--key key.txt] [--seed N]"]);
+
+fn cmd_attack(args: &Parsed) -> Result<(), String> {
+    let locked = load_module(args.required(0)?)?;
     let relock = RelockConfig {
-        rounds: args.num("relocks", 60usize)?,
+        rounds: args.num("--relocks", 60usize)?,
         budget_fraction: 0.75,
-        seed: args.num("seed", 7u64)?,
+        seed: args.num("--seed", 7u64)?,
     };
     // Build a scoring key: the real one if provided, else zeros (KPA then
     // meaningless and suppressed).
-    let (score_key, have_key) = match args.flag("key") {
-        Some(path) => {
-            let bits = key_from_string(&fs::read_to_string(path).map_err(|e| e.to_string())?)?;
-            let mut k = Key::new();
-            for b in bits {
-                k.push(b, KeyBitKind::Operation);
-            }
-            (k, true)
-        }
-        None => {
-            let mut k = Key::new();
-            for _ in 0..locked.key_width() {
-                k.push(false, KeyBitKind::Operation);
-            }
-            (k, false)
-        }
+    let bits = match args.value("--key") {
+        Some(path) => load_key(path)?,
+        None => vec![false; locked.key_width() as usize],
     };
+    let mut score_key = Key::new();
+    for b in bits {
+        score_key.push(b, KeyBitKind::Operation);
+    }
     let report = freq_table_attack(&locked, &score_key, &relock)
         .ok_or("design exposes no key-controlled localities")?;
     println!("attacked bits: {}", report.attacked_bits);
@@ -405,18 +286,16 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
         bits
     };
     println!("predicted key: {}", key_to_string(&predicted));
-    if have_key {
+    if args.has("--key") {
         println!("KPA: {:.2}% (50% = random guess)", report.kpa);
     }
     Ok(())
 }
 
-fn cmd_synth(args: &Args) -> Result<(), String> {
-    let module = load_module(
-        args.positional
-            .get(1)
-            .ok_or("usage: mlrl synth <design.v> [-o netlist.v]")?,
-    )?;
+const SYNTH: Command = Command(&["mlrl synth <design.v> [-o netlist.v]"]);
+
+fn cmd_synth(args: &Parsed) -> Result<(), String> {
+    let module = load_module(args.required(0)?)?;
     let mut netlist = lower_module(&module).map_err(|e| e.to_string())?;
     let removed = netlist.sweep();
     let stats = NetlistStats::of(&netlist);
@@ -425,25 +304,24 @@ fn cmd_synth(args: &Args) -> Result<(), String> {
         netlist.name()
     );
     let text = emit_structural_verilog(&netlist).map_err(|e| e.to_string())?;
-    match args.flag("o") {
-        Some(out) => {
-            fs::write(out, text).map_err(|e| e.to_string())?;
-            println!("wrote {out}");
-        }
-        None => print!("{text}"),
+    if let Some(out) = write_output(args, &text)? {
+        println!("wrote {out}");
     }
     Ok(())
 }
 
-fn cmd_gatelock(args: &Args) -> Result<(), String> {
-    let module = load_module(args.positional.get(1).ok_or(
-        "usage: mlrl gatelock <design.v> --scheme xor|mux --bits N [--seed N] [-o locked.v] [--key-out k.txt]",
-    )?)?;
+const GATELOCK: Command = Command(&[
+    "mlrl gatelock <design.v> [--scheme xor|mux] [--bits N] [--seed N] [-o locked.v]",
+    "[--key-out key.txt]",
+]);
+
+fn cmd_gatelock(args: &Parsed) -> Result<(), String> {
+    let module = load_module(args.required(0)?)?;
     let mut netlist = lower_module(&module).map_err(|e| e.to_string())?;
     netlist.sweep();
-    let bits = args.num("bits", 32usize)?;
-    let seed = args.num("seed", 7u64)?;
-    let scheme = match args.flag("scheme").unwrap_or("xor") {
+    let bits = args.num("--bits", 32usize)?;
+    let seed = args.num("--seed", 7u64)?;
+    let scheme = match args.value("--scheme").unwrap_or("xor") {
         "xor" => GateLockScheme::XorXnor,
         "mux" => GateLockScheme::Mux,
         other => return Err(format!("unknown gate scheme `{other}` (xor|mux)")),
@@ -455,29 +333,26 @@ fn cmd_gatelock(args: &Args) -> Result<(), String> {
         key.len(),
         netlist.gates().len()
     );
-    if let Some(path) = args.flag("key-out") {
+    if let Some(path) = args.value("--key-out") {
         fs::write(path, key_to_string(key.bits())).map_err(|e| e.to_string())?;
         eprintln!("wrote key to {path}");
     }
     let text = emit_structural_verilog(&netlist).map_err(|e| e.to_string())?;
-    match args.flag("o") {
-        Some(out) => {
-            fs::write(out, text).map_err(|e| e.to_string())?;
-            println!("wrote {out}");
-        }
-        None => print!("{text}"),
+    if let Some(out) = write_output(args, &text)? {
+        println!("wrote {out}");
     }
     Ok(())
 }
 
-fn cmd_sat_attack(args: &Args) -> Result<(), String> {
-    let locked = load_module(args.positional.get(1).ok_or(
-        "usage: mlrl sat-attack <locked.v> --key key.txt [--max-dips N] (key plays the oracle chip)",
-    )?)?;
-    let key_path = args
-        .flag("key")
-        .ok_or("missing --key <file> (the oracle's key)")?;
-    let key = key_from_string(&fs::read_to_string(key_path).map_err(|e| e.to_string())?)?;
+/// `--key` is the oracle chip's key.
+const SAT_ATTACK: Command = Command(&["mlrl sat-attack <locked.v> [--key key.txt] [--max-dips N]"]);
+
+fn cmd_sat_attack(args: &Parsed) -> Result<(), String> {
+    let locked = load_module(args.required(0)?)?;
+    let key = load_key(
+        args.value("--key")
+            .ok_or("missing --key <file> (the oracle's key)")?,
+    )?;
     let mut netlist = lower_module(&locked)
         .map_err(|e| e.to_string())?
         .to_scan_view();
@@ -489,7 +364,7 @@ fn cmd_sat_attack(args: &Args) -> Result<(), String> {
         netlist.key_width()
     );
     let cfg = SatAttackConfig {
-        max_dips: args.num("max-dips", 512usize)?,
+        max_dips: args.num("--max-dips", 512usize)?,
         ..Default::default()
     };
     let (report, correct) =
@@ -505,74 +380,17 @@ fn cmd_sat_attack(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds an engine honouring the shared `--cache-dir` / `--cache-cap`
-/// flags (`--cache-cap` without a dir is meaningless and rejected).
-fn engine_from_cache_flags(args: &Args) -> Result<Engine, String> {
-    Engine::from_cache_flags(args.flag("cache-dir"), args.flag("cache-cap"))
-}
+const CAMPAIGN: Command = Command(&[
+    "mlrl campaign <spec.txt> [--jsonl out.jsonl]",
+    CAMPAIGN_FLAGS,
+]);
 
-/// Arms the telemetry sink when `--trace-out` or `--metrics-out` was
-/// passed; returns whether it did. Telemetry is a pure side channel —
-/// canonical output bytes are identical either way.
-fn arm_telemetry(args: &Args) -> bool {
-    let wanted = args.flag("trace-out").is_some() || args.flag("metrics-out").is_some();
-    if wanted {
-        mlrl::obs::enable();
-    }
-    wanted
-}
-
-/// Applies the trace-overhead controls once the sink is armed:
-/// `--trace-sample N` (`sample`) keeps 1-in-N hot-class spans (phase and
-/// cell spans always kept; aggregate stats stay exact), and a background
-/// `/proc/self` sampler exports `proc.rss_bytes` / `proc.cpu_ms`
-/// gauges so process memory shows up in metrics and `mlrl top`.
-fn arm_trace_overhead_controls(sample: Option<u64>) {
-    if let Some(n) = sample {
-        mlrl::obs::set_span_sample(n);
-    }
-    mlrl::obs::proc::start_sampler(Duration::from_millis(200));
-}
-
-/// Writes the telemetry artifacts the run asked for: a Chrome
-/// trace-event JSON (`--trace-out`, Perfetto-loadable) and a metrics
-/// rollup (`--metrics-out`). `metrics_json` overrides the local sink's
-/// snapshot (the orchestrator passes its fleet-wide aggregate).
-fn write_telemetry_artifacts(args: &Args, metrics_json: Option<&str>) -> Result<(), String> {
-    if let Some(path) = args.flag("trace-out") {
-        mlrl::obs::write_trace_json(std::path::Path::new(path))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = args.flag("metrics-out") {
-        let json = match metrics_json {
-            Some(json) => json.to_owned(),
-            None => mlrl::obs::snapshot().to_json(),
-        };
-        fs::write(path, format!("{json}\n")).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn cmd_campaign(args: &Args) -> Result<(), String> {
-    let path = args.positional.get(1).ok_or(
-        "usage: mlrl campaign <spec.txt> [--threads N] [--opt-level o0|o1|o2] [--jsonl out.jsonl] [--cache-dir DIR] [--cache-cap BYTES] [--canonical] [--shard I/N] [--trace-out FILE] [--metrics-out FILE]",
-    )?;
-    let trace_sample = args.opt_num("trace-sample")?;
-    if arm_telemetry(args) {
-        arm_trace_overhead_controls(trace_sample);
-    }
+fn cmd_campaign(args: &Parsed) -> Result<(), String> {
+    let path = args.required(0)?;
+    let flags = CampaignFlags::parse(args)?;
+    flags.telemetry.arm();
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut spec = CampaignSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(threads) = args.opt_num("threads")? {
-        spec.threads = threads;
-    }
-    if let Some(level) = args.flag("opt-level") {
-        spec.opt_level = OptLevel::parse(level).map_err(|e| format!("bad --opt-level: {e}"))?;
-    }
-    let shard = args.flag("shard").map(ShardSpec::parse).transpose()?;
-    let engine = engine_from_cache_flags(args)?;
+    let spec = flags.apply(&CampaignSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?);
     eprintln!(
         "campaign `{}`: {} cells ({} benchmarks x {} levels x {} schemes x {} budgets x {} seeds x {} attacks, level-incompatible combos skipped){}",
         spec.name,
@@ -583,45 +401,41 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         spec.budgets.len(),
         spec.seeds.len(),
         spec.attacks.len(),
-        match shard {
+        match flags.shard {
             Some(s) => format!("; running shard {s}"),
             None => String::new(),
         },
     );
-    let report = engine.run_shard(&spec, shard);
-    if args.has("canonical") {
+    let report = flags.engine.run_shard(&spec, flags.shard);
+    if flags.canonical {
         print!("{}", report.canonical_jsonl());
     } else {
         print!("{}", report.human_table());
         eprintln!("{}", report.summary());
     }
-    if let Some(out) = args.flag("jsonl") {
+    if let Some(out) = args.value("--jsonl") {
         fs::write(out, report.jsonl()).map_err(|e| e.to_string())?;
         eprintln!("wrote {out}");
     }
-    write_telemetry_artifacts(args, None)?;
+    flags.telemetry.write(None)?;
     if report.failed_count() > 0 {
         return Err(format!("{} job(s) failed", report.failed_count()));
     }
     Ok(())
 }
 
-fn cmd_merge(args: &Args) -> Result<(), String> {
-    let paths = &args.positional[1..];
-    if paths.is_empty() {
-        return Err("usage: mlrl merge <shard.jsonl>... [-o merged.jsonl]".to_owned());
-    }
+const MERGE: Command = Command(&["mlrl merge <shard.jsonl>... [-o merged.jsonl]"]);
+
+fn cmd_merge(args: &Parsed) -> Result<(), String> {
+    args.required(0)?;
+    let paths = args.positionals();
     let streams: Vec<String> = paths
         .iter()
         .map(|p| fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}")))
         .collect::<Result<_, _>>()?;
     let merged = merge_canonical_streams(&streams)?;
-    match args.flag("o") {
-        Some(out) => {
-            fs::write(out, &merged).map_err(|e| e.to_string())?;
-            eprintln!("wrote {out} ({} shard file(s) merged)", paths.len());
-        }
-        None => print!("{merged}"),
+    if let Some(out) = write_output(args, &merged)? {
+        eprintln!("wrote {out} ({} shard file(s) merged)", paths.len());
     }
     Ok(())
 }
@@ -650,24 +464,35 @@ fn emit_protocol_line(line: &str) {
 /// unknown verb, a truncated trace chunk, and a non-JSON trace payload
 /// with the real stream — none of which may corrupt canonical output
 /// or the supervisor's merged trace.
-fn cmd_worker(args: &Args) -> Result<(), String> {
-    let path = args.positional.get(1).ok_or(
-        "usage: mlrl worker <spec.txt> --cells 0,2,5 [--threads N] [--opt-level o0|o1|o2] [--cache-dir DIR] [--cache-cap BYTES] [--heartbeat-ms MS] [--telemetry] [--trace-sample N]",
-    )?;
-    let telemetry = args.has("telemetry");
-    let trace_sample = args.opt_num("trace-sample")?;
+const WORKER: Command = Command(&[
+    "mlrl worker <spec.txt> [--cells 0,2,5] [--threads N] [--opt-level o0|o1|o2]",
+    "[--cache-dir DIR] [--cache-cap BYTES] [--heartbeat-ms MS] [--telemetry]",
+    "[--trace-sample N]",
+]);
+
+fn cmd_worker(args: &Parsed) -> Result<(), String> {
+    let path = args.required(0)?;
+    let telemetry = args.has("--telemetry");
+    let trace_sample = args.opt_num("--trace-sample")?;
+    let threads = args.num("--threads", 1usize)?;
+    let heartbeat = Duration::from_millis(args.num("--heartbeat-ms", 1000u64)?.max(10));
+    let opt_level = opt_level(args)?;
+    let engine = Engine::from_cache_flags(args.value("--cache-dir"), args.value("--cache-cap"))?;
     if telemetry {
-        mlrl::obs::enable();
-        arm_trace_overhead_controls(trace_sample);
+        Telemetry {
+            sample: trace_sample,
+            ..Telemetry::default()
+        }
+        .enable();
     }
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut spec = CampaignSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    spec.threads = args.num("threads", 1usize)?;
-    if let Some(level) = args.flag("opt-level") {
-        spec.opt_level = OptLevel::parse(level).map_err(|e| format!("bad --opt-level: {e}"))?;
+    spec.threads = threads;
+    if let Some(level) = opt_level {
+        spec.opt_level = level;
     }
     let cells: Vec<usize> = args
-        .flag("cells")
+        .value("--cells")
         .ok_or("missing --cells <i,j,...>")?
         .split(',')
         .map(|t| {
@@ -699,9 +524,8 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
     let finished = Arc::new(AtomicBool::new(false));
     {
         let finished = Arc::clone(&finished);
-        let interval = Duration::from_millis(args.num("heartbeat-ms", 1000u64)?.max(10));
         std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
+            std::thread::sleep(heartbeat);
             if finished.load(Ordering::Relaxed) {
                 break;
             }
@@ -717,7 +541,7 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
 
     let emitted = Arc::new(Mutex::new(std::collections::HashSet::new()));
     let emitted_by_observer = Arc::clone(&emitted);
-    let engine = engine_from_cache_flags(args)?.with_observer(Arc::new(move |event| {
+    let engine = engine.with_observer(Arc::new(move |event| {
         match event {
             JobEvent::Started { index } => {
                 if Some(index) == fault_cell {
@@ -794,24 +618,20 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_orchestrate(args: &Args) -> Result<(), String> {
-    let path = args.positional.get(1).ok_or(
-        "usage: mlrl orchestrate <spec.txt> [--workers N] [--run-dir DIR | --resume DIR] \
-         [--cache-dir DIR] [--cache-cap BYTES] [--worker-threads N] [--opt-level o0|o1|o2] \
-         [--wedge-timeout SECS] [--max-restarts N] [--canonical] [--jsonl out.jsonl] [--quick] \
-         [--trace-out FILE] [--metrics-out FILE] [--trace-sample N]",
-    )?;
-    let trace_sample = args.opt_num("trace-sample")?;
-    let telemetry = arm_telemetry(args);
-    if telemetry {
-        // The supervisor samples its own /proc too, so the fleet
-        // metrics include the orchestrator's footprint.
-        arm_trace_overhead_controls(trace_sample);
-    }
-    let (run_dir, resume) = match args.flag("resume") {
+const ORCHESTRATE: Command = Command(&[
+    "mlrl orchestrate <spec.txt> [--workers N] [--run-dir DIR] [--resume DIR]",
+    "[--cache-dir DIR] [--cache-cap BYTES] [--worker-threads N] [--opt-level o0|o1|o2]",
+    "[--wedge-timeout SECS] [--max-restarts N] [--canonical] [--jsonl out.jsonl] [--quick]",
+    "[--trace-out FILE] [--metrics-out FILE] [--trace-sample N]",
+]);
+
+fn cmd_orchestrate(args: &Parsed) -> Result<(), String> {
+    let path = args.required(0)?;
+    let telemetry = Telemetry::parse(args)?;
+    let (run_dir, resume) = match args.value("--resume") {
         Some(dir) => (PathBuf::from(dir), true),
         None => (
-            PathBuf::from(args.flag("run-dir").unwrap_or("mlrl-run")),
+            PathBuf::from(args.value("--run-dir").unwrap_or("mlrl-run")),
             false,
         ),
     };
@@ -819,47 +639,47 @@ fn cmd_orchestrate(args: &Args) -> Result<(), String> {
 
     let mut cfg = OrchestratorConfig::new(path, &run_dir);
     cfg.resume = resume;
-    cfg.workers = args.num("workers", 2usize)?.max(1);
+    cfg.workers = args.num("--workers", 2usize)?.max(1);
     cfg.worker_cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_owned()];
-    cfg.cache_dir = args.flag("cache-dir").map(PathBuf::from);
+    cfg.cache_dir = args.value("--cache-dir").map(PathBuf::from);
     cfg.cache_cap = args
-        .flag("cache-cap")
+        .value("--cache-cap")
         .map(parse_byte_size)
         .transpose()
         .map_err(|e| format!("bad --cache-cap: {e}"))?;
-    cfg.worker_threads = args.num("worker-threads", 1usize)?.max(1);
-    if let Some(level) = args.flag("opt-level") {
-        // Validate here; workers receive the token verbatim.
-        OptLevel::parse(level).map_err(|e| format!("bad --opt-level: {e}"))?;
-        cfg.opt_level = Some(level.to_owned());
-    }
-    cfg.wedge_timeout = Duration::from_secs(args.num("wedge-timeout", 30u64)?.max(1));
-    cfg.max_restarts = args.num("max-restarts", 3usize)?;
-    cfg.telemetry = telemetry;
-    cfg.trace_sample = trace_sample;
-    if args.has("quick") {
+    cfg.worker_threads = args.num("--worker-threads", 1usize)?.max(1);
+    // Validate here; workers receive the token verbatim.
+    opt_level(args)?;
+    cfg.opt_level = args.value("--opt-level").map(str::to_owned);
+    cfg.wedge_timeout = Duration::from_secs(args.num("--wedge-timeout", 30u64)?.max(1));
+    cfg.max_restarts = args.num("--max-restarts", 3usize)?;
+    cfg.trace_sample = telemetry.sample;
+    if args.has("--quick") {
         // Smoke-test timing: tight heartbeats and wedge detection so a
         // small campaign's supervision overhead stays negligible. Never
         // touches the science — output bytes are unaffected. An explicit
         // --wedge-timeout still wins.
         cfg.heartbeat_ms = 200;
-        if args.flag("wedge-timeout").is_none() {
+        if !args.has("--wedge-timeout") {
             cfg.wedge_timeout = Duration::from_secs(10);
         }
     }
+    // The supervisor samples its own /proc too, so the fleet metrics
+    // include the orchestrator's footprint.
+    cfg.telemetry = telemetry.arm();
 
     let outcome = orchestrate(&cfg)?;
 
     let merged_path = run_dir.join("merged.jsonl");
     fs::write(&merged_path, &outcome.canonical)
         .map_err(|e| format!("cannot write {}: {e}", merged_path.display()))?;
-    if let Some(out) = args.flag("jsonl") {
+    if let Some(out) = args.value("--jsonl") {
         fs::write(out, &outcome.canonical).map_err(|e| e.to_string())?;
     }
-    if args.has("canonical") {
+    if args.has("--canonical") {
         print!("{}", outcome.canonical);
     }
-    write_telemetry_artifacts(args, outcome.metrics_json.as_deref())?;
+    telemetry.write(outcome.metrics_json.as_deref())?;
     eprintln!(
         "orchestrated `{}`: {} cells ({} resumed, {} executed, {} failed) on {} worker process(es), {} restart(s), {} ms; merged -> {}",
         outcome.campaign,
@@ -878,58 +698,69 @@ fn cmd_orchestrate(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_top(args: &Args) -> Result<(), String> {
-    let run_dir = args
-        .positional
-        .get(1)
-        .ok_or("usage: mlrl top <run-dir> [--once] [--refresh-ms MS] [--stale-ms MS] [--top N]")?;
+const TOP: Command =
+    Command(&["mlrl top <run-dir> [--once] [--refresh-ms MS] [--stale-ms MS] [--top N]"]);
+
+fn cmd_top(args: &Parsed) -> Result<(), String> {
+    let run_dir = args.required(0)?;
     let opts = mlrl::orchestrate::TopOptions {
-        refresh_ms: args.num("refresh-ms", 1000u64)?,
-        stale_ms: args.num("stale-ms", 5000u64)?,
-        top_k: args.num("top", 3usize)?,
+        refresh_ms: args.num("--refresh-ms", 1000u64)?,
+        stale_ms: args.num("--stale-ms", 5000u64)?,
+        top_k: args.num("--top", 3usize)?,
     };
-    mlrl::orchestrate::run_top(std::path::Path::new(run_dir), &opts, args.has("once"))
+    mlrl::orchestrate::run_top(std::path::Path::new(run_dir), &opts, args.has("--once"))
 }
 
-fn cmd_report(args: &Args) -> Result<(), String> {
-    let run_dir = args
-        .positional
-        .get(1)
-        .ok_or("usage: mlrl report <run-dir> [--trace FILE] [--top N] [--folded-out FILE]")?;
+const REPORT: Command =
+    Command(&["mlrl report <run-dir> [--trace FILE] [--top N] [--folded-out FILE]"]);
+
+fn cmd_report(args: &Parsed) -> Result<(), String> {
+    let run_dir = args.required(0)?;
     let opts = mlrl::orchestrate::ReportOptions {
-        top: args.num("top", 10usize)?,
-        trace: args.flag("trace").map(PathBuf::from),
-        folded_out: args.flag("folded-out").map(PathBuf::from),
+        top: args.num("--top", 10usize)?,
+        trace: args.value("--trace").map(PathBuf::from),
+        folded_out: args.value("--folded-out").map(PathBuf::from),
     };
     let text = mlrl::orchestrate::render_report(std::path::Path::new(run_dir), &opts)?;
     print!("{text}");
     Ok(())
 }
 
+type Handler = fn(&Parsed) -> Result<(), String>;
+
+/// Every subcommand's flag table and handler, in usage order.
+const COMMANDS: [(&Command, Handler); 15] = [
+    (&GEN, cmd_gen),
+    (&FLATTEN, cmd_flatten),
+    (&STATS, cmd_stats),
+    (&LOCK, cmd_lock),
+    (&VERIFY, cmd_verify),
+    (&ATTACK, cmd_attack),
+    (&SYNTH, cmd_synth),
+    (&GATELOCK, cmd_gatelock),
+    (&SAT_ATTACK, cmd_sat_attack),
+    (&CAMPAIGN, cmd_campaign),
+    (&MERGE, cmd_merge),
+    (&ORCHESTRATE, cmd_orchestrate),
+    (&WORKER, cmd_worker),
+    (&TOP, cmd_top),
+    (&REPORT, cmd_report),
+];
+
 fn run() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(&argv)?;
-    match args.positional.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args),
-        Some("flatten") => cmd_flatten(&args),
-        Some("stats") => cmd_stats(&args),
-        Some("lock") => cmd_lock(&args),
-        Some("verify") => cmd_verify(&args),
-        Some("attack") => cmd_attack(&args),
-        Some("synth") => cmd_synth(&args),
-        Some("gatelock") => cmd_gatelock(&args),
-        Some("sat-attack") => cmd_sat_attack(&args),
-        Some("campaign") => cmd_campaign(&args),
-        Some("merge") => cmd_merge(&args),
-        Some("orchestrate") => cmd_orchestrate(&args),
-        Some("worker") => cmd_worker(&args),
-        Some("top") => cmd_top(&args),
-        Some("report") => cmd_report(&args),
-        _ => Err(
-            "usage: mlrl <gen|flatten|stats|lock|verify|attack|synth|gatelock|sat-attack|campaign|merge|orchestrate|worker|top|report> ...\nsee `src/bin/mlrl.rs` docs"
-                .to_owned(),
-        ),
-    }
+    let mut argv = std::env::args().skip(1);
+    let sub = argv.next().unwrap_or_default();
+    let Some((cmd, handler)) = COMMANDS
+        .iter()
+        .find(|(cmd, _)| cmd.0[0].split(' ').nth(1) == Some(sub.as_str()))
+    else {
+        let lines: Vec<String> = COMMANDS.iter().map(|(cmd, _)| cmd.0.join(" ")).collect();
+        return Err(format!(
+            "usage: mlrl <command> ..., one of:\n  {}",
+            lines.join("\n  ")
+        ));
+    };
+    handler(&cmd.parse(argv)?)
 }
 
 fn main() -> ExitCode {

@@ -306,6 +306,62 @@ fn unparsable_numeric_flags_are_usage_errors() {
 }
 
 #[test]
+fn every_subcommand_rejects_an_unknown_flag_before_any_work() {
+    let dir = tmpdir("unknown-flag");
+    let design = dir.join("fir.v");
+    let design = design.to_str().unwrap();
+    assert_success(
+        &mlrl()
+            .args(["gen", "FIR", "-o", design])
+            .output()
+            .expect("gen"),
+        "gen",
+    );
+    let spec = dir.join("c.spec");
+    std::fs::write(
+        &spec,
+        "benchmarks = FIR\nschemes = assure\nbudgets = 0.5\nseeds = 3\nattacks = none\n",
+    )
+    .expect("write spec");
+    let spec = spec.to_str().unwrap();
+    let written = dir.join("written");
+    let written = written.to_str().unwrap();
+    // Each row would write `written` (through `-o`, `--run-dir` or
+    // `--jsonl`) if it ran.
+    for argv in [
+        vec!["gen", "FIR", "-o", written],
+        vec!["flatten", design, "-o", written],
+        vec!["stats", design],
+        vec!["lock", design, "-o", written],
+        vec!["verify", design, design, "--key", written],
+        vec!["attack", design],
+        vec!["synth", design, "-o", written],
+        vec!["gatelock", design, "-o", written],
+        vec!["sat-attack", design, "--key", written],
+        vec!["campaign", spec, "--jsonl", written],
+        vec!["merge", written, "-o", written],
+        vec!["orchestrate", spec, "--run-dir", written],
+        vec!["worker", spec, "--cells", "0"],
+        vec!["top", written, "--once"],
+        vec!["report", written],
+    ] {
+        let mut args = argv.clone();
+        args.extend(["--threds", "4"]);
+        let out = mlrl().args(&args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag `--threds`")
+                && stderr.contains(&format!("usage: mlrl {} ", argv[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+        assert!(!std::path::Path::new(written).exists(), "{args:?} wrote");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_benchmark_is_reported() {
     let out = mlrl().args(["gen", "NOPE"]).output().expect("run");
     assert!(!out.status.success());

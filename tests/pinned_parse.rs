@@ -9,7 +9,10 @@
 //! error `Display` (with line and column) of `parse_verilog` and
 //! `parse_design`. Both digests were captured with the char-vector lexer
 //! and token-cloning parser that preceded the borrowed-token front end, so
-//! a front-end rewrite that claims to be exact must leave them alone.
+//! a front-end rewrite that claims to be exact must leave them alone. The
+//! fuzz digest was re-captured once since, when index literals of 2^32
+//! and up became errors instead of truncating: of the 20,000 mutants only
+//! #19685 (`output [6307370955161:0] q$2;`) changed outcome.
 
 use std::fmt::Write as _;
 
@@ -33,7 +36,7 @@ const BUDGETS: [f64; 3] = [0.25, 0.5, 0.75];
 const SEEDS: [u64; 2] = [1, 2];
 
 const PINNED_LOCKED: u64 = 0xfb38_3dfd_319f_0768;
-const PINNED_FUZZ: u64 = 0x0f46_d130_e3cf_353e;
+const PINNED_FUZZ: u64 = 0x1df4_b6f8_1b45_2ec0;
 
 fn str_(h: &mut Fnv64, s: &str) {
     h.write_u64(s.len() as u64).write_str(s);
