@@ -819,6 +819,43 @@ mod tests {
     }
 
     #[test]
+    fn full_jsonl_bytes_are_pinned() {
+        let report = CampaignReport {
+            name: "t\"x\n".into(),
+            records: vec![record(), gate_record()],
+            threads: 2,
+            wall_ms: 10,
+            cache: CacheStats {
+                hits: 1,
+                misses: 2,
+                ..Default::default()
+            },
+        };
+        assert_eq!(
+            report.jsonl(),
+            "{\"index\":0,\"benchmark\":\"FIR\",\"level\":\"rtl\",\"scheme\":\"era\",\
+             \"budget\":0.7500,\"seed\":2022,\"attack\":\"freq-table\",\
+             \"derived_seed\":\"00000000deadbeef\",\"key_bits\":47,\"metric\":100.0000,\
+             \"balanced\":true,\"bits_to_balance\":31,\"kpa\":51.2500,\"attacked_bits\":47,\
+             \"training_samples\":1200,\"gates\":null,\"area_overhead\":null,\"sat_dips\":null,\
+             \"sat_proved\":null,\"localities\":null,\"coverage\":null,\"obs_plus\":null,\
+             \"obs_minus\":null,\"corruption_rate\":null,\"error_rate\":null,\"ops\":null,\
+             \"imbalance\":null,\"initial_distance\":null,\"status\":\"ok\",\"wall_ms\":17,\
+             \"solver_ms\":null}\n\
+             {\"index\":1,\"benchmark\":\"SIM_SPI\",\"level\":\"gate\",\"scheme\":\"xor-xnor\",\
+             \"budget\":0.0000,\"seed\":0,\"attack\":\"sat\",\"derived_seed\":\"0000000000000000\",\
+             \"key_bits\":12,\"metric\":null,\"balanced\":null,\"bits_to_balance\":null,\
+             \"kpa\":100.0000,\"attacked_bits\":12,\"training_samples\":null,\"gates\":740,\
+             \"area_overhead\":1.0162,\"sat_dips\":9,\"sat_proved\":true,\"localities\":null,\
+             \"coverage\":null,\"obs_plus\":null,\"obs_minus\":null,\"corruption_rate\":null,\
+             \"error_rate\":null,\"ops\":null,\"imbalance\":null,\"initial_distance\":null,\
+             \"status\":\"ok\",\"wall_ms\":41,\"solver_ms\":35}\n\
+             {\"campaign\":\"t_x_\",\"jobs\":2,\"ok\":2,\"failed\":0,\"threads\":2,\"wall_ms\":10,\
+             \"cache_hits\":1,\"cache_misses\":2,\"cache_hit_rate\":0.3333}\n"
+        );
+    }
+
+    #[test]
     fn traced_records_serialize_the_trajectory_as_a_trailing_column() {
         let mut r = record();
         // Untraced records omit the column entirely (byte-stability of

@@ -1400,6 +1400,99 @@ mod tests {
     }
 
     #[test]
+    fn metrics_json_bytes_are_pinned() {
+        let mut m = Metrics::default();
+        m.counters.insert("cache.hits".into(), 5);
+        m.counters.insert("q\"k\\".into(), 0);
+        for (k, v) in [
+            ("u", 0.75),
+            ("whole", 3.0),
+            ("neg", -2.5),
+            ("big", 1e21),
+            ("tiny", 1.5e-7),
+            ("inf", f64::INFINITY),
+        ] {
+            m.gauges.insert(k.into(), v);
+        }
+        m.spans.insert(
+            "cell".into(),
+            SpanStat {
+                count: 2,
+                total_us: 300,
+            },
+        );
+        let mut h = Histogram::default();
+        for us in [3, 900, 1_100] {
+            h.record(us);
+        }
+        m.hists.insert("cell".into(), h);
+        m.hists.insert("empty".into(), Histogram::default());
+        assert_eq!(
+            m.to_json(),
+            "{\"counters\":{\"cache.hits\":5,\"q\\\"k\\\\\":0},\
+             \"gauges\":{\"big\":1000000000000000000000.0,\"neg\":-2.5,\"tiny\":0.00000015,\
+             \"u\":0.75,\"whole\":3.0},\"spans\":{\"cell\":{\"count\":2,\"total_us\":300}},\
+             \"hists\":{\"cell\":{\"count\":3,\"sum\":2003,\"min\":3,\"max\":1100,\
+             \"buckets\":[[3,1],[62,1],[64,1]]},\
+             \"empty\":{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"buckets\":[]}}}"
+        );
+        assert_eq!(
+            Metrics::default().to_json(),
+            "{\"counters\":{},\"gauges\":{},\"spans\":{},\"hists\":{}}"
+        );
+    }
+
+    /// A fixed trace: two lanes (one hostile label), a span, an instant
+    /// and, with a ring of three, one dropped event.
+    fn fixed_trace() {
+        reset();
+        enable();
+        set_trace_cap(3);
+        let main = lane("main");
+        let aux = lane("w\"1\n");
+        record_span_at("dropped", main, 1, 1);
+        record_span_at("phase.lock", main, 10, 5);
+        instant_at("restart", aux, 20);
+        record_span_at("cell \"3\"", aux, 30, 7);
+    }
+
+    #[test]
+    fn trace_json_bytes_are_pinned() {
+        let _g = lock();
+        fixed_trace();
+        let text = trace_json();
+        reset();
+        disable();
+        assert_eq!(
+            text,
+            "{\"traceEvents\":[\
+             {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"main\"}},\
+             {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"w\\\"1\\n\"}},\
+             {\"name\":\"phase.lock\",\"ph\":\"X\",\"ts\":10,\"dur\":5,\"pid\":1,\"tid\":0},\
+             {\"name\":\"restart\",\"ph\":\"i\",\"ts\":20,\"pid\":1,\"tid\":1,\"s\":\"t\"},\
+             {\"name\":\"cell \\\"3\\\"\",\"ph\":\"X\",\"ts\":30,\"dur\":7,\"pid\":1,\"tid\":1},\
+             {\"name\":\"obs.events.dropped 1\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":0,\"s\":\"t\"}]}"
+        );
+    }
+
+    #[test]
+    fn drained_chunk_bytes_are_pinned() {
+        let _g = lock();
+        fixed_trace();
+        let chunk = drain_trace_chunk();
+        reset();
+        disable();
+        assert_eq!(
+            chunk.as_deref(),
+            Some(
+                "{\"lanes\":[\"main\",\"w\\\"1\\n\"],\"events\":[\
+                 [\"phase.lock\",\"X\",10,5,0],[\"restart\",\"i\",20,0,1],\
+                 [\"cell \\\"3\\\"\",\"X\",30,7,1]]}"
+            )
+        );
+    }
+
+    #[test]
     fn epoch_unix_micros_is_fixed_and_plausible() {
         // 2020-01-01 in UNIX micros — any sane clock is past this.
         let us = epoch_unix_micros();

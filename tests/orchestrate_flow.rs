@@ -99,7 +99,33 @@ fn orchestrated_runs_are_byte_identical_to_the_single_process_run() {
             .unwrap_or(false),
         "workers must spill into the shared cache dir"
     );
+    // The final fleet snapshot, its clock readings masked.
+    let fleet = std::fs::read_to_string(run_dir.join("fleet.json")).expect("fleet written");
+    assert_eq!(
+        mask_clock_fields(&fleet),
+        "{\"updated_unix_ms\":N,\"cells_total\":4,\"cells_done\":4,\"eta_s\":N,\"workers\":[\
+         {\"id\":0,\"state\":\"done\",\"pending\":0,\"hb_ms\":N},\
+         {\"id\":1,\"state\":\"done\",\"pending\":0,\"hb_ms\":N}]}\n"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `text` with the value of every wall-clock field of `fleet.json`
+/// (`updated_unix_ms`, `eta_s`, `hb_ms`, `cell_ms`) replaced by `N`.
+fn mask_clock_fields(text: &str) -> String {
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(at) = ["updated_unix_ms", "eta_s", "hb_ms", "cell_ms"]
+        .iter()
+        .filter_map(|k| rest.find(&format!("\"{k}\":")).map(|i| i + k.len() + 3))
+        .min()
+    {
+        out.push_str(&rest[..at]);
+        out.push('N');
+        rest = rest[at..].trim_start_matches(|c: char| c.is_ascii_alphanumeric());
+    }
+    out.push_str(rest);
+    out
 }
 
 #[test]
