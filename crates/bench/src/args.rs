@@ -10,7 +10,7 @@
 //! `--canonical` / `--shard I/N` runs to the canonical JSON-lines stream
 //! (shard outputs concatenate per campaign, ready for `mlrl merge`).
 
-use mlrl_engine::cli::{CampaignFlags, Command, Parsed};
+use mlrl_engine::cli::{run_main, CampaignFlags, Command, Parsed};
 use mlrl_engine::{CampaignReport, CampaignSpec};
 
 /// Runs a driver's campaigns, honouring the shared campaign flags.
@@ -62,12 +62,14 @@ pub fn run_campaigns(
 }
 
 /// A binary's `main`: checks argv against `cmd`, reads the shared
-/// campaign flags and calls `run`; any error prints `error: <message>`
-/// and exits 1.
-pub fn main(cmd: &Command, run: fn(&Parsed, &CampaignFlags) -> Result<(), String>) {
-    let args = cmd.parse(std::env::args().skip(1));
-    if let Err(message) = args.and_then(|args| run(&args, &CampaignFlags::parse(&args)?)) {
-        eprintln!("error: {message}");
-        std::process::exit(1);
-    }
+/// campaign flags and calls `run` under [`run_main`], so any error prints
+/// `error: <message>` and exits 1, and a closed stdout ends quietly.
+pub fn main(
+    cmd: &Command,
+    run: fn(&Parsed, &CampaignFlags) -> Result<(), String>,
+) -> std::process::ExitCode {
+    run_main(|| {
+        let args = cmd.parse(std::env::args().skip(1))?;
+        run(&args, &CampaignFlags::parse(&args)?)
+    })
 }

@@ -19,8 +19,8 @@ const CMD: Command = Command(&[
     CAMPAIGN_FLAGS,
 ]);
 
-fn main() {
-    mlrl_bench::args::main(&CMD, run);
+fn main() -> std::process::ExitCode {
+    mlrl_bench::args::main(&CMD, run)
 }
 
 fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {

@@ -16,8 +16,8 @@ use mlrl_rtl::bench_designs::paper_benchmarks;
 
 const CMD: Command = Command(&["design_bias [seed] [--benchmarks a,b,c]", CAMPAIGN_FLAGS]);
 
-fn main() {
-    mlrl_bench::args::main(&CMD, run);
+fn main() -> std::process::ExitCode {
+    mlrl_bench::args::main(&CMD, run)
 }
 
 fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {

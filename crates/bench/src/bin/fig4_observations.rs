@@ -25,8 +25,8 @@ fn scenario_label(scheme: &str) -> &'static str {
 
 const CMD: Command = Command(&["fig4_observations [n_ops] [rounds] [seed]", CAMPAIGN_FLAGS]);
 
-fn main() {
-    mlrl_bench::args::main(&CMD, run);
+fn main() -> std::process::ExitCode {
+    mlrl_bench::args::main(&CMD, run)
 }
 
 fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {

@@ -22,8 +22,8 @@ use mlrl_engine::JobRecord;
 
 const CMD: Command = Command(&["fig5_metric [seed] [--csv]", CAMPAIGN_FLAGS]);
 
-fn main() {
-    mlrl_bench::args::main(&CMD, run);
+fn main() -> std::process::ExitCode {
+    mlrl_bench::args::main(&CMD, run)
 }
 
 fn run(args: &Parsed, flags: &CampaignFlags) -> Result<(), String> {

@@ -1,8 +1,8 @@
 //! The figure binaries check their command line against their flag table
-//! before any work starts: an unknown flag, a value flag without a value
-//! and an unparsable number (flag value or numeric positional) exit 1
-//! with a usage error that names the offender, and print nothing on
-//! stdout.
+//! before any work starts: an unknown flag, a value flag without a value,
+//! a surplus operand and an unparsable number (flag value or numeric
+//! positional) exit 1 with a usage error that names the offender, and
+//! print nothing on stdout.
 
 use std::process::Command;
 
@@ -58,4 +58,30 @@ fn unparsable_seeds_are_usage_errors() {
     }
     assert_usage_error(BINARIES[4], &["8", "2", "banana"], "bad seed `banana`");
     assert_usage_error(BINARIES[4], &["eight"], "bad n_ops `eight`");
+}
+
+#[test]
+fn every_binary_rejects_a_surplus_operand() {
+    // The operands each binary's usage line names, in `BINARIES` order.
+    let operands: [&[&str]; 10] = [
+        &["FIR"],
+        &["FIR"],
+        &["1"],
+        &[],
+        &["8", "2", "1"],
+        &["1"],
+        &[],
+        &[],
+        &[],
+        &[],
+    ];
+    for (binary, operands) in BINARIES.into_iter().zip(operands) {
+        let args = [operands, &["banana"]].concat();
+        assert_usage_error(binary, &args, "unexpected operand `banana`");
+    }
+    assert_usage_error(
+        BINARIES[6],
+        &["banana", "--quick"],
+        "unexpected operand `banana`",
+    );
 }

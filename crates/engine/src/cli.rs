@@ -1,14 +1,22 @@
 //! The one command-line parser of `mlrl` and the `mlrl-bench` binaries.
 //!
 //! Each subcommand and binary declares a [`Command`], whose usage line is
-//! its flag table. An unknown flag, a value flag with no value and an
-//! unparsable number are usage errors naming the flag, raised before any
-//! work starts. A value flag consumes the next token unless that starts
-//! with `--`; other tokens are operands, so flags and operands mix in any
-//! order. When a flag repeats, the first occurrence wins.
+//! its flag table. An unknown flag, a value flag with no value, an
+//! operand the usage line has no room for and an unparsable number are
+//! usage errors, raised before any work starts. A value flag consumes the
+//! next token unless that starts with `--`; other tokens are operands, so
+//! flags and operands mix in any order. When a flag repeats, the first
+//! occurrence wins. [`run_main`] is the `main` of every binary.
 
+use std::any::Any;
+use std::io::ErrorKind;
+use std::panic::{self, AssertUnwindSafe};
+use std::path::Path;
+use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
+
+use mlrl_obs::Metrics;
 
 use crate::job::ShardSpec;
 use crate::run::Engine;
@@ -20,9 +28,10 @@ pub const CAMPAIGN_FLAGS: &str = "[--threads N] [--opt-level o0|o1|o2] [--canoni
     [--trace-sample N]";
 
 /// A subcommand or binary, declared by its usage line: the invocation,
-/// its operands (`<spec.txt>`, `[seed]`), then one bracketed entry per
-/// flag, `[--seed N]` for a value flag and `[--canonical]` for a boolean
-/// one. Segments are joined with spaces, so [`CAMPAIGN_FLAGS`] can follow.
+/// its operands (`<spec.txt>`, `[seed]`, `<shard.jsonl>...` for any
+/// number), then one bracketed entry per flag, `[--seed N]` for a value
+/// flag and `[--canonical]` for a boolean one. Segments are joined with
+/// spaces, so [`CAMPAIGN_FLAGS`] can follow.
 #[derive(Debug)]
 pub struct Command(pub &'static [&'static str]);
 
@@ -41,22 +50,38 @@ impl Command {
         flags.find(|(n, _)| *n == name)
     }
 
+    /// The most operands the usage line admits: one per `<x>` or `[x]`
+    /// operand, any number once one ends in `...`.
+    fn max_operands(&self) -> usize {
+        let words = self.0.iter().flat_map(|s| s.split_whitespace());
+        let operands =
+            words.filter(|w| w.starts_with('<') || w.starts_with('[') && !w.starts_with("[-"));
+        operands
+            .map(|w| if w.ends_with("...") { usize::MAX } else { 1 })
+            .fold(0, usize::saturating_add)
+    }
+
     /// `usage: ` and the usage line.
     pub fn usage(&self) -> String {
         format!("usage: {}", self.0.join(" "))
     }
 
     /// Checks `argv` (the command's own name excluded) against the table:
-    /// an unknown flag or a value flag with no value is a usage error.
+    /// an unknown flag, a value flag with no value or a surplus operand is
+    /// a usage error.
     pub fn parse(&self, argv: impl IntoIterator<Item = String>) -> Result<Parsed<'_>, String> {
         let mut args = Parsed {
             cmd: self,
             positional: Vec::new(),
             flags: Vec::new(),
         };
+        let max_operands = self.max_operands();
         let mut it = argv.into_iter().peekable();
         while let Some(token) = it.next() {
             if !token.starts_with('-') || token == "-" {
+                if args.positional.len() == max_operands {
+                    return Err(args.error(format!("unexpected operand `{token}`")));
+                }
                 args.positional.push(token);
                 continue;
             }
@@ -164,6 +189,38 @@ impl Parsed<'_> {
     }
 }
 
+/// The `main` of every binary: runs `body`; an error prints `error:
+/// <message>` and exits 1. A closed stdout (`mlrl gen FIR | head -c 1`)
+/// ends the program quietly with exit 0: `print!` panics when its write
+/// fails, and this is the one place that tells that panic from a bug.
+pub fn run_main(body: impl FnOnce() -> Result<(), String>) -> ExitCode {
+    let report = panic::take_hook();
+    panic::set_hook(Box::new(move |info| {
+        if !is_closed_stdout(info.payload()) {
+            report(info);
+        }
+    }));
+    match panic::catch_unwind(AssertUnwindSafe(body)) {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
+        Err(payload) if is_closed_stdout(&*payload) => ExitCode::SUCCESS,
+        Err(payload) => panic::resume_unwind(payload),
+    }
+}
+
+/// Whether a panic is `print!`'s report of a write to a closed pipe
+/// (`failed printing to stdout: Broken pipe (os error 32)`).
+fn is_closed_stdout(payload: &(dyn Any + Send)) -> bool {
+    let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+    message.starts_with("failed printing to stdout")
+        && message
+            .to_ascii_lowercase()
+            .contains(&ErrorKind::BrokenPipe.to_string())
+}
+
 /// The `--opt-level`, when passed; a bad one errs with the valid levels.
 pub fn opt_level(args: &Parsed) -> Result<Option<OptLevel>, String> {
     let level = args.value("--opt-level").map(OptLevel::parse).transpose();
@@ -253,17 +310,17 @@ impl Telemetry {
     }
 
     /// Writes the artifacts asked for, or a message naming an unwritable
-    /// path; `metrics_json` overrides the local snapshot (the orchestrator
+    /// path; `metrics` overrides the local snapshot (the orchestrator
     /// passes its fleet rollup).
-    pub fn write(&self, metrics_json: Option<&str>) -> Result<(), String> {
+    pub fn write(&self, metrics: Option<&Metrics>) -> Result<(), String> {
         if let Some(path) = &self.trace_out {
-            mlrl_obs::write_trace_json(std::path::Path::new(path))
+            mlrl_obs::write_atomic(Path::new(path), &(mlrl_obs::trace_json() + "\n"))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
         if let Some(path) = &self.metrics_out {
-            let json = metrics_json.map_or_else(|| mlrl_obs::snapshot().to_json(), str::to_owned);
-            std::fs::write(path, format!("{json}\n"))
+            let json = metrics.map_or_else(|| mlrl_obs::snapshot().to_json(), Metrics::to_json);
+            mlrl_obs::write_atomic(Path::new(path), &(json + "\n"))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
@@ -341,6 +398,20 @@ mod tests {
             .err()
             .unwrap();
         assert!(err.contains("bad --threads `many`"), "{err}");
+    }
+
+    #[test]
+    fn operands_beyond_the_usage_line_are_usage_errors() {
+        let err = parse(&["8", "--quick", "1", "extra"]).unwrap_err();
+        assert!(
+            err.starts_with("unexpected operand `extra`\nusage: bench"),
+            "{err}"
+        );
+        let merge = Command(&["merge <shard.jsonl>... [-o FILE]"]);
+        let shards = ["a", "b", "c"].map(str::to_owned);
+        assert_eq!(merge.parse(shards).unwrap().positionals().len(), 3);
+        let none = Command(&["none [--quick]"]);
+        assert!(none.parse(["x".to_owned()]).is_err());
     }
 
     #[test]

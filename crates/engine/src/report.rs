@@ -161,137 +161,63 @@ impl JobRecord {
         }
     }
 
-    fn json_fields(&self, include_timing: bool) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        push_field(&mut out, "index", JsonValue::Int(self.index as i64));
-        push_field(&mut out, "benchmark", JsonValue::Str(&self.benchmark));
-        push_field(&mut out, "level", JsonValue::Str(&self.level));
-        push_field(&mut out, "scheme", JsonValue::Str(&self.scheme));
-        push_field(&mut out, "budget", JsonValue::Float(Some(self.budget)));
-        push_field(&mut out, "seed", JsonValue::Int(self.seed as i64));
-        push_field(&mut out, "attack", JsonValue::Str(&self.attack));
-        push_field(
-            &mut out,
-            "derived_seed",
-            JsonValue::Str(&format!("{:016x}", self.derived_seed)),
-        );
-        push_field(
-            &mut out,
-            "key_bits",
-            JsonValue::OptInt(self.key_bits.map(|v| v as i64)),
-        );
-        push_field(&mut out, "metric", JsonValue::Float(self.metric));
-        push_field(&mut out, "balanced", JsonValue::OptBool(self.balanced));
-        push_field(
-            &mut out,
-            "bits_to_balance",
-            JsonValue::OptInt(self.bits_to_balance.map(|v| v as i64)),
-        );
+    /// Appends this record as one JSON object; `include_timing` adds the
+    /// non-canonical `wall_ms` and `solver_ms`.
+    fn write_json(&self, out: &mut String, include_timing: bool) {
+        let u = |v: Option<usize>| v.map(|v| v as u64);
+        let mut w = json::Writer::new(out);
+        w.begin_object().key("index").uint(self.index as u64);
+        w.key("benchmark").str(&self.benchmark);
+        w.key("level").str(&self.level);
+        w.key("scheme").str(&self.scheme);
+        w.key("budget").fixed4(self.budget);
+        w.key("seed").uint(self.seed);
+        w.key("attack").str(&self.attack);
+        w.key("derived_seed").hex64(self.derived_seed);
+        w.key("key_bits").uint(u(self.key_bits));
+        w.key("metric").fixed4(self.metric);
+        w.key("balanced").bool(self.balanced);
+        w.key("bits_to_balance").uint(u(self.bits_to_balance));
         if let Some(trace) = &self.trace {
             // Trailing optional column: present only when the spec traced
             // (`trace = true`), so untraced streams are byte-stable.
-            out.push_str("\"trace\":[");
-            for (i, (bits, metric)) in trace.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if metric.is_finite() {
-                    out.push_str(&format!("[{bits},{metric:.4}]"));
-                } else {
-                    out.push_str(&format!("[{bits},null]"));
-                }
+            w.key("trace").begin_array();
+            for &(bits, metric) in trace {
+                w.begin_array().uint(bits as u64).fixed4(metric).end_array();
             }
-            out.push_str("],");
+            w.end_array();
         }
-        push_field(&mut out, "kpa", JsonValue::Float(self.kpa));
-        push_field(
-            &mut out,
-            "attacked_bits",
-            JsonValue::OptInt(self.attacked_bits.map(|v| v as i64)),
-        );
-        push_field(
-            &mut out,
-            "training_samples",
-            JsonValue::OptInt(self.training_samples.map(|v| v as i64)),
-        );
-        push_field(
-            &mut out,
-            "gates",
-            JsonValue::OptInt(self.gates.map(|v| v as i64)),
-        );
-        push_field(
-            &mut out,
-            "area_overhead",
-            JsonValue::Float(self.area_overhead),
-        );
-        push_field(
-            &mut out,
-            "sat_dips",
-            JsonValue::OptInt(self.sat_dips.map(|v| v as i64)),
-        );
-        push_field(&mut out, "sat_proved", JsonValue::OptBool(self.sat_proved));
-        push_field(
-            &mut out,
-            "localities",
-            JsonValue::OptInt(self.localities.map(|v| v as i64)),
-        );
-        push_field(&mut out, "coverage", JsonValue::Float(self.coverage));
-        push_field(
-            &mut out,
-            "obs_plus",
-            JsonValue::OptInt(self.obs_plus.map(|v| v as i64)),
-        );
-        push_field(
-            &mut out,
-            "obs_minus",
-            JsonValue::OptInt(self.obs_minus.map(|v| v as i64)),
-        );
-        push_field(
-            &mut out,
-            "corruption_rate",
-            JsonValue::Float(self.corruption_rate),
-        );
-        push_field(&mut out, "error_rate", JsonValue::Float(self.error_rate));
-        push_field(
-            &mut out,
-            "ops",
-            JsonValue::OptInt(self.ops.map(|v| v as i64)),
-        );
-        push_field(
-            &mut out,
-            "imbalance",
-            JsonValue::OptInt(self.imbalance.map(|v| v as i64)),
-        );
-        push_field(
-            &mut out,
-            "initial_distance",
-            JsonValue::Float(self.initial_distance),
-        );
+        w.key("kpa").fixed4(self.kpa);
+        w.key("attacked_bits").uint(u(self.attacked_bits));
+        w.key("training_samples").uint(u(self.training_samples));
+        w.key("gates").uint(u(self.gates));
+        w.key("area_overhead").fixed4(self.area_overhead);
+        w.key("sat_dips").uint(u(self.sat_dips));
+        w.key("sat_proved").bool(self.sat_proved);
+        w.key("localities").uint(u(self.localities));
+        w.key("coverage").fixed4(self.coverage);
+        w.key("obs_plus").uint(u(self.obs_plus));
+        w.key("obs_minus").uint(u(self.obs_minus));
+        w.key("corruption_rate").fixed4(self.corruption_rate);
+        w.key("error_rate").fixed4(self.error_rate);
+        w.key("ops").uint(u(self.ops));
+        w.key("imbalance").uint(self.imbalance);
+        w.key("initial_distance").fixed4(self.initial_distance);
         if let Some(opt_level) = &self.opt_level {
             // Trailing optional column like `trace`: present only when
             // the campaign ran the optimizer, so `O0` streams (and every
             // pre-optimizer golden file) are byte-stable.
-            push_field(&mut out, "opt_level", JsonValue::Str(opt_level));
+            w.key("opt_level").str(opt_level);
         }
         match &self.status {
-            JobStatus::Ok => push_field(&mut out, "status", JsonValue::Str("ok")),
-            JobStatus::Failed(msg) => {
-                push_field(&mut out, "status", JsonValue::Str("failed"));
-                push_field(&mut out, "error", JsonValue::Str(msg));
-            }
-        }
+            JobStatus::Ok => w.key("status").str("ok"),
+            JobStatus::Failed(msg) => w.key("status").str("failed").key("error").str(msg),
+        };
         if include_timing {
-            push_field(&mut out, "wall_ms", JsonValue::Int(self.wall_ms as i64));
-            push_field(
-                &mut out,
-                "solver_ms",
-                JsonValue::OptInt(self.solver_ms.map(|v| v as i64)),
-            );
+            w.key("wall_ms").uint(self.wall_ms as u64);
+            w.key("solver_ms").uint(self.solver_ms.map(|v| v as u64));
         }
-        out.pop(); // trailing comma
-        out.push('}');
-        out
+        w.end_object();
     }
 
     /// This record's line of the canonical JSON-lines stream — exactly
@@ -300,29 +226,39 @@ impl JobRecord {
     /// orchestrator, whose journal replays them byte-for-byte into the
     /// merged report.
     pub fn canonical_line(&self) -> String {
-        self.json_fields(false)
+        let mut out = String::with_capacity(256);
+        self.write_json(&mut out, false);
+        out
     }
 }
 
-/// Sanitizes a campaign name for the canonical header line (quotes,
-/// backslashes and control characters become `_`). Public so the
-/// orchestrator's journal writes headers byte-identical to
-/// [`CampaignReport::canonical_jsonl`]'s.
-pub fn escape_for_header(name: &str) -> String {
-    name.chars()
-        .map(|c| match c {
-            '"' | '\\' => '_',
-            c if (c as u32) < 0x20 => '_',
-            c => c,
-        })
-        .collect()
+/// The header line of a canonical stream, `{"campaign":NAME,"jobs":N}`;
+/// a run journal's header adds the `"spec"` digest of its spec file.
+/// [`header_fields`] reads it back.
+pub fn header_line(campaign: &str, jobs: usize, spec_digest: Option<u64>) -> String {
+    let mut out = String::new();
+    let mut w = json::Writer::new(&mut out);
+    let name = sanitized_name(campaign);
+    w.begin_object().key("campaign").str(&name);
+    w.key("jobs").uint(jobs as u64);
+    if let Some(digest) = spec_digest {
+        w.key("spec").hex64(digest);
+    }
+    w.end_object();
+    out
+}
+
+/// `name` with quotes, backslashes and control characters as `_`.
+fn sanitized_name(name: &str) -> String {
+    name.replace(|c: char| matches!(c, '"' | '\\') || (c as u32) < 0x20, "_")
 }
 
 /// Grid index of a canonical record line (`{"index":N,...}`): the
 /// non-negative integer `index` of a line that parses in full as one JSON
 /// object. `None` for malformed, truncated or spliced lines.
 pub fn record_index(line: &str) -> Option<usize> {
-    uint_field(&json::parse(line)?, "index")
+    let index = json::parse(line)?.as_object()?.get("index")?.as_u64()?;
+    usize::try_from(index).ok()
 }
 
 /// `(campaign, jobs)` of a campaign header line
@@ -331,41 +267,9 @@ pub fn record_index(line: &str) -> Option<usize> {
 /// and a non-negative integer `jobs`. `None` for anything else.
 pub fn header_fields(line: &str) -> Option<(String, usize)> {
     let header = json::parse(line)?;
-    let campaign = header.as_object()?.get("campaign")?.as_str()?.to_owned();
-    Some((campaign, uint_field(&header, "jobs")?))
-}
-
-/// The non-negative integer field `key` of a JSON object.
-fn uint_field(value: &json::Value, key: &str) -> Option<usize> {
-    let n = value.as_object()?.get(key)?.as_f64()?;
-    // Integers up to 2^53 are exact in f64.
-    (n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0).then_some(n as usize)
-}
-
-enum JsonValue<'a> {
-    Int(i64),
-    OptInt(Option<i64>),
-    Float(Option<f64>),
-    Str(&'a str),
-    OptBool(Option<bool>),
-}
-
-fn push_field(out: &mut String, name: &str, value: JsonValue<'_>) {
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":");
-    match value {
-        JsonValue::Int(v) => out.push_str(&v.to_string()),
-        JsonValue::OptInt(None) | JsonValue::Float(None) | JsonValue::OptBool(None) => {
-            out.push_str("null")
-        }
-        JsonValue::OptInt(Some(v)) => out.push_str(&v.to_string()),
-        JsonValue::Float(Some(v)) if v.is_finite() => out.push_str(&format!("{v:.4}")),
-        JsonValue::Float(Some(_)) => out.push_str("null"),
-        JsonValue::OptBool(Some(v)) => out.push_str(if v { "true" } else { "false" }),
-        JsonValue::Str(s) => mlrl_obs::push_json_string(out, s),
-    }
-    out.push(',');
+    let header = header.as_object()?;
+    let jobs = usize::try_from(header.get("jobs")?.as_u64()?).ok()?;
+    Some((header.get("campaign")?.as_str()?.to_owned(), jobs))
 }
 
 /// The full result of one campaign run.
@@ -399,14 +303,10 @@ impl CampaignReport {
     /// Independent of threads, scheduling, timing and cache state —
     /// byte-equal across any two runs that computed the same results.
     pub fn canonical_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"campaign\":\"{}\",\"jobs\":{}}}\n",
-            escape_for_header(&self.name),
-            self.records.len()
-        ));
+        let mut out = header_line(&self.name, self.records.len(), None);
+        out.push('\n');
         for record in &self.records {
-            out.push_str(&record.json_fields(false));
+            record.write_json(&mut out, false);
             out.push('\n');
         }
         out
@@ -417,21 +317,22 @@ impl CampaignReport {
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
         for record in &self.records {
-            out.push_str(&record.json_fields(true));
+            record.write_json(&mut out, true);
             out.push('\n');
         }
-        out.push_str(&format!(
-            "{{\"campaign\":\"{}\",\"jobs\":{},\"ok\":{},\"failed\":{},\"threads\":{},\"wall_ms\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4}}}\n",
-            escape_for_header(&self.name),
-            self.records.len(),
-            self.ok_count(),
-            self.failed_count(),
-            self.threads,
-            self.wall_ms,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.hit_rate(),
-        ));
+        let mut w = json::Writer::new(&mut out);
+        let name = sanitized_name(&self.name);
+        w.begin_object().key("campaign").str(&name);
+        w.key("jobs").uint(self.records.len() as u64);
+        w.key("ok").uint(self.ok_count() as u64);
+        w.key("failed").uint(self.failed_count() as u64);
+        w.key("threads").uint(self.threads as u64);
+        w.key("wall_ms").uint(self.wall_ms as u64);
+        w.key("cache_hits").uint(self.cache.hits as u64);
+        w.key("cache_misses").uint(self.cache.misses as u64);
+        w.key("cache_hit_rate").fixed4(self.cache.hit_rate());
+        w.end_object();
+        out.push('\n');
         out
     }
 
@@ -692,10 +593,8 @@ pub fn merge_canonical_streams(inputs: &[String]) -> Result<String, String> {
                 std::cmp::Ordering::Equal => {}
             }
         }
-        out.push_str(&format!(
-            "{{\"campaign\":\"{}\",\"jobs\":{jobs}}}\n",
-            escape_for_header(name)
-        ));
+        out.push_str(&header_line(name, jobs, None));
+        out.push('\n');
         for (_, line) in &records {
             out.push_str(line);
             out.push('\n');
@@ -856,6 +755,17 @@ mod tests {
     }
 
     #[test]
+    fn seeds_serialize_as_unsigned_integers() {
+        let r = JobRecord {
+            seed: u64::MAX,
+            ..record()
+        };
+        assert!(r
+            .canonical_line()
+            .contains(",\"seed\":18446744073709551615,"));
+    }
+
+    #[test]
     fn traced_records_serialize_the_trajectory_as_a_trailing_column() {
         let mut r = record();
         // Untraced records omit the column entirely (byte-stability of
@@ -868,7 +778,9 @@ mod tests {
             "{line}"
         );
         // The trace is science, not timing: both serializations carry it.
-        assert!(r.json_fields(true).contains("\"trace\""));
+        let mut full = String::new();
+        r.write_json(&mut full, true);
+        assert!(full.contains("\"trace\""));
     }
 
     #[test]
@@ -889,7 +801,7 @@ mod tests {
     fn failed_jobs_carry_their_error() {
         let mut r = record();
         r.status = JobStatus::Failed("boom \"quoted\"".into());
-        let line = r.json_fields(false);
+        let line = r.canonical_line();
         assert!(line.contains("\"status\":\"failed\""));
         assert!(line.contains("\\\"quoted\\\""));
     }

@@ -151,29 +151,26 @@ impl Histogram {
         self.percentile(99)
     }
 
-    /// Serializes as a JSON object fragment:
+    /// Writes the histogram as a JSON object:
     /// `{"count":N,"sum":N,"min":N,"max":N,"buckets":[[i,n],...]}`.
     /// Empty histograms write zero min/max so the form is stable.
-    pub(crate) fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-            self.count, self.sum, self.min, self.max
-        );
-        for (i, (&index, &n)) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{index},{n}]"));
+    pub(crate) fn write_json(&self, w: &mut crate::json::Writer) {
+        w.begin_object().key("count").uint(self.count);
+        w.key("sum").uint(self.sum).key("min").uint(self.min);
+        w.key("max").uint(self.max);
+        w.key("buckets").begin_array();
+        for (&index, &n) in &self.buckets {
+            w.begin_array().uint(u64::from(index)).uint(n).end_array();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
     }
 
     /// Rebuilds a histogram from a parsed [`crate::json::Value`]
-    /// produced by [`Histogram::to_json`]; `None` on shape mismatch.
+    /// produced by [`Histogram::write_json`]; `None` on shape mismatch or
+    /// a field that is not an exact non-negative integer.
     pub(crate) fn from_json(value: &crate::json::Value) -> Option<Histogram> {
         let obj = value.as_object()?;
-        let field = |name: &str| obj.get(name)?.as_f64().map(|v| v as u64);
+        let field = |name: &str| obj.get(name)?.as_u64();
         let mut hist = Histogram {
             count: field("count")?,
             sum: field("sum")?,
@@ -182,13 +179,11 @@ impl Histogram {
             buckets: BTreeMap::new(),
         };
         for pair in obj.get("buckets")?.as_array()? {
-            let pair = pair.as_array()?;
-            if pair.len() != 2 {
+            let [index, n] = pair.as_array()? else {
                 return None;
-            }
-            let index = pair[0].as_f64()? as u32;
-            let n = pair[1].as_f64()? as u64;
-            hist.buckets.insert(index, n);
+            };
+            let index = u32::try_from(index.as_u64()?).ok()?;
+            hist.buckets.insert(index, n.as_u64()?);
         }
         Some(hist)
     }

@@ -17,7 +17,7 @@
 //! disabled by default; every entry point starts with one relaxed
 //! atomic load, so instrumented hot paths cost nothing measurable when
 //! telemetry is off. [`enable`] arms it for a run, [`snapshot`] returns
-//! a mergeable [`Metrics`] rollup, and [`write_trace_json`] exports a
+//! a mergeable [`Metrics`] rollup, and [`trace_json`] renders a
 //! `chrome://tracing` / Perfetto-loadable trace with one lane per pool
 //! worker or supervised process.
 //!
@@ -30,13 +30,13 @@
 #![forbid(unsafe_code)]
 
 pub mod hist;
+pub mod json;
 pub mod proc;
 
 pub use hist::Histogram;
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -93,8 +93,8 @@ pub fn micros_since_epoch(t: Instant) -> u64 {
 #[derive(Debug)]
 struct TraceEvent {
     name: String,
-    /// `'X'` complete span or `'i'` instant.
-    ph: char,
+    /// `"X"` complete span or `"i"` instant.
+    ph: &'static str,
     ts_us: u64,
     dur_us: u64,
     tid: u64,
@@ -279,7 +279,7 @@ impl Drop for SpanGuard {
                     s,
                     TraceEvent {
                         name: inner.label,
-                        ph: 'X',
+                        ph: "X",
                         ts_us,
                         dur_us,
                         tid,
@@ -334,7 +334,7 @@ pub fn record_complete(name: impl Into<String>, lane: u64, start: Instant, dur: 
     }
     let ev = TraceEvent {
         name: name.into(),
-        ph: 'X',
+        ph: "X",
         ts_us: micros_since_epoch(start),
         dur_us: dur.as_micros() as u64,
         tid: lane,
@@ -359,7 +359,7 @@ pub fn record_span_at(name: impl Into<String>, lane: u64, ts_us: u64, dur_us: u6
     }
     let ev = TraceEvent {
         name: name.into(),
-        ph: 'X',
+        ph: "X",
         ts_us,
         dur_us,
         tid: lane,
@@ -374,7 +374,7 @@ pub fn instant_at(name: impl Into<String>, lane: u64, ts_us: u64) {
     }
     let ev = TraceEvent {
         name: name.into(),
-        ph: 'i',
+        ph: "i",
         ts_us,
         dur_us: 0,
         tid: lane,
@@ -397,28 +397,18 @@ pub fn drain_trace_chunk() -> Option<String> {
         if s.events.is_empty() {
             return None;
         }
-        let mut out = String::from("{\"lanes\":[");
-        for (i, label) in s.lanes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(label));
+        let mut out = String::new();
+        let mut w = json::Writer::new(&mut out);
+        w.begin_object().key("lanes").begin_array();
+        for label in &s.lanes {
+            w.str(label);
         }
-        out.push_str("],\"events\":[");
-        for (i, ev) in s.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "[{},\"{}\",{},{},{}]",
-                json_string(&ev.name),
-                ev.ph,
-                ev.ts_us,
-                ev.dur_us,
-                ev.tid
-            ));
+        w.end_array().key("events").begin_array();
+        for ev in &s.events {
+            w.begin_array().str(&ev.name).str(ev.ph).uint(ev.ts_us);
+            w.uint(ev.dur_us).uint(ev.tid).end_array();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
         s.events.clear();
         Some(out)
     })
@@ -435,77 +425,55 @@ pub fn merge_trace_chunk(chunk: &str, lane_prefix: &str, offset_us: i64) -> bool
     if !enabled() {
         return false;
     }
-    let Some(doc) = json::parse(chunk) else {
-        return false;
-    };
-    let Some(obj) = doc.as_object() else {
-        return false;
-    };
-    let (Some(lanes), Some(events)) = (
-        obj.get("lanes").and_then(json::Value::as_array),
-        obj.get("events").and_then(json::Value::as_array),
-    ) else {
-        return false;
-    };
-    let mut labels = Vec::with_capacity(lanes.len());
-    for l in lanes {
-        let Some(label) = l.as_str() else {
-            return false;
-        };
-        labels.push(format!("{lane_prefix}{label}"));
-    }
     // Decode fully before touching the sink so a bad trailing record
     // cannot leave a half-merged chunk behind.
-    let mut decoded = Vec::with_capacity(events.len());
-    for ev in events {
-        let Some(fields) = ev.as_array() else {
-            return false;
-        };
-        if fields.len() != 5 {
-            return false;
-        }
-        let (Some(name), Some(ph), Some(ts), Some(dur), Some(tid)) = (
-            fields[0].as_str(),
-            fields[1].as_str(),
-            fields[2].as_f64(),
-            fields[3].as_f64(),
-            fields[4].as_f64(),
-        ) else {
-            return false;
-        };
-        let ph = match ph {
-            "X" => 'X',
-            "i" => 'i',
-            _ => return false,
-        };
-        let tid = tid as usize;
-        if tid >= labels.len() {
-            return false;
-        }
-        decoded.push((
-            name.to_owned(),
-            ph,
-            (ts as i64 + offset_us).max(0) as u64,
-            dur as u64,
-            tid,
-        ));
-    }
+    let Some((labels, events)) = decode_trace_chunk(chunk, lane_prefix, offset_us) else {
+        return false;
+    };
     with_state(|s| {
         let lane_ids: Vec<u64> = labels.iter().map(|l| lane_in(s, l)).collect();
-        for (name, ph, ts_us, dur_us, tid) in decoded {
-            push_event(
-                s,
-                TraceEvent {
-                    name,
-                    ph,
-                    ts_us,
-                    dur_us,
-                    tid: lane_ids[tid],
-                },
-            );
+        for mut ev in events {
+            ev.tid = lane_ids[ev.tid as usize];
+            push_event(s, ev);
         }
     });
     true
+}
+
+/// The prefixed lane labels and the events of a [`drain_trace_chunk`]
+/// payload, timestamps shifted by `offset_us`; an event's `tid` indexes
+/// the labels. `None` when any part is malformed.
+fn decode_trace_chunk(
+    chunk: &str,
+    lane_prefix: &str,
+    offset_us: i64,
+) -> Option<(Vec<String>, Vec<TraceEvent>)> {
+    let doc = json::parse(chunk)?;
+    let obj = doc.as_object()?;
+    let lanes = obj.get("lanes")?.as_array()?.iter();
+    let labels: Vec<String> = lanes
+        .map(|l| Some(format!("{lane_prefix}{}", l.as_str()?)))
+        .collect::<Option<_>>()?;
+    let lane_count = labels.len() as u64;
+    let event = |ev: &json::Value| {
+        let [name, ph, ts, dur, tid] = ev.as_array()? else {
+            return None;
+        };
+        let ph = match ph.as_str()? {
+            "X" => "X",
+            "i" => "i",
+            _ => return None,
+        };
+        Some(TraceEvent {
+            name: name.as_str()?.to_owned(),
+            ph,
+            ts_us: (ts.as_u64()? as i64 + offset_us).max(0) as u64,
+            dur_us: dur.as_u64()?,
+            tid: tid.as_u64().filter(|&t| t < lane_count)?,
+        })
+    };
+    let events = obj.get("events")?.as_array()?.iter().map(event);
+    Some((labels, events.collect::<Option<_>>()?))
 }
 
 /// Add `n` to the monotonic counter `name`.
@@ -610,84 +578,56 @@ impl Metrics {
     /// Serialize as a single-line JSON object with sorted keys:
     /// `{"counters":{..},"gauges":{..},"spans":{..},"hists":{..}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{v}", json_string(k)));
+        let mut out = String::new();
+        let mut w = json::Writer::new(&mut out);
+        w.begin_object().key("counters").begin_object();
+        for (k, v) in &self.counters {
+            w.key(k).uint(*v);
         }
-        out.push_str("},\"gauges\":{");
-        let mut first = true;
-        for (k, v) in &self.gauges {
-            if !v.is_finite() {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("{}:{}", json_string(k), json_number(*v)));
+        w.end_object().key("gauges").begin_object();
+        for (k, v) in self.gauges.iter().filter(|(_, v)| v.is_finite()) {
+            w.key(k).float(*v);
         }
-        out.push_str("},\"spans\":{");
-        for (i, (k, v)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"total_us\":{}}}",
-                json_string(k),
-                v.count,
-                v.total_us
-            ));
+        w.end_object().key("spans").begin_object();
+        for (k, v) in &self.spans {
+            w.key(k).begin_object().key("count").uint(v.count);
+            w.key("total_us").uint(v.total_us).end_object();
         }
-        out.push_str("},\"hists\":{");
-        for (i, (k, v)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_string(k), v.to_json()));
+        w.end_object().key("hists").begin_object();
+        for (k, v) in &self.hists {
+            v.write_json(w.key(k));
         }
-        out.push_str("}}");
+        w.end_object().end_object();
         out
     }
 
     /// Parse a payload produced by [`Metrics::to_json`]. Returns `None`
-    /// on malformed input; unknown keys inside the three sections are
-    /// skipped, so older readers tolerate newer payloads.
+    /// on malformed input, including any one value of the wrong type
+    /// (a counter of -5, 1.5 or `"x"`: see [`json::Value::as_u64`]).
     pub fn parse(text: &str) -> Option<Metrics> {
         let value = json::parse(text)?;
         let obj = value.as_object()?;
+        // A missing section is empty: payloads from writers predating
+        // histograms carry no `hists`.
+        let empty = BTreeMap::new();
+        let section = |name: &str| obj.get(name).map_or(Some(&empty), json::Value::as_object);
         let mut metrics = Metrics::default();
-        if let Some(counters) = obj.get("counters").and_then(json::Value::as_object) {
-            for (k, v) in counters {
-                if let Some(n) = v.as_f64() {
-                    metrics.counters.insert(k.clone(), n as u64);
-                }
-            }
+        for (k, v) in section("counters")? {
+            metrics.counters.insert(k.clone(), v.as_u64()?);
         }
-        if let Some(gauges) = obj.get("gauges").and_then(json::Value::as_object) {
-            for (k, v) in gauges {
-                if let Some(n) = v.as_f64() {
-                    metrics.gauges.insert(k.clone(), n);
-                }
-            }
+        for (k, v) in section("gauges")? {
+            metrics.gauges.insert(k.clone(), v.as_f64()?);
         }
-        if let Some(spans) = obj.get("spans").and_then(json::Value::as_object) {
-            for (k, v) in spans {
-                let span = v.as_object()?;
-                let count = span.get("count")?.as_f64()? as u64;
-                let total_us = span.get("total_us")?.as_f64()? as u64;
-                metrics
-                    .spans
-                    .insert(k.clone(), SpanStat { count, total_us });
-            }
+        for (k, v) in section("spans")? {
+            let span = v.as_object()?;
+            let count = span.get("count")?.as_u64()?;
+            let total_us = span.get("total_us")?.as_u64()?;
+            metrics
+                .spans
+                .insert(k.clone(), SpanStat { count, total_us });
         }
-        // Absent in payloads from pre-histogram writers; tolerated.
-        if let Some(hists) = obj.get("hists").and_then(json::Value::as_object) {
-            for (k, v) in hists {
-                metrics.hists.insert(k.clone(), Histogram::from_json(v)?);
-            }
+        for (k, v) in section("hists")? {
+            metrics.hists.insert(k.clone(), Histogram::from_json(v)?);
         }
         Some(metrics)
     }
@@ -709,312 +649,55 @@ pub fn snapshot() -> Metrics {
 /// One `thread_name` metadata record labels each lane.
 pub fn trace_json() -> String {
     with_state(|s| {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |piece: String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&piece);
+        let mut out = String::new();
+        let mut w = json::Writer::new(&mut out);
+        let ids = |w: &mut json::Writer, tid: u64| {
+            w.key("pid").uint(1).key("tid").uint(tid);
         };
+        let instant = |w: &mut json::Writer, ts_us: u64, tid: u64| {
+            w.key("ph").str("i").key("ts").uint(ts_us);
+            ids(w, tid);
+            w.key("s").str("t").end_object();
+        };
+        w.begin_object().key("traceEvents").begin_array();
         for (tid, label) in s.lanes.iter().enumerate() {
-            push(
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"name\":{}}}}}",
-                    json_string(label)
-                ),
-                &mut first,
-            );
+            w.begin_object().key("name").str("thread_name");
+            w.key("ph").str("M");
+            ids(&mut w, tid as u64);
+            w.key("args").begin_object().key("name").str(label);
+            w.end_object().end_object();
         }
         for ev in &s.events {
-            let piece = match ev.ph {
-                'X' => format!(
-                    "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
-                    json_string(&ev.name),
-                    ev.ts_us,
-                    ev.dur_us,
-                    ev.tid
-                ),
-                _ => format!(
-                    "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                    json_string(&ev.name),
-                    ev.ts_us,
-                    ev.tid
-                ),
-            };
-            push(piece, &mut first);
+            w.begin_object().key("name").str(&ev.name);
+            if ev.ph == "X" {
+                w.key("ph").str("X").key("ts").uint(ev.ts_us);
+                w.key("dur").uint(ev.dur_us);
+                ids(&mut w, ev.tid);
+                w.end_object();
+            } else {
+                instant(&mut w, ev.ts_us, ev.tid);
+            }
         }
         if s.dropped > 0 {
-            push(
-                format!(
-                    "{{\"name\":\"obs.events.dropped {}\",\"ph\":\"i\",\"ts\":0,\
-                     \"pid\":1,\"tid\":0,\"s\":\"t\"}}",
-                    s.dropped
-                ),
-                &mut first,
-            );
+            let name = format!("obs.events.dropped {}", s.dropped);
+            instant(w.begin_object().key("name").str(&name), 0, 0);
         }
-        out.push_str("]}");
+        w.end_array().end_object();
         out
     })
 }
 
-/// Write [`trace_json`] to `path` (parent directories must exist).
-pub fn write_trace_json(path: &Path) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(trace_json().as_bytes())?;
-    writeln!(file)
-}
-
-/// Escape `s` as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_string(&mut out, s);
-    out
-}
-
-/// Append `s` to `out` as a JSON string literal (quotes included).
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Format a finite `f64` as a JSON number (round-trippable shortest
-/// form; integral values keep a `.0` so they read back as written).
-fn json_number(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-/// A deliberately small JSON reader: objects, arrays, strings, numbers,
-/// booleans, null — just enough to parse [`Metrics::to_json`] payloads
-/// and validate exported artifacts in tests. Std-only, recursive
-/// descent, no error detail.
-pub mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any JSON number, kept as `f64`.
-        Number(f64),
-        /// A string literal.
-        String(String),
-        /// An array.
-        Array(Vec<Value>),
-        /// An object; key order is not preserved.
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        /// The object map, if this is an object.
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Object(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        /// The numeric value, if this is a number.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The string contents, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parse `text` as one JSON value (trailing whitespace allowed).
-    /// Returns `None` on any syntax error.
-    pub fn parse(text: &str) -> Option<Value> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos == bytes.len() {
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Option<Value> {
-        skip_ws(b, pos);
-        match *b.get(*pos)? {
-            b'{' => parse_object(b, pos),
-            b'[' => parse_array(b, pos),
-            b'"' => parse_string(b, pos).map(Value::String),
-            b't' => parse_lit(b, pos, "true", Value::Bool(true)),
-            b'f' => parse_lit(b, pos, "false", Value::Bool(false)),
-            b'n' => parse_lit(b, pos, "null", Value::Null),
-            _ => parse_number(b, pos),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Value) -> Option<Value> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize) -> Option<Value> {
-        *pos += 1; // '{'
-        let mut map = BTreeMap::new();
-        skip_ws(b, pos);
-        if *b.get(*pos)? == b'}' {
-            *pos += 1;
-            return Some(Value::Object(map));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            skip_ws(b, pos);
-            if *b.get(*pos)? != b':' {
-                return None;
-            }
-            *pos += 1;
-            let value = parse_value(b, pos)?;
-            map.insert(key, value);
-            skip_ws(b, pos);
-            match *b.get(*pos)? {
-                b',' => *pos += 1,
-                b'}' => {
-                    *pos += 1;
-                    return Some(Value::Object(map));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn parse_array(b: &[u8], pos: &mut usize) -> Option<Value> {
-        *pos += 1; // '['
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if *b.get(*pos)? == b']' {
-            *pos += 1;
-            return Some(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match *b.get(*pos)? {
-                b',' => *pos += 1,
-                b']' => {
-                    *pos += 1;
-                    return Some(Value::Array(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
-        if *b.get(*pos)? != b'"' {
-            return None;
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match *b.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match *b.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = b.get(*pos + 1..*pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Option<Value> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        if start == *pos {
-            return None;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .map(Value::Number)
-    }
+/// Write `text` to `path` through a sibling `<name>.tmp` file and a
+/// rename, so a concurrent reader never sees a torn file and a crash
+/// leaves the previous file whole.
+pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, text)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })
 }
 
 #[cfg(test)]
@@ -1490,6 +1173,27 @@ mod tests {
                  [\"cell \\\"3\\\"\",\"X\",30,7,1]]}"
             )
         );
+    }
+
+    #[test]
+    fn malformed_values_reject_the_whole_metrics_payload() {
+        for bad in [
+            r#"{"counters":{"a":-5}}"#,
+            r#"{"counters":{"a":1.5}}"#,
+            r#"{"counters":{"c":"x"}}"#,
+            r#"{"spans":{"s":{"count":-1,"total_us":3}}}"#,
+            r#"{"gauges":{"g":"x"}}"#,
+            r#"{"counters":[]}"#,
+            r#"{"hists":{"h":{"count":1,"sum":2.5,"min":2,"max":2,"buckets":[[2,1]]}}}"#,
+            r#"{"hists":{"h":{"count":1,"sum":2,"min":2,"max":2,"buckets":[[4294967296,1]]}}}"#,
+        ] {
+            assert_eq!(Metrics::parse(bad), None, "{bad}");
+        }
+        // Missing sections are empty; unknown top-level keys are skipped.
+        let m = Metrics::parse(r#"{"counters":{"a":5},"gauges":{"g":-0.5},"extra":1}"#)
+            .expect("parses");
+        assert_eq!((m.counters["a"], m.gauges["g"]), (5, -0.5));
+        assert!(m.spans.is_empty() && m.hists.is_empty());
     }
 
     #[test]

@@ -18,12 +18,11 @@
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use mlrl_engine::report::{escape_for_header, header_fields, record_index};
+use mlrl_engine::report::{header_fields, header_line, record_index};
 
-/// File name of the journal inside a run directory.
-pub const JOURNAL_FILE: &str = "journal.jsonl";
+use crate::run_dir::RunDir;
 
 /// The append-only completed-cell checkpoint of one orchestration.
 #[derive(Debug)]
@@ -34,11 +33,6 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Path of the journal file inside `run_dir`.
-    pub fn path_in(run_dir: &Path) -> PathBuf {
-        run_dir.join(JOURNAL_FILE)
-    }
-
     /// Opens the journal of a run: creates a fresh one, or — with
     /// `resume` — replays an existing one after validating its header
     /// against this campaign's name, job count, and spec digest.
@@ -51,19 +45,16 @@ impl Journal {
     /// - header mismatch (different spec/campaign than the journal's),
     /// - I/O errors creating the run dir or journal file.
     pub fn open(
-        run_dir: &Path,
+        run_dir: &RunDir,
         campaign: &str,
         jobs: usize,
         spec_digest: u64,
         resume: bool,
     ) -> Result<Self, String> {
-        let path = Self::path_in(run_dir);
-        std::fs::create_dir_all(run_dir)
-            .map_err(|e| format!("cannot create run dir {}: {e}", run_dir.display()))?;
-        let header = format!(
-            "{{\"campaign\":\"{}\",\"jobs\":{jobs},\"spec\":\"{spec_digest:016x}\"}}",
-            escape_for_header(campaign)
-        );
+        let path = run_dir.journal();
+        std::fs::create_dir_all(run_dir.root())
+            .map_err(|e| format!("cannot create run dir {}: {e}", run_dir.root().display()))?;
+        let header = header_line(campaign, jobs, Some(spec_digest));
         if resume {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot resume: no journal at {} ({e})", path.display()))?;
@@ -188,8 +179,8 @@ impl JournalContents {
 ///
 /// Returns a message when the journal is missing or its header does not
 /// parse.
-pub fn read_journal(run_dir: &Path) -> Result<JournalContents, String> {
-    let path = Journal::path_in(run_dir);
+pub fn read_journal(run_dir: &RunDir) -> Result<JournalContents, String> {
+    let path = run_dir.journal();
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("no journal at {}: {e}", path.display()))?;
     JournalContents::parse(&text)
@@ -216,10 +207,10 @@ fn complete_records<'a>(
 mod tests {
     use super::*;
 
-    fn tmp(tag: &str) -> PathBuf {
+    fn tmp(tag: &str) -> RunDir {
         let dir = std::env::temp_dir().join(format!("mlrl-journal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        RunDir::new(dir)
     }
 
     fn line(index: usize) -> String {
@@ -245,7 +236,7 @@ mod tests {
         // Fresh open over an existing journal is refused.
         let err = Journal::open(&dir, "demo", 4, 0xABCD, false).expect_err("no clobber");
         assert!(err.contains("--resume"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]
@@ -269,14 +260,14 @@ mod tests {
         use std::io::Write;
         let mut file = std::fs::OpenOptions::new()
             .append(true)
-            .open(Journal::path_in(&dir))
+            .open(dir.journal())
             .expect("reopen");
         write!(file, "{{\"index\":3,\"bench").expect("partial write");
         drop(file);
         let resumed = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("resume");
         assert_eq!(resumed.len(), 1, "only the complete record replays");
         assert!(!resumed.contains(3));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]
@@ -289,7 +280,7 @@ mod tests {
             use std::io::Write;
             let mut file = std::fs::OpenOptions::new()
                 .append(true)
-                .open(Journal::path_in(&dir))
+                .open(dir.journal())
                 .expect("reopen");
             write!(file, "{{\"index\":1,\"benchmark\":\"S").expect("partial write");
         }
@@ -303,20 +294,20 @@ mod tests {
         assert_eq!(again.len(), 2);
         assert_eq!(again.completed()[&0], line(0));
         assert_eq!(again.completed()[&1], line(1));
-        let text = std::fs::read_to_string(Journal::path_in(&dir)).expect("read");
+        let text = std::fs::read_to_string(dir.journal()).expect("read");
         assert!(text.ends_with('\n'));
         for l in text.lines() {
             assert!(l.matches("{\"index\":").count() <= 1, "spliced record: {l}");
         }
         assert_eq!(text.lines().count(), 3, "header plus two records:\n{text}");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]
     fn resume_restores_a_torn_header_newline() {
         let dir = tmp("torn-header");
         drop(Journal::open(&dir, "demo", 4, 0xABCD, false).expect("fresh"));
-        let path = Journal::path_in(&dir);
+        let path = dir.journal();
         let len = std::fs::metadata(&path).expect("stat").len();
         let file = std::fs::OpenOptions::new()
             .write(true)
@@ -330,7 +321,7 @@ mod tests {
         drop(resumed);
         let again = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("second resume");
         assert_eq!(again.completed()[&2], line(2));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]
@@ -377,7 +368,7 @@ mod tests {
             use std::io::Write;
             let mut file = std::fs::OpenOptions::new()
                 .append(true)
-                .open(Journal::path_in(&dir))
+                .open(dir.journal())
                 .expect("reopen");
             // What an append onto a torn tail used to leave behind.
             writeln!(file, "{{\"index\":1,\"benchmark\":\"S{}", line(1)).expect("write");
@@ -385,7 +376,7 @@ mod tests {
         let resumed = Journal::open(&dir, "demo", 4, 0xABCD, true).expect("resume");
         assert_eq!(resumed.len(), 1, "the spliced line does not replay");
         assert!(!resumed.contains(1));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 
     #[test]
@@ -393,6 +384,6 @@ mod tests {
         let dir = tmp("missing");
         let err = Journal::open(&dir, "demo", 1, 1, true).expect_err("nothing to resume");
         assert!(err.contains("cannot resume"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir.root());
     }
 }

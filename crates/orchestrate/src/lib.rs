@@ -20,6 +20,8 @@
 //!   phase breakdowns, latency percentiles, cache rates, worker
 //!   straggler rankings, and folded stacks from a run directory's
 //!   artifacts,
+//! - [`run_dir`] — the run directory: its file names, the `fleet.json`
+//!   format, and how each file is written,
 //! - [`supervise`] — the supervisor: spawns `--workers N` processes
 //!   pointed at one shared content-addressed cache dir, restarts a
 //!   crashed or wedged worker with its remaining cells, journals every
@@ -27,9 +29,8 @@
 //!   skew-corrected timeline, and on success merges the canonical
 //!   unsharded byte stream in-process,
 //! - [`top`] — the live fleet console behind `mlrl top`: tails the run
-//!   directory's journal, `fleet.json`, and `metrics.json` to render
-//!   per-worker state, latency percentiles, and memory while (or
-//!   after) the run executes.
+//!   directory to render per-worker state, latency percentiles, and
+//!   memory while (or after) the run executes.
 //!
 //! The determinism contract is inherited from the engine: every cell
 //! record is a pure function of the spec, so the orchestrated output is
@@ -44,6 +45,7 @@ pub mod plan;
 pub mod progress;
 pub mod protocol;
 pub mod report;
+pub mod run_dir;
 pub mod supervise;
 pub mod top;
 

@@ -1,8 +1,8 @@
 //! `mlrl report` — the offline run analyzer.
 //!
-//! Consumes the artifacts an orchestration (or traced campaign) leaves
-//! behind in its run directory — `journal.jsonl`, `metrics.json`, and a
-//! Chrome trace — and renders the questions the raw files cannot
+//! Consumes the artifacts an orchestration leaves behind in its
+//! [`crate::run_dir`] — journal, metrics rollup and Chrome trace — and
+//! renders the questions the raw files cannot
 //! answer at a glance: where the wall time went per phase, how the
 //! latency distributions look (p50/p90/p99 from the histogram rollup),
 //! cache effectiveness, which worker straggled, and which cells were
@@ -20,6 +20,7 @@ use mlrl_obs::json::{self, Value};
 use mlrl_obs::Metrics;
 
 use crate::journal::{read_journal, JournalContents};
+use crate::run_dir::RunDir;
 
 /// Options for [`render_report`].
 #[derive(Debug, Clone)]
@@ -129,17 +130,10 @@ fn pct(part: u64, whole: u64) -> String {
 /// Returns a message when the journal is missing/malformed or the
 /// folded output cannot be written.
 pub fn render_report(run_dir: &Path, opts: &ReportOptions) -> Result<String, String> {
-    let journal = read_journal(run_dir)?;
-
-    let metrics_path = run_dir.join("metrics.json");
-    let metrics = std::fs::read_to_string(&metrics_path)
-        .ok()
-        .and_then(|t| Metrics::parse(t.trim()));
-
-    let trace_path = opts
-        .trace
-        .clone()
-        .unwrap_or_else(|| run_dir.join("trace.json"));
+    let run_dir = RunDir::new(run_dir);
+    let journal = read_journal(&run_dir)?;
+    let metrics = run_dir.read_metrics();
+    let trace_path = opts.trace.clone().unwrap_or_else(|| run_dir.trace());
     let trace = std::fs::read_to_string(&trace_path)
         .ok()
         .and_then(|t| Trace::parse(&t));
@@ -147,7 +141,7 @@ pub fn render_report(run_dir: &Path, opts: &ReportOptions) -> Result<String, Str
     let mut out = String::new();
     out.push_str(&format!(
         "run report: {}\ncampaign \"{}\": {} of {} cells journaled\n",
-        run_dir.display(),
+        run_dir.root().display(),
         journal.campaign,
         journal.records.len(),
         journal.jobs

@@ -28,14 +28,16 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use mlrl_engine::report::{escape_for_header, merge_canonical_streams};
+use mlrl_engine::report::{header_line, merge_canonical_streams};
 use mlrl_engine::run::scheduled_jobs;
 use mlrl_engine::spec::CampaignSpec;
+use mlrl_obs::Metrics;
 
 use crate::journal::Journal;
 use crate::plan::{plan_assignments, spec_digest};
 use crate::progress::{Progress, WorkerState};
 use crate::protocol::{parse_line, WorkerEvent};
+use crate::run_dir::{unix_ms, Fleet, FleetWorker, RunDir};
 
 /// Everything `mlrl orchestrate` decides before handing off to
 /// [`orchestrate`].
@@ -44,7 +46,7 @@ pub struct OrchestratorConfig {
     /// Campaign spec file the workers (re-)read.
     pub spec_path: PathBuf,
     /// Run directory holding the journal (and the default cache dir).
-    pub run_dir: PathBuf,
+    pub run_dir: RunDir,
     /// Continue a previous orchestration's journal instead of starting
     /// fresh.
     pub resume: bool,
@@ -54,7 +56,7 @@ pub struct OrchestratorConfig {
     /// spec path and per-worker flags are appended.
     pub worker_cmd: Vec<String>,
     /// Shared content-addressed artifact cache dir; defaults to
-    /// `<run_dir>/cache` (sound to share: artifacts are
+    /// [`RunDir::cache`] (sound to share: artifacts are
     /// content-addressed, so co-located workers warm each other).
     pub cache_dir: Option<PathBuf>,
     /// Total spill budget in bytes for the shared cache dir
@@ -97,7 +99,7 @@ impl OrchestratorConfig {
     pub fn new(spec_path: impl Into<PathBuf>, run_dir: impl Into<PathBuf>) -> Self {
         Self {
             spec_path: spec_path.into(),
-            run_dir: run_dir.into(),
+            run_dir: RunDir::new(run_dir),
             resume: false,
             workers: 2,
             worker_cmd: Vec::new(),
@@ -137,11 +139,10 @@ pub struct OrchestrationOutcome {
     pub workers_spawned: usize,
     /// End-to-end wall-clock.
     pub wall: Duration,
-    /// Fleet-wide metrics rollup as one-line JSON (workers' streamed
-    /// payloads folded with the supervisor's own counters); `Some` only
-    /// when the config asked for telemetry. Also written to
-    /// `<run_dir>/metrics.json`.
-    pub metrics_json: Option<String>,
+    /// Fleet-wide metrics rollup (workers' streamed payloads folded
+    /// with the supervisor's own counters); `Some` only when the config
+    /// asked for telemetry. Also written to the run dir's `metrics.json`.
+    pub metrics: Option<Metrics>,
 }
 
 /// One supervised worker process.
@@ -159,7 +160,7 @@ struct Slot {
     /// The in-flight cell and when its `start` line arrived.
     running: Option<(usize, Instant)>,
     /// Latest cumulative metrics payload streamed by this process.
-    metrics: Option<mlrl_obs::Metrics>,
+    metrics: Option<Metrics>,
     /// Shift (supervisor trace micros) applied to this worker's
     /// streamed trace timestamps, derived from the `hello` epoch
     /// handshake; `None` until (unless) a telemetry hello arrives.
@@ -223,7 +224,7 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
     let mut workers_spawned = 0usize;
     // Fleet-wide rollup: every slot's latest streamed payload (restarted
     // slots keep contributing the cells they finished before crashing).
-    let mut fleet_metrics = mlrl_obs::Metrics::default();
+    let mut fleet_metrics = Metrics::default();
 
     if !assignments.is_empty() {
         let (tx, rx) = mpsc::channel::<Msg>();
@@ -249,7 +250,11 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
         }
         let mut last_live_write = Instant::now();
 
-        while journal.len() < jobs.len() {
+        // Every cell journaled is not the end: the last-finishing
+        // worker's trailing `metrics`/`trace`/`bye` lines land *after* its
+        // final `done`, so run until each worker's reader signals EOF too,
+        // keeping the fleet rollup and worker lifecycle spans complete.
+        while journal.len() < jobs.len() || slots.iter().any(|s| s.alive) {
             let msg = rx
                 .recv()
                 .map_err(|_| "supervisor channel closed unexpectedly".to_owned())?;
@@ -303,16 +308,14 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
                             mlrl_obs::gauge_set("orch.heartbeat.gap_ms", gap.as_secs_f64() * 1e3);
                         }
                         WorkerEvent::Metrics { payload } => {
-                            if let Some(m) = mlrl_obs::Metrics::parse(&payload) {
-                                slots[id].metrics = Some(m);
-                            }
+                            take_worker_metrics(&mut slots[id], &payload);
                         }
                         WorkerEvent::Trace { payload } => {
                             merge_worker_trace(&slots[id], id, &payload);
                         }
                         WorkerEvent::Bye { metrics, .. } => {
-                            if let Some(m) = metrics.as_deref().and_then(mlrl_obs::Metrics::parse) {
-                                slots[id].metrics = Some(m);
+                            if let Some(payload) = metrics {
+                                take_worker_metrics(&mut slots[id], &payload);
                             }
                             progress.set_state(id, WorkerState::Done);
                         }
@@ -332,7 +335,7 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
                         slots[id].spawned,
                         slots[id].spawned.elapsed(),
                     );
-                    if slots[id].pending.is_empty() {
+                    if slots[id].pending.is_empty() || journal.len() == jobs.len() {
                         progress.set_state(id, WorkerState::Done);
                         continue;
                     }
@@ -349,7 +352,7 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
                             "worker crashed and the restart budget ({}) is exhausted; \
                              journal retained — continue with --resume {}",
                             cfg.max_restarts,
-                            cfg.run_dir.display()
+                            cfg.run_dir.root().display()
                         ));
                     }
                     let remainder: Vec<usize> = slots[id].pending.iter().copied().collect();
@@ -389,60 +392,19 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
                         ));
                     }
                     progress.emit(false);
-                    // Live observability files for `mlrl top`: refreshed
-                    // about once a second, written tmp+rename so a tailing
-                    // reader never sees a torn file. Best-effort — a full
-                    // disk must not kill the campaign.
+                    // Live observability files for `mlrl top`, refreshed
+                    // about once a second. Best-effort — a full disk must
+                    // not kill the campaign.
                     if last_live_write.elapsed() >= Duration::from_millis(900) {
                         last_live_write = Instant::now();
-                        write_fleet_json(cfg, &slots, jobs.len(), journal.len(), progress.eta());
+                        write_fleet(cfg, &slots, jobs.len(), journal.len(), progress.eta());
                         if cfg.telemetry {
                             let mut live = fold_fleet_slots(&slots);
                             live.merge(&mlrl_obs::snapshot());
-                            write_atomic(&cfg.run_dir.join("metrics.json"), &live.to_json());
+                            let _ = cfg.run_dir.write_metrics(&live);
                         }
                     }
                 }
-            }
-        }
-        // Every cell is journaled, but the last-finishing worker's
-        // trailing `metrics`/`bye` lines land *after* its final `done`:
-        // keep draining until each live worker's reader signals EOF, so
-        // the fleet rollup and worker lifecycle spans stay complete.
-        let mut open = slots.iter().filter(|s| s.alive).count();
-        while open > 0 {
-            match rx.recv() {
-                Ok(Msg::Event(id, WorkerEvent::Metrics { payload })) => {
-                    if let Some(m) = mlrl_obs::Metrics::parse(&payload) {
-                        slots[id].metrics = Some(m);
-                    }
-                }
-                // The final trace flush precedes `bye` — an explicit arm
-                // here, or the catch-all below would silently drop it.
-                Ok(Msg::Event(id, WorkerEvent::Trace { payload })) => {
-                    merge_worker_trace(&slots[id], id, &payload);
-                }
-                Ok(Msg::Event(id, WorkerEvent::Bye { metrics, .. })) => {
-                    if let Some(m) = metrics.as_deref().and_then(mlrl_obs::Metrics::parse) {
-                        slots[id].metrics = Some(m);
-                    }
-                    progress.set_state(id, WorkerState::Done);
-                }
-                Ok(Msg::Stderr(line)) => progress.passthrough(&line),
-                Ok(Msg::Eof(id)) => {
-                    let _ = slots[id].child.wait();
-                    slots[id].alive = false;
-                    mlrl_obs::record_complete(
-                        format!("worker {id}"),
-                        slots[id].lane,
-                        slots[id].spawned,
-                        slots[id].spawned.elapsed(),
-                    );
-                    progress.set_state(id, WorkerState::Done);
-                    open -= 1;
-                }
-                Ok(_) => {}
-                Err(_) => break,
             }
         }
         // Flush any worker stderr that arrived after the last EOF
@@ -455,7 +417,7 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
         fleet_metrics = fold_fleet_slots(&slots);
         // Final fleet snapshot so `mlrl top` on a finished run dir shows
         // settled per-worker states instead of the last live tick.
-        write_fleet_json(cfg, &slots, jobs.len(), journal.len(), progress.eta());
+        write_fleet(cfg, &slots, jobs.len(), journal.len(), progress.eta());
         progress.emit(true);
         progress.finish();
     }
@@ -464,18 +426,13 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
 
     // The fleet rollup: workers' streamed payloads folded with the
     // supervisor's own counters/gauges, persisted beside the journal.
-    let metrics_json = if cfg.telemetry {
+    let metrics = if cfg.telemetry {
         fleet_metrics.merge(&mlrl_obs::snapshot());
-        let json = fleet_metrics.to_json();
-        let path = cfg.run_dir.join("metrics.json");
-        std::fs::write(&path, format!("{json}\n"))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        cfg.run_dir.write_metrics(&fleet_metrics)?;
         // The merged timeline: workers' streamed spans on `w<slot>/`
         // lanes interleaved with the supervisor's own `orch/` events.
-        let trace_path = cfg.run_dir.join("trace.json");
-        mlrl_obs::write_trace_json(&trace_path)
-            .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
-        Some(json)
+        cfg.run_dir.write_trace()?;
+        Some(fleet_metrics)
     } else {
         None
     };
@@ -483,16 +440,14 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
     // The in-process merge: replay the journal through the same
     // validator shard merging uses, proving the record set is complete
     // and gap-free, and emitting the exact canonical unsharded bytes.
-    let mut stream = format!(
-        "{{\"campaign\":\"{}\",\"jobs\":{}}}\n",
-        escape_for_header(&spec.name),
-        journal.len()
-    );
+    let mut stream = header_line(&spec.name, journal.len(), None);
+    stream.push('\n');
     for line in journal.completed().values() {
         stream.push_str(line);
         stream.push('\n');
     }
     let canonical = merge_canonical_streams(&[stream])?;
+    cfg.run_dir.write_merged(&canonical)?;
     let failed_cells = journal
         .completed()
         .values()
@@ -509,7 +464,7 @@ pub fn orchestrate(cfg: &OrchestratorConfig) -> Result<OrchestrationOutcome, Str
         restarts,
         workers_spawned,
         wall: started.elapsed(),
-        metrics_json,
+        metrics,
     })
 }
 
@@ -544,14 +499,23 @@ fn merge_worker_trace(slot: &Slot, id: usize, payload: &str) {
     }
 }
 
+/// Keep a worker's streamed cumulative rollup; one that does not parse
+/// in full is counted and dropped.
+fn take_worker_metrics(slot: &mut Slot, payload: &str) {
+    match Metrics::parse(payload) {
+        Some(m) => slot.metrics = Some(m),
+        None => mlrl_obs::counter_add("orch.metrics.rejected", 1),
+    }
+}
+
 /// Fold every slot's latest streamed rollup into one fleet rollup.
 /// Gauges are max-merged, so same-named per-worker gauges (every worker
 /// process reports `pool.worker0.utilization`) would collapse to a
 /// single fleet-wide value — namespace each slot's gauges by worker id
 /// before folding; counters, span stats, and histograms merge
 /// additively and need no prefix.
-fn fold_fleet_slots(slots: &[Slot]) -> mlrl_obs::Metrics {
-    let mut fleet = mlrl_obs::Metrics::default();
+fn fold_fleet_slots(slots: &[Slot]) -> Metrics {
+    let mut fleet = Metrics::default();
     for (id, slot) in slots.iter().enumerate() {
         if let Some(m) = &slot.metrics {
             let mut namespaced = m.clone();
@@ -566,76 +530,43 @@ fn fold_fleet_slots(slots: &[Slot]) -> mlrl_obs::Metrics {
     fleet
 }
 
-/// Write `content` (newline-terminated) to `path` via a sibling temp
-/// file and rename, so a concurrent reader (`mlrl top`) never observes
-/// a torn write. Best-effort: errors are swallowed — live observability
-/// must never kill the campaign.
-fn write_atomic(path: &std::path::Path, content: &str) {
-    let tmp = path.with_extension("json.tmp");
-    if std::fs::write(&tmp, format!("{content}\n")).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
-    }
-}
-
-/// The live fleet snapshot `mlrl top` tails: campaign progress, blended
-/// ETA, and per-slot state/heartbeat-age/in-flight cell, as one line of
-/// JSON in `<run_dir>/fleet.json`. Written on a ~1s throttle during the
-/// run and once more at the end (telemetry on or off — it derives from
-/// protocol traffic, not from worker metrics).
-fn write_fleet_json(
+/// Replaces the run dir's fleet snapshot, on a ~1s throttle and once
+/// more at the end (telemetry on or off — it derives from protocol
+/// traffic, not from worker metrics). Best-effort, like every live file.
+fn write_fleet(
     cfg: &OrchestratorConfig,
     slots: &[Slot],
     cells_total: usize,
     cells_done: usize,
     eta: Option<Duration>,
 ) {
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap_or_default()
-        .as_millis() as u64;
-    let mut out = format!(
-        "{{\"updated_unix_ms\":{unix_ms},\"cells_total\":{cells_total},\
-         \"cells_done\":{cells_done},\"eta_s\":"
-    );
-    match eta {
-        Some(d) => out.push_str(&d.as_secs().to_string()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"workers\":[");
-    for (id, slot) in slots.iter().enumerate() {
-        if id > 0 {
-            out.push(',');
-        }
-        let state = if !slot.alive {
-            if slot.pending.is_empty() {
-                "done"
-            } else {
-                "crashed"
-            }
-        } else if slot.killing {
-            "wedged"
-        } else if slot.running.is_some() {
-            "running"
-        } else if slot.pending.is_empty() {
-            "draining"
-        } else {
-            "idle"
+    let workers = slots.iter().enumerate().map(|(id, slot)| {
+        let idle = slot.pending.is_empty();
+        let state = match (slot.alive, slot.killing, slot.running.is_some()) {
+            (false, ..) if idle => "done",
+            (false, ..) => "crashed",
+            (true, true, _) => "wedged",
+            (true, false, true) => "running",
+            _ if idle => "draining",
+            _ => "idle",
         };
-        out.push_str(&format!(
-            "{{\"id\":{id},\"state\":\"{state}\",\"pending\":{},\"hb_ms\":{}",
-            slot.pending.len(),
-            slot.last_seen.elapsed().as_millis()
-        ));
-        if let Some((cell, since)) = slot.running {
-            out.push_str(&format!(
-                ",\"cell\":{cell},\"cell_ms\":{}",
-                since.elapsed().as_millis()
-            ));
+        FleetWorker {
+            id: id as u64,
+            state: state.to_owned(),
+            pending: slot.pending.len() as u64,
+            hb_ms: slot.last_seen.elapsed().as_millis() as u64,
+            cell: slot
+                .running
+                .map(|(cell, since)| (cell as u64, since.elapsed().as_millis() as u64)),
         }
-        out.push('}');
-    }
-    out.push_str("]}");
-    write_atomic(&cfg.run_dir.join("fleet.json"), &out);
+    });
+    let _ = cfg.run_dir.write_fleet(&Fleet {
+        updated_unix_ms: unix_ms(),
+        cells_total: cells_total as u64,
+        cells_done: cells_done as u64,
+        eta_s: eta.map(|d| d.as_secs()),
+        workers: workers.collect(),
+    });
 }
 
 /// Spawns one worker process over `cells` and its stdout reader thread.
@@ -649,10 +580,7 @@ fn spawn_worker(
         .worker_cmd
         .split_first()
         .ok_or("orchestrator config lists no worker command")?;
-    let cache_dir = cfg
-        .cache_dir
-        .clone()
-        .unwrap_or_else(|| cfg.run_dir.join("cache"));
+    let cache_dir = cfg.cache_dir.clone().unwrap_or_else(|| cfg.run_dir.cache());
     let csv: Vec<String> = cells.iter().map(usize::to_string).collect();
     let mut command = Command::new(program);
     command

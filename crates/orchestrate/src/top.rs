@@ -4,28 +4,21 @@
 //! fleet view: campaign progress with the supervisor's blended ETA,
 //! per-worker state / heartbeat age / utilization with stale-worker
 //! highlighting, p50/p90/p99 cell latency, cache hit rates, process
-//! memory, and the slowest in-flight cells. Three sources, each written
-//! by the supervisor ([`crate::supervise`]):
-//!
-//! - `journal.jsonl` — ground truth for progress (required; every run
-//!   has one),
-//! - `fleet.json` — the ~1s live snapshot of per-slot protocol state
-//!   (optional; older runs predate it),
-//! - `metrics.json` — the fleet telemetry rollup (optional; only
-//!   written under `--telemetry`).
-//!
-//! Everything optional degrades to a note, never an error, so `mlrl
-//! top` works on any run dir from any mlrl version. `--once` emits a
+//! memory, and the slowest in-flight cells, all read from the
+//! [`crate::run_dir`]. Only the journal is required: a missing fleet
+//! snapshot (older runs) or metrics rollup (runs without telemetry)
+//! degrades to a note, so `mlrl top` works on any run dir. `--once` emits a
 //! single plain snapshot for scripts and CI; live mode redraws until
 //! the journal completes.
 
 use std::path::Path;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
-use mlrl_obs::{json, Metrics};
+use mlrl_obs::Metrics;
 
 use crate::journal::read_journal;
 use crate::report::fmt_us;
+use crate::run_dir::{unix_ms, RunDir};
 
 /// Knobs for [`render_top`] / [`run_top`].
 #[derive(Debug, Clone)]
@@ -46,52 +39,6 @@ impl Default for TopOptions {
             top_k: 3,
         }
     }
-}
-
-/// One worker row of `fleet.json`.
-struct FleetWorker {
-    id: u64,
-    state: String,
-    pending: u64,
-    hb_ms: u64,
-    cell: Option<u64>,
-    cell_ms: Option<u64>,
-}
-
-/// Parsed `fleet.json` (see [`crate::supervise`] for the writer).
-struct Fleet {
-    updated_unix_ms: u64,
-    eta_s: Option<u64>,
-    workers: Vec<FleetWorker>,
-}
-
-fn read_fleet(run_dir: &Path) -> Option<Fleet> {
-    let text = std::fs::read_to_string(run_dir.join("fleet.json")).ok()?;
-    let doc = json::parse(text.trim())?;
-    let obj = doc.as_object()?;
-    let num = |v: &json::Value| v.as_f64().map(|n| n as u64);
-    let mut workers = Vec::new();
-    for w in obj.get("workers")?.as_array()? {
-        let w = w.as_object()?;
-        workers.push(FleetWorker {
-            id: num(w.get("id")?)?,
-            state: w.get("state")?.as_str()?.to_owned(),
-            pending: num(w.get("pending")?)?,
-            hb_ms: num(w.get("hb_ms")?)?,
-            cell: w.get("cell").and_then(num),
-            cell_ms: w.get("cell_ms").and_then(num),
-        });
-    }
-    Some(Fleet {
-        updated_unix_ms: num(obj.get("updated_unix_ms")?)?,
-        eta_s: obj.get("eta_s").and_then(num),
-        workers,
-    })
-}
-
-fn read_metrics(run_dir: &Path) -> Option<Metrics> {
-    let text = std::fs::read_to_string(run_dir.join("metrics.json")).ok()?;
-    Metrics::parse(text.trim())
 }
 
 fn fmt_secs(ms: u64) -> String {
@@ -124,9 +71,10 @@ fn worker_utilization(metrics: &Metrics, id: u64) -> Option<f64> {
 /// Render one plain-text snapshot of the run. Journal absence is the
 /// only error; every other missing source degrades to a note.
 pub fn render_top(run_dir: &Path, opts: &TopOptions) -> Result<String, String> {
-    let journal = read_journal(run_dir)?;
-    let fleet = read_fleet(run_dir);
-    let metrics = read_metrics(run_dir);
+    let run_dir = RunDir::new(run_dir);
+    let journal = read_journal(&run_dir)?;
+    let fleet = run_dir.read_fleet();
+    let metrics = run_dir.read_metrics();
     let mut out = String::new();
 
     // Header: progress, ETA, snapshot freshness.
@@ -148,11 +96,7 @@ pub fn render_top(run_dir: &Path, opts: &TopOptions) -> Result<String, String> {
                 None => out.push_str(" · ETA -"),
             }
         }
-        let now_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .unwrap_or_default()
-            .as_millis() as u64;
-        let age = now_ms.saturating_sub(f.updated_unix_ms);
+        let age = unix_ms().saturating_sub(f.updated_unix_ms);
         out.push_str(&format!(" · updated {} ago", fmt_secs(age)));
     }
     out.push('\n');
@@ -162,10 +106,9 @@ pub fn render_top(run_dir: &Path, opts: &TopOptions) -> Result<String, String> {
         Some(f) => {
             out.push_str("workers\n");
             for w in &f.workers {
-                let cell = match (w.cell, w.cell_ms) {
-                    (Some(c), Some(ms)) => format!("cell #{c} ({})", fmt_secs(ms)),
-                    (Some(c), None) => format!("cell #{c}"),
-                    _ => "-".to_owned(),
+                let cell = match w.cell {
+                    Some((c, ms)) => format!("cell #{c} ({})", fmt_secs(ms)),
+                    None => "-".to_owned(),
                 };
                 let util = metrics
                     .as_ref()
@@ -257,7 +200,7 @@ pub fn render_top(run_dir: &Path, opts: &TopOptions) -> Result<String, String> {
             .workers
             .iter()
             .filter(|w| w.state == "running")
-            .filter_map(|w| Some((w.cell_ms?, w.cell?, w.id)))
+            .filter_map(|w| w.cell.map(|(cell, ms)| (ms, cell, w.id)))
             .collect();
         inflight.sort_unstable_by(|a, b| b.cmp(a));
         if !inflight.is_empty() {
@@ -286,7 +229,7 @@ pub fn run_top(run_dir: &Path, opts: &TopOptions, once: bool) -> Result<(), Stri
         print!("\x1b[2J\x1b[H{frame}");
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
-        let journal = read_journal(run_dir)?;
+        let journal = read_journal(&RunDir::new(run_dir))?;
         if journal.jobs > 0 && journal.records.len() >= journal.jobs {
             return Ok(());
         }

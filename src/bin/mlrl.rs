@@ -31,15 +31,14 @@
 //! canonical output bytes are identical with it on or off. Under
 //! `orchestrate`, workers run with `--telemetry` and stream cumulative
 //! rollups *and incremental trace chunks* over the line protocol; the
-//! supervisor aggregates the fleet into `<run-dir>/metrics.json` and
-//! merges every worker's spans onto one skew-corrected timeline in
-//! `<run-dir>/trace.json` (worker lanes namespaced `w<slot>/`,
-//! supervisor-synthesized lanes `orch/`). `--trace-sample N` keeps
-//! 1-in-N hot-class spans (phase and cell spans always kept; aggregate
-//! stats stay exact) to bound trace volume on long runs.
+//! supervisor folds them into the run dir's fleet metrics rollup and
+//! one skew-corrected trace (worker lanes namespaced `w<slot>/`,
+//! supervisor-synthesized lanes `orch/`); `mlrl_orchestrate::run_dir`
+//! names the files. `--trace-sample N` keeps 1-in-N hot-class spans
+//! (phase and cell spans always kept; aggregate stats stay exact) to
+//! bound trace volume on long runs.
 //!
-//! `top` is the live fleet console: it tails a run directory's
-//! `journal.jsonl` / `fleet.json` / `metrics.json` and renders
+//! `top` is the live fleet console: it tails a run directory and renders
 //! campaign progress with ETA, per-worker state, heartbeat age and
 //! utilization (stale workers flagged), p50/p90/p99 cell latency,
 //! cache hit rates, and process memory. `--once` prints a single
@@ -461,9 +460,10 @@ fn emit_protocol_line(line: &str) {
 /// it existing runs normally (so the restarted/resumed worker gets
 /// through). `MLRL_FAULT_TRACE=1` turns a telemetry worker hostile for
 /// protocol-compat tests: after every completion it interleaves an
-/// unknown verb, a truncated trace chunk, and a non-JSON trace payload
-/// with the real stream — none of which may corrupt canonical output
-/// or the supervisor's merged trace.
+/// unknown verb, a truncated trace chunk, a non-JSON trace payload and a
+/// metrics payload with a negative counter with the real stream — none
+/// of which may corrupt canonical output, the fleet rollup or the
+/// supervisor's merged trace.
 const WORKER: Command = Command(&[
     "mlrl worker <spec.txt> [--cells 0,2,5] [--threads N] [--opt-level o0|o1|o2]",
     "[--cache-dir DIR] [--cache-cap BYTES] [--heartbeat-ms MS] [--telemetry]",
@@ -569,11 +569,12 @@ fn cmd_worker(args: &Parsed) -> Result<(), String> {
                     emit_protocol_line(&protocol::metrics_line(&mlrl::obs::snapshot().to_json()));
                     if fault_trace {
                         // Hostile-stream injection: an unknown verb, a
-                        // truncated chunk, and a non-JSON payload, all
-                        // interleaved with the real traffic.
+                        // truncated chunk, a non-JSON payload and a bad
+                        // metrics payload, interleaved with the real traffic.
                         emit_protocol_line("zorp 42");
                         emit_protocol_line("trace {\"lanes\":[\"main\"");
                         emit_protocol_line(&protocol::trace_line("not json at all"));
+                        emit_protocol_line("metrics {\"counters\":{\"cells.completed\":-5}}");
                     }
                     if let Some(chunk) = mlrl::obs::drain_trace_chunk() {
                         emit_protocol_line(&protocol::trace_line(&chunk));
@@ -629,15 +630,12 @@ fn cmd_orchestrate(args: &Parsed) -> Result<(), String> {
     let path = args.required(0)?;
     let telemetry = Telemetry::parse(args)?;
     let (run_dir, resume) = match args.value("--resume") {
-        Some(dir) => (PathBuf::from(dir), true),
-        None => (
-            PathBuf::from(args.value("--run-dir").unwrap_or("mlrl-run")),
-            false,
-        ),
+        Some(dir) => (dir, true),
+        None => (args.value("--run-dir").unwrap_or("mlrl-run"), false),
     };
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
 
-    let mut cfg = OrchestratorConfig::new(path, &run_dir);
+    let mut cfg = OrchestratorConfig::new(path, run_dir);
     cfg.resume = resume;
     cfg.workers = args.num("--workers", 2usize)?.max(1);
     cfg.worker_cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_owned()];
@@ -670,16 +668,13 @@ fn cmd_orchestrate(args: &Parsed) -> Result<(), String> {
 
     let outcome = orchestrate(&cfg)?;
 
-    let merged_path = run_dir.join("merged.jsonl");
-    fs::write(&merged_path, &outcome.canonical)
-        .map_err(|e| format!("cannot write {}: {e}", merged_path.display()))?;
     if let Some(out) = args.value("--jsonl") {
         fs::write(out, &outcome.canonical).map_err(|e| e.to_string())?;
     }
     if args.has("--canonical") {
         print!("{}", outcome.canonical);
     }
-    telemetry.write(outcome.metrics_json.as_deref())?;
+    telemetry.write(outcome.metrics.as_ref())?;
     eprintln!(
         "orchestrated `{}`: {} cells ({} resumed, {} executed, {} failed) on {} worker process(es), {} restart(s), {} ms; merged -> {}",
         outcome.campaign,
@@ -690,7 +685,7 @@ fn cmd_orchestrate(args: &Parsed) -> Result<(), String> {
         outcome.workers_spawned,
         outcome.restarts,
         outcome.wall.as_millis(),
-        merged_path.display(),
+        cfg.run_dir.merged().display(),
     );
     if outcome.failed_cells > 0 {
         return Err(format!("{} cell(s) failed", outcome.failed_cells));
@@ -764,11 +759,5 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    mlrl::engine::cli::run_main(run)
 }

@@ -306,7 +306,21 @@ fn unparsable_numeric_flags_are_usage_errors() {
 }
 
 #[test]
-fn every_subcommand_rejects_an_unknown_flag_before_any_work() {
+fn a_closed_stdout_ends_the_command_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = mlrl()
+        .args(["gen", "FIR"])
+        .stdout(writer)
+        .output()
+        .expect("run gen");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+}
+
+#[test]
+fn every_subcommand_rejects_unknown_flags_and_surplus_operands_before_any_work() {
     let dir = tmpdir("unknown-flag");
     let design = dir.join("fir.v");
     let design = design.to_str().unwrap();
@@ -353,6 +367,23 @@ fn every_subcommand_rejects_an_unknown_flag_before_any_work() {
         assert!(
             stderr.contains("unknown flag `--threds`")
                 && stderr.contains(&format!("usage: mlrl {} ", argv[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+        assert!(!std::path::Path::new(written).exists(), "{args:?} wrote");
+        // One operand more than the usage line names (`mlrl gen FIR 7`
+        // meant `--seed 7`) is as much a usage error; `merge` takes any
+        // number of shards.
+        if argv[0] == "merge" {
+            continue;
+        }
+        let mut args = argv.clone();
+        args.push("7");
+        let out = mlrl().args(&args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unexpected operand `7`"),
             "{args:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{args:?} printed output");

@@ -392,6 +392,13 @@ fn traced_orchestrations_aggregate_worker_metrics_without_perturbing_bytes() {
     );
 
     // The supervisor drops the same rollup next to the journal.
+    // Every run-dir file was replaced whole: no temp file is left over.
+    let leftovers: Vec<String> = std::fs::read_dir(&run_dir)
+        .expect("list run dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
     let in_run_dir = std::fs::read_to_string(run_dir.join("metrics.json"))
         .expect("run dir holds the fleet rollup");
     assert_eq!(in_run_dir, rollup);
@@ -494,9 +501,9 @@ fn traced_orchestrations_aggregate_worker_metrics_without_perturbing_bytes() {
 
 /// Protocol compatibility under a hostile trace stream: with
 /// `MLRL_FAULT_TRACE=1` every worker interleaves unknown verbs,
-/// truncated trace chunks, and non-JSON trace payloads with its real
-/// traffic — and the orchestration must still emit the exact bytes and
-/// a well-formed merged trace.
+/// truncated trace chunks, non-JSON trace payloads and a metrics payload
+/// with a negative counter with its real traffic — and the orchestration
+/// must still emit the exact bytes and a well-formed merged trace.
 #[test]
 fn hostile_trace_streams_never_corrupt_bytes_or_the_merged_trace() {
     let dir = tmpdir("fault-trace");
@@ -540,6 +547,14 @@ fn hostile_trace_streams_never_corrupt_bytes_or_the_merged_trace() {
             .get("orch.trace.rejected")
             .is_some_and(|&n| n >= 1),
         "rejected chunks must be counted (counters: {:?})",
+        metrics.counters
+    );
+    assert!(
+        metrics
+            .counters
+            .get("orch.metrics.rejected")
+            .is_some_and(|&n| n >= 1),
+        "rejected metrics payloads must be counted (counters: {:?})",
         metrics.counters
     );
     let _ = std::fs::remove_dir_all(&dir);
