@@ -8,8 +8,6 @@
 //! flags and operands mix in any order. When a flag repeats, the first
 //! occurrence wins. [`run_main`] is the `main` of every binary.
 
-use std::any::Any;
-use std::io::ErrorKind;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::process::ExitCode;
@@ -213,12 +211,11 @@ pub fn run_main(body: impl FnOnce() -> Result<(), String>) -> ExitCode {
 
 /// Whether a panic is `print!`'s report of a write to a closed pipe
 /// (`failed printing to stdout: Broken pipe (os error 32)`).
-fn is_closed_stdout(payload: &(dyn Any + Send)) -> bool {
+fn is_closed_stdout(payload: &(dyn std::any::Any + Send)) -> bool {
     let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+    let broken_pipe = std::io::ErrorKind::BrokenPipe.to_string();
     message.starts_with("failed printing to stdout")
-        && message
-            .to_ascii_lowercase()
-            .contains(&ErrorKind::BrokenPipe.to_string())
+        && message.to_ascii_lowercase().contains(&broken_pipe)
 }
 
 /// The `--opt-level`, when passed; a bad one errs with the valid levels.

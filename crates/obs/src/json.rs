@@ -275,16 +275,20 @@ impl<'a> Writer<'a> {
     /// A string, escaped.
     pub fn str(&mut self, s: &str) -> &mut Self {
         self.token(format_args!("\""));
-        for c in s.chars() {
-            let _ = match c {
-                '"' => self.0.write_str("\\\""),
-                '\\' => self.0.write_str("\\\\"),
-                '\n' => self.0.write_str("\\n"),
-                '\r' => self.0.write_str("\\r"),
-                '\t' => self.0.write_str("\\t"),
-                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32),
-                c => self.0.write_char(c),
-            };
+        if s.bytes().any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f)) {
+            for c in s.chars() {
+                let _ = match c {
+                    '"' => self.0.write_str("\\\""),
+                    '\\' => self.0.write_str("\\\\"),
+                    '\n' => self.0.write_str("\\n"),
+                    '\r' => self.0.write_str("\\r"),
+                    '\t' => self.0.write_str("\\t"),
+                    c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32),
+                    c => self.0.write_char(c),
+                };
+            }
+        } else {
+            self.0.push_str(s);
         }
         self.0.push('"');
         self

@@ -139,9 +139,8 @@ pub struct OrchestrationOutcome {
     pub workers_spawned: usize,
     /// End-to-end wall-clock.
     pub wall: Duration,
-    /// Fleet-wide metrics rollup (workers' streamed payloads folded
-    /// with the supervisor's own counters); `Some` only when the config
-    /// asked for telemetry. Also written to the run dir's `metrics.json`.
+    /// Fleet-wide metrics rollup (workers' payloads folded with the
+    /// supervisor's own), also in the run dir; `Some` under telemetry.
     pub metrics: Option<Metrics>,
 }
 
