@@ -61,9 +61,7 @@ impl RunDir {
 
     /// Replaces `metrics.json` with `metrics`.
     pub fn write_metrics(&self, metrics: &Metrics) -> Result<(), String> {
-        let mut text = metrics.to_json();
-        text.push('\n');
-        self.write("metrics.json", &text)
+        self.write("metrics.json", &(metrics.to_json() + "\n"))
     }
 
     /// The metrics rollup, when `metrics.json` exists and parses.

@@ -320,7 +320,7 @@ fn a_closed_stdout_ends_the_command_quietly() {
 }
 
 #[test]
-fn every_subcommand_rejects_unknown_flags_and_surplus_operands_before_any_work() {
+fn every_subcommand_rejects_an_unknown_flag_before_any_work() {
     let dir = tmpdir("unknown-flag");
     let design = dir.join("fir.v");
     let design = design.to_str().unwrap();
