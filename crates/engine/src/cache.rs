@@ -18,7 +18,10 @@
 //!
 //! With a spill directory configured, locked modules, training sets, and
 //! lowered netlists also persist as files named by their content hash, so
-//! separate CLI invocations of the same spec warm-start from disk. A
+//! separate CLI invocations of the same spec warm-start from disk. Each
+//! artifact is one file: a header line with the kind, a format version,
+//! the payload length and the payload's FNV-1a 64, then a text payload.
+//! A file that fails any check is rebuilt, never trusted. A
 //! long-lived spill directory (an orchestrated multi-day sweep, a shared
 //! `--cache-dir` across campaigns) can additionally be *capped*
 //! ([`ArtifactCache::with_spill_dir_capped`]): when the on-disk bytes
@@ -77,6 +80,9 @@ pub struct CacheStats {
     pub lowered_misses: usize,
     /// Spill files deleted by the LRU cap (capped spill dirs only).
     pub evictions: usize,
+    /// Spill files that existed but failed a check (torn, corrupt, or of
+    /// another format version); each was rebuilt and spilled again.
+    pub rejected: usize,
 }
 
 impl CacheStats {
@@ -98,6 +104,7 @@ impl CacheStats {
             lowered_hits: self.lowered_hits.saturating_sub(earlier.lowered_hits),
             lowered_misses: self.lowered_misses.saturating_sub(earlier.lowered_misses),
             evictions: self.evictions.saturating_sub(earlier.evictions),
+            rejected: self.rejected.saturating_sub(earlier.rejected),
         }
     }
 }
@@ -140,13 +147,15 @@ struct Shard<T> {
     map: Mutex<HashMap<u64, Slot<T>>>,
 }
 
-impl<T> Shard<T> {
-    fn new() -> Self {
+impl<T> Default for Shard<T> {
+    fn default() -> Self {
         Self {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::default(),
         }
     }
+}
 
+impl<T> Shard<T> {
     /// Fetches `key`, building on miss with in-flight deduplication:
     /// concurrent requesters of the same key block on the slot's lock
     /// while the first one builds, then receive the built value as a
@@ -194,6 +203,7 @@ struct SpillEntry {
 /// LRU index over a spill directory. Only consulted when a cap is set;
 /// shared spill dirs (co-located shards) may race deletions, which
 /// degrades to a miss on the loser's side — never an error.
+#[derive(Default)]
 struct SpillIndex {
     seq: u64,
     /// Running sum of `entries` sizes, maintained incrementally so the
@@ -219,11 +229,7 @@ impl SpillIndex {
             }
         }
         files.sort_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
-        let mut index = SpillIndex {
-            seq: 0,
-            total: 0,
-            entries: HashMap::new(),
-        };
+        let mut index = SpillIndex::default();
         for (path, size, _) in files {
             index.touch(&path, size);
         }
@@ -258,6 +264,7 @@ struct Spill {
 }
 
 /// Thread-safe content-addressed store for campaign artifacts.
+#[derive(Default)]
 pub struct ArtifactCache {
     designs: Shard<Module>,
     locked: Shard<LockedArtifact>,
@@ -271,39 +278,24 @@ pub struct ArtifactCache {
     lowered_hits: AtomicUsize,
     lowered_misses: AtomicUsize,
     evictions: AtomicUsize,
+    rejected: AtomicUsize,
     spill: Option<Spill>,
 }
 
 impl ArtifactCache {
     /// Fresh in-memory cache.
     pub fn new() -> Self {
-        Self {
-            designs: Shard::new(),
-            locked: Shard::new(),
-            training: Shard::new(),
-            lowered: Shard::new(),
-            texts: Shard::new(),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            lowered_hits: AtomicUsize::new(0),
-            lowered_misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            spill: None,
-        }
+        Self::default()
     }
 
-    /// Fresh cache that also persists locked modules and training sets
-    /// under `dir` (created on first write).
+    /// Fresh cache that also persists locked modules, training sets and
+    /// lowered netlists under `dir` (created on first write).
     pub fn with_spill_dir(dir: impl Into<PathBuf>) -> Self {
         Self {
             spill: Some(Spill {
                 dir: dir.into(),
                 cap: None,
-                index: Mutex::new(SpillIndex {
-                    seq: 0,
-                    total: 0,
-                    entries: HashMap::new(),
-                }),
+                index: Mutex::default(),
             }),
             ..Self::new()
         }
@@ -313,10 +305,7 @@ impl ArtifactCache {
     /// spilled files exceed `cap_bytes`, the least-recently-used ones are
     /// deleted until the directory fits again. Pre-existing files are
     /// indexed oldest-modified-first, so a long-lived shared cache dir
-    /// sheds its stalest artifacts first. Evicting one file of a
-    /// multi-file artifact (a locked module's `.v`/`.key` pair) turns the
-    /// whole artifact into a miss; the orphan is reclaimed by a later
-    /// eviction round.
+    /// sheds its stalest artifacts first.
     pub fn with_spill_dir_capped(dir: impl Into<PathBuf>, cap_bytes: u64) -> Self {
         let dir = dir.into();
         let index = Mutex::new(SpillIndex::scan(&dir));
@@ -338,6 +327,7 @@ impl ArtifactCache {
             lowered_hits: self.lowered_hits.load(Ordering::Relaxed),
             lowered_misses: self.lowered_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
 
@@ -396,18 +386,7 @@ impl ArtifactCache {
         content_key: u64,
         build: impl FnOnce() -> Result<LockedArtifact, String>,
     ) -> Result<Arc<LockedArtifact>, String> {
-        let mut from_disk = false;
-        let (value, mem_hit) = self.locked.get_or_build(content_key, || {
-            if let Some(found) = self.load_locked(content_key) {
-                from_disk = true;
-                return Ok(found);
-            }
-            let built = build()?;
-            self.store_locked(content_key, &built);
-            Ok(built)
-        })?;
-        self.record(mem_hit || from_disk);
-        Ok(value)
+        Ok(self.fetch(&self.locked, content_key, build)?.0)
     }
 
     /// Fetches or builds a relock training set, consulting the spill
@@ -417,21 +396,9 @@ impl ArtifactCache {
         content_key: u64,
         build: impl FnOnce() -> TrainingSet,
     ) -> Arc<TrainingSet> {
-        let mut from_disk = false;
-        let (value, mem_hit) = self
-            .training
-            .get_or_build(content_key, || {
-                if let Some(found) = self.load_training(content_key) {
-                    from_disk = true;
-                    return Ok(found);
-                }
-                let built = build();
-                self.store_training(content_key, &built);
-                Ok(built)
-            })
-            .expect("training build is infallible");
-        self.record(mem_hit || from_disk);
-        value
+        self.fetch(&self.training, content_key, || Ok(build()))
+            .expect("training build is infallible")
+            .0
     }
 
     /// Fetches or builds a lowered (and possibly gate-locked) netlist,
@@ -448,18 +415,7 @@ impl ArtifactCache {
         content_key: u64,
         build: impl FnOnce() -> Result<LoweredArtifact, String>,
     ) -> Result<Arc<LoweredArtifact>, String> {
-        let mut from_disk = false;
-        let (value, mem_hit) = self.lowered.get_or_build(content_key, || {
-            if let Some(found) = self.load_lowered(content_key) {
-                from_disk = true;
-                return Ok(found);
-            }
-            let built = build()?;
-            self.store_lowered(content_key, &built);
-            Ok(built)
-        })?;
-        let hit = mem_hit || from_disk;
-        self.record(hit);
+        let (value, hit) = self.fetch(&self.lowered, content_key, build)?;
         if hit {
             self.lowered_hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -468,196 +424,81 @@ impl ArtifactCache {
         Ok(value)
     }
 
-    // -- disk spill ----------------------------------------------------
+    /// Memory, then the spill file, then `build` (whose result is
+    /// spilled). Returns the artifact and whether it was a hit.
+    fn fetch<T: Spilled>(
+        &self,
+        shard: &Shard<T>,
+        content_key: u64,
+        build: impl FnOnce() -> Result<T, String>,
+    ) -> Result<(Arc<T>, bool), String> {
+        let mut from_disk = false;
+        let (value, mem_hit) = shard.get_or_build(content_key, || {
+            if let Some(found) = self.load(content_key) {
+                from_disk = true;
+                return Ok(found);
+            }
+            let built = build()?;
+            self.store(content_key, &built);
+            Ok(built)
+        })?;
+        let hit = mem_hit || from_disk;
+        self.record(hit);
+        Ok((value, hit))
+    }
 
-    fn spill_path(&self, content_key: u64, ext: &str) -> Option<PathBuf> {
+    // -- disk spill: `load` and `store` are all that touch spill files --
+
+    fn spill_path(&self, content_key: u64, kind: &str) -> Option<PathBuf> {
         self.spill
             .as_ref()
-            .map(|s| s.dir.join(format!("{content_key:016x}.{ext}")))
+            .map(|s| s.dir.join(format!("{content_key:016x}.{kind}")))
     }
 
-    /// Reads one spill file, refreshing its recency in the LRU index so a
-    /// hot artifact in a capped directory outlives cold ones.
-    fn read_spill(&self, path: &Path) -> Option<String> {
-        let _span = mlrl_obs::span("cache.spill.read");
-        let content = std::fs::read_to_string(path).ok()?;
-        if let Some(spill) = self.spill.as_ref().filter(|s| s.cap.is_some()) {
-            spill
-                .index
-                .lock()
-                .expect("spill index poisoned")
-                .touch(path, content.len() as u64);
+    /// Reads and decodes the spill of `content_key`, refreshing its LRU
+    /// recency. A missing file is a plain miss; one that fails any check
+    /// is a miss counted in [`CacheStats::rejected`], and the rebuilt
+    /// artifact is spilled over it.
+    fn load<T: Spilled>(&self, content_key: u64) -> Option<T> {
+        let path = self.spill_path(content_key, T::KIND)?;
+        let read = {
+            let _span = mlrl_obs::span("cache.spill.read");
+            std::fs::read_to_string(&path)
+        };
+        let found = match read {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(_) => None,
+            Ok(text) => {
+                if let Some(spill) = self.spill.as_ref().filter(|s| s.cap.is_some()) {
+                    let mut index = spill.index.lock().expect("spill index poisoned");
+                    index.touch(&path, text.len() as u64);
+                }
+                unframe(T::KIND, &text).and_then(T::decode)
+            }
+        };
+        if found.is_none() {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
         }
-        Some(content)
+        found
     }
 
-    fn load_locked(&self, content_key: u64) -> Option<LockedArtifact> {
-        let verilog = self.read_spill(&self.spill_path(content_key, "v")?)?;
-        let sidecar = self.read_spill(&self.spill_path(content_key, "key")?)?;
-        let module = parse_verilog(&verilog).ok()?;
-        let mut lines = sidecar.lines();
-        let bits = lines.next()?;
-        let kinds = lines.next()?;
-        if bits.len() != kinds.len() {
-            return None;
-        }
-        let mut key = Key::new();
-        for (b, k) in bits.chars().zip(kinds.chars()) {
-            let value = match b {
-                '0' => false,
-                '1' => true,
-                _ => return None,
-            };
-            let kind = match k {
-                'O' => KeyBitKind::Operation,
-                'B' => KeyBitKind::Branch,
-                'C' => KeyBitKind::Constant,
-                _ => return None,
-            };
-            key.push(value, kind);
-        }
-        let mut trace = Vec::new();
-        for line in lines {
-            let (n, g) = line.split_once(' ')?;
-            trace.push((n.parse().ok()?, g.parse().ok()?));
-        }
-        let trace = if trace.is_empty() { None } else { Some(trace) };
-        Some(LockedArtifact { module, key, trace })
-    }
-
-    fn store_locked(&self, content_key: u64, artifact: &LockedArtifact) {
-        let (Some(v_path), Some(k_path)) = (
-            self.spill_path(content_key, "v"),
-            self.spill_path(content_key, "key"),
-        ) else {
+    /// Spills `artifact` through [`mlrl_obs::write_atomic`], so a reader
+    /// never sees a torn file; a failed write is a miss next run.
+    fn store<T: Spilled>(&self, content_key: u64, artifact: &T) {
+        let Some(path) = self.spill_path(content_key, T::KIND) else {
             return;
         };
-        let Ok(verilog) = mlrl_rtl::emit::emit_verilog(&artifact.module) else {
+        let Some(payload) = artifact.encode() else {
             return;
         };
-        let mut sidecar = String::new();
-        for &b in artifact.key.as_bits() {
-            sidecar.push(if b { '1' } else { '0' });
-        }
-        sidecar.push('\n');
-        for i in 0..artifact.key.len() as u32 {
-            sidecar.push(match artifact.key.kind(i) {
-                Some(KeyBitKind::Operation) => 'O',
-                Some(KeyBitKind::Branch) => 'B',
-                Some(KeyBitKind::Constant) => 'C',
-                None => return,
-            });
-        }
-        sidecar.push('\n');
-        if let Some(trace) = &artifact.trace {
-            for (n, g) in trace {
-                sidecar.push_str(&format!("{n} {g}\n"));
-            }
-        }
-        self.write_spill(&v_path, &verilog);
-        self.write_spill(&k_path, &sidecar);
-    }
-
-    /// Reads a spilled training set. Two formats: v2 starts with a
-    /// `width <k>` header and carries `k` feature columns plus the label
-    /// per row (any uniform width — 2-wide RTL localities, 5-wide gate
-    /// localities, 3-wide context rows); v1 has no header and is always
-    /// 2-wide. v1 files from older cache dirs keep loading.
-    fn load_training(&self, content_key: u64) -> Option<TrainingSet> {
-        let text = self.read_spill(&self.spill_path(content_key, "train")?)?;
-        let mut lines = text.lines().peekable();
-        let width: usize = match lines.peek().and_then(|l| l.strip_prefix("width ")) {
-            Some(w) => {
-                lines.next();
-                w.parse().ok()?
-            }
-            None => 2,
-        };
-        let mut features = Vec::new();
-        let mut labels = Vec::new();
-        for line in lines {
-            let mut parts = line.split(' ');
-            let mut row = Vec::with_capacity(width);
-            for _ in 0..width {
-                row.push(parts.next()?.parse().ok()?);
-            }
-            let label: usize = parts.next()?.parse().ok()?;
-            if parts.next().is_some() {
-                return None; // corrupt: more columns than the header says
-            }
-            features.push(row);
-            labels.push(label);
-        }
-        Some(TrainingSet { features, labels })
-    }
-
-    /// Writes spill-format v2: a `width <k>` header, then one row of `k`
-    /// feature columns plus the label. Mixed-width sets (no single
-    /// header can describe them) stay memory-only.
-    fn store_training(&self, content_key: u64, training: &TrainingSet) {
-        let Some(path) = self.spill_path(content_key, "train") else {
-            return;
-        };
-        let width = training.features.first().map_or(2, Vec::len);
-        if training.features.iter().any(|f| f.len() != width) {
-            return;
-        }
-        let mut text = format!("width {width}\n");
-        for (f, label) in training.features.iter().zip(&training.labels) {
-            for c in f {
-                text.push_str(&format!("{c} "));
-            }
-            text.push_str(&format!("{label}\n"));
-        }
-        self.write_spill(&path, &text);
-    }
-
-    fn load_lowered(&self, content_key: u64) -> Option<LoweredArtifact> {
-        let text = self.read_spill(&self.spill_path(content_key, "net")?)?;
-        // First line: `gatekey <bits>` sidecar (or `gatekey -` when the
-        // netlist is a plain synthesis); the rest is the serdes format.
-        let (head, body) = text.split_once('\n')?;
-        let bits = head.strip_prefix("gatekey ")?;
-        let key: Vec<bool> = if bits == "-" {
-            Vec::new()
-        } else {
-            bits.chars()
-                .map(|c| match c {
-                    '0' => Some(false),
-                    '1' => Some(true),
-                    _ => None,
-                })
-                .collect::<Option<_>>()?
-        };
-        let netlist = parse_netlist(body).ok()?;
-        Some(LoweredArtifact { netlist, key })
-    }
-
-    fn store_lowered(&self, content_key: u64, artifact: &LoweredArtifact) {
-        let Some(path) = self.spill_path(content_key, "net") else {
-            return;
-        };
-        let mut text = String::from("gatekey ");
-        if artifact.key.is_empty() {
-            text.push('-');
-        } else {
-            for &b in &artifact.key {
-                text.push(if b { '1' } else { '0' });
-            }
-        }
-        text.push('\n');
-        text.push_str(&emit_netlist(&artifact.netlist));
-        self.write_spill(&path, &text);
-    }
-
-    fn write_spill(&self, path: &Path, content: &str) {
         let _span = mlrl_obs::span("cache.spill.write");
+        let mut text = spill_header(T::KIND, &payload);
+        text.push_str(&payload);
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        // Spill failures degrade to cache misses next run; never fatal.
-        if std::fs::write(path, content).is_ok() {
-            self.enforce_spill_cap(path, content.len() as u64);
+        if mlrl_obs::write_atomic(&path, &text).is_ok() {
+            self.enforce_spill_cap(&path, text.len() as u64);
         }
     }
 
@@ -693,9 +534,174 @@ impl ArtifactCache {
     }
 }
 
-impl Default for ArtifactCache {
-    fn default() -> Self {
-        Self::new()
+/// Spill container format version. Bump it when a payload encoding
+/// changes: files of the old version then read as rejected misses.
+const SPILL_VERSION: u32 = 1;
+
+/// The header line of a spill file: [`spill_label`], then the FNV-1a 64
+/// of the payload.
+fn spill_header(kind: &str, payload: &str) -> String {
+    let sum = crate::fnv::fnv1a(payload);
+    format!("{} {sum:016x}\n", spill_label(kind, payload))
+}
+
+/// The kind, the format version and the payload length in bytes.
+fn spill_label(kind: &str, payload: &str) -> String {
+    format!("mlrl-spill {kind} v{SPILL_VERSION} {}", payload.len())
+}
+
+/// The payload of a spill file, borrowed from `text`, when its header
+/// line is the one [`spill_header`] gives for that payload. The payload
+/// is hashed only once its kind, version and length match.
+fn unframe<'a>(kind: &str, text: &'a str) -> Option<&'a str> {
+    let (header, payload) = text.split_once('\n')?;
+    let (label, sum) = header.rsplit_once(' ')?;
+    (label == spill_label(kind, payload) && sum == format!("{:016x}", crate::fnv::fnv1a(payload)))
+        .then_some(payload)
+}
+
+/// An artifact that spills: `KIND` names its file extension and header
+/// kind; `encode` gives `None` for an artifact that stays memory-only.
+trait Spilled: Sized {
+    const KIND: &'static str;
+    fn encode(&self) -> Option<String>;
+    fn decode(payload: &str) -> Option<Self>;
+}
+
+/// Appends the `key <bits>` line (`0`/`1`, `K[0]` first) that opens the
+/// locked and lowered payloads.
+fn push_key_line(out: &mut String, bits: &[bool]) {
+    out.push_str("key ");
+    out.extend(bits.iter().map(|&b| if b { '1' } else { '0' }));
+    out.push('\n');
+}
+
+/// Splits the `key <bits>` line off the front of a payload.
+fn split_key_line(payload: &str) -> Option<(Vec<bool>, &str)> {
+    let (line, rest) = payload.split_once('\n')?;
+    let bits = line
+        .strip_prefix("key ")?
+        .chars()
+        .map(|c| match c {
+            '0' => Some(false),
+            '1' => Some(true),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    Some((bits, rest))
+}
+
+/// The key line, `kinds <O|B|C per bit>`, one `trace <key bits> <M_g_sec>`
+/// line per lock step, then the emitted Verilog.
+impl Spilled for LockedArtifact {
+    const KIND: &'static str = "locked";
+
+    fn encode(&self) -> Option<String> {
+        let mut out = String::new();
+        push_key_line(&mut out, self.key.as_bits());
+        out.push_str("kinds ");
+        for i in 0..self.key.len() as u32 {
+            out.push(match self.key.kind(i)? {
+                KeyBitKind::Operation => 'O',
+                KeyBitKind::Branch => 'B',
+                KeyBitKind::Constant => 'C',
+            });
+        }
+        out.push('\n');
+        for (n, g) in self.trace.iter().flatten() {
+            out.push_str(&format!("trace {n} {g}\n"));
+        }
+        out.push_str(&mlrl_rtl::emit::emit_verilog(&self.module).ok()?);
+        Some(out)
+    }
+
+    fn decode(payload: &str) -> Option<Self> {
+        let (bits, rest) = split_key_line(payload)?;
+        let (kinds, mut rest) = rest.split_once('\n')?;
+        let kinds = kinds.strip_prefix("kinds ")?;
+        if kinds.len() != bits.len() {
+            return None;
+        }
+        let mut key = Key::new();
+        for (b, k) in bits.into_iter().zip(kinds.chars()) {
+            let kind = match k {
+                'O' => KeyBitKind::Operation,
+                'B' => KeyBitKind::Branch,
+                'C' => KeyBitKind::Constant,
+                _ => return None,
+            };
+            key.push(b, kind);
+        }
+        let mut trace = Vec::new();
+        while let Some(step) = rest.strip_prefix("trace ") {
+            let (line, tail) = step.split_once('\n')?;
+            let (n, g) = line.split_once(' ')?;
+            trace.push((n.parse().ok()?, g.parse().ok()?));
+            rest = tail;
+        }
+        let module = parse_verilog(rest).ok()?;
+        let trace = (!trace.is_empty()).then_some(trace);
+        Some(LockedArtifact { module, key, trace })
+    }
+}
+
+/// `width <k>`, then one row per sample: `k` feature columns and the
+/// label. Mixed-width sets, which no single width describes, stay
+/// memory-only.
+impl Spilled for TrainingSet {
+    const KIND: &'static str = "training";
+
+    fn encode(&self) -> Option<String> {
+        let width = self.features.first().map_or(2, Vec::len);
+        if self.features.iter().any(|f| f.len() != width) {
+            return None;
+        }
+        let mut text = format!("width {width}\n");
+        for (f, label) in self.features.iter().zip(&self.labels) {
+            for c in f {
+                text.push_str(&format!("{c} "));
+            }
+            text.push_str(&format!("{label}\n"));
+        }
+        Some(text)
+    }
+
+    fn decode(payload: &str) -> Option<Self> {
+        let (head, rows) = payload.split_once('\n')?;
+        let width: usize = head.strip_prefix("width ")?.parse().ok()?;
+        let mut features = Vec::new();
+        let mut labels = Vec::new();
+        for line in rows.lines() {
+            let mut parts = line.split(' ');
+            // `take`, not `with_capacity(width)`: the width comes from disk.
+            let row = parts.by_ref().take(width).map(|c| c.parse().ok());
+            let row = row.collect::<Option<Vec<_>>>()?;
+            labels.push(parts.next()?.parse().ok()?);
+            if parts.next().is_some() {
+                return None;
+            }
+            features.push(row);
+        }
+        Some(TrainingSet { features, labels })
+    }
+}
+
+/// The key line (`key ` alone for a plain synthesis), then the
+/// [`mlrl_netlist::serdes`] text.
+impl Spilled for LoweredArtifact {
+    const KIND: &'static str = "lowered";
+
+    fn encode(&self) -> Option<String> {
+        let mut out = String::new();
+        push_key_line(&mut out, &self.key);
+        out.push_str(&emit_netlist(&self.netlist));
+        Some(out)
+    }
+
+    fn decode(payload: &str) -> Option<Self> {
+        let (key, body) = split_key_line(payload)?;
+        let netlist = parse_netlist(body).ok()?;
+        Some(LoweredArtifact { netlist, key })
     }
 }
 
@@ -766,28 +772,49 @@ mod tests {
         );
     }
 
+    /// A FIR lock at a small budget, with a metric trace.
+    fn fir_lock() -> Result<LockedArtifact, String> {
+        let spec = benchmark_by_name("FIR").expect("benchmark");
+        let mut module = generate(&spec, 3);
+        let key = mlrl_locking::assure::lock_operations(
+            &mut module,
+            &mlrl_locking::assure::AssureConfig::serial(10, 7),
+        )
+        .map_err(|e| e.to_string())?;
+        Ok(LockedArtifact {
+            module,
+            key,
+            trace: Some(vec![(1, 12.5), (2, 25.0)]),
+        })
+    }
+
+    /// A SIM_SPI width-4 lowering, gate-locked with 5 key bits.
+    fn spi_lowering() -> Result<LoweredArtifact, String> {
+        let spec = benchmark_by_name("SIM_SPI").expect("benchmark");
+        let module = mlrl_rtl::bench_designs::generate_with_width(&spec, 3, 4);
+        let mut netlist = mlrl_netlist::lower::lower_module(&module)
+            .map_err(|e| e.to_string())?
+            .to_scan_view();
+        netlist.sweep();
+        let key =
+            mlrl_netlist::lock::xor_xnor_lock(&mut netlist, 5, 9).map_err(|e| e.to_string())?;
+        Ok(LoweredArtifact {
+            netlist,
+            key: key.bits().to_vec(),
+        })
+    }
+
+    fn spill_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mlrl-cache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn locked_artifacts_round_trip_through_spill_dir() {
-        let dir = std::env::temp_dir().join(format!("mlrl-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = benchmark_by_name("FIR").expect("benchmark");
-
-        let build = || {
-            let mut module = generate(&spec, 3);
-            let key = mlrl_locking::assure::lock_operations(
-                &mut module,
-                &mlrl_locking::assure::AssureConfig::serial(10, 7),
-            )
-            .map_err(|e| e.to_string())?;
-            Ok(LockedArtifact {
-                module,
-                key,
-                trace: Some(vec![(1, 12.5), (2, 25.0)]),
-            })
-        };
-
+        let dir = spill_dir("locked");
         let first = ArtifactCache::with_spill_dir(&dir);
-        let a = first.locked(7, build).expect("builds");
+        let a = first.locked(7, fir_lock).expect("builds");
         assert_eq!(first.stats().misses, 1);
 
         // A fresh cache over the same dir warm-starts from disk.
@@ -814,26 +841,9 @@ mod tests {
 
     #[test]
     fn lowered_netlists_round_trip_through_spill_dir() {
-        let dir = std::env::temp_dir().join(format!("mlrl-cache-low-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = benchmark_by_name("SIM_SPI").expect("benchmark");
-
-        let build = || {
-            let module = mlrl_rtl::bench_designs::generate_with_width(&spec, 3, 6);
-            let mut netlist = mlrl_netlist::lower::lower_module(&module)
-                .map_err(|e| e.to_string())?
-                .to_scan_view();
-            netlist.sweep();
-            let key =
-                mlrl_netlist::lock::xor_xnor_lock(&mut netlist, 5, 9).map_err(|e| e.to_string())?;
-            Ok(LoweredArtifact {
-                netlist,
-                key: key.bits().to_vec(),
-            })
-        };
-
+        let dir = spill_dir("low");
         let first = ArtifactCache::with_spill_dir(&dir);
-        let a = first.lowered(13, build).expect("builds");
+        let a = first.lowered(13, spi_lowering).expect("builds");
         assert_eq!(
             first.stats(),
             CacheStats {
@@ -893,12 +903,11 @@ mod tests {
     }
 
     #[test]
-    fn wide_training_sets_round_trip_and_v1_spills_keep_loading() {
-        let dir = std::env::temp_dir().join(format!("mlrl-cache-train-v2-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn wide_training_sets_round_trip_and_headerless_spills_are_rejected() {
+        let dir = spill_dir("train-wide");
 
         // 5-wide gate-level locality rows survive the disk round-trip
-        // (spill-format v2 carries the feature width).
+        // (the payload carries the feature width).
         let gate = TrainingSet {
             features: vec![vec![1, 2, 3, 4, 5], vec![6, 7, 8, 9, 10]],
             labels: vec![0, 1],
@@ -909,13 +918,15 @@ mod tests {
         let loaded = second.training(21, || panic!("must not rebuild"));
         assert_eq!(*loaded, gate);
 
-        // A v1 file (no `width` header, 2-wide rows) from an older cache
-        // dir still loads.
-        std::fs::write(dir.join(format!("{:016x}.train", 22u64)), "3 4 1\n5 6 0\n")
-            .expect("write v1 spill");
-        let v1 = second.training(22, || panic!("must not rebuild v1"));
-        assert_eq!(v1.features, vec![vec![3, 4], vec![5, 6]]);
-        assert_eq!(v1.labels, vec![1, 0]);
+        // A headerless file (the retired v1 training format) is a
+        // rejected miss, rebuilt and spilled over.
+        let path = dir.join(format!("{:016x}.training", 22u64));
+        std::fs::write(&path, "3 4 1\n5 6 0\n").expect("write headerless spill");
+        let rebuilt = second.training(22, || gate.clone());
+        assert_eq!(*rebuilt, gate);
+        assert_eq!(second.stats().rejected, 1);
+        let third = ArtifactCache::with_spill_dir(&dir);
+        assert_eq!(*third.training(22, || panic!("respilled")), gate);
 
         // Mixed-width sets cannot be described by one header: memory-only.
         let mixed = TrainingSet {
@@ -923,8 +934,98 @@ mod tests {
             labels: vec![0, 1],
         };
         second.training(23, || mixed.clone());
-        assert!(!dir.join(format!("{:016x}.train", 23u64)).exists());
+        assert!(!dir.join(format!("{:016x}.training", 23u64)).exists());
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Spills `artifact`, then serves every truncation and every
+    /// single-bit flip of its file to a fresh cache. Each case must be a
+    /// rejected miss that calls the rebuild closure, or load an artifact
+    /// with the original's payload.
+    fn corrupt_every_byte<T: Spilled + Clone>(artifact: T, shard: fn(&ArtifactCache) -> &Shard<T>) {
+        let dir = spill_dir(&format!("corrupt-{}", T::KIND));
+        let cold = ArtifactCache::with_spill_dir(&dir);
+        cold.fetch(shard(&cold), 1, || Ok(artifact.clone()))
+            .expect("spills");
+        let path = dir.join(format!("{:016x}.{}", 1, T::KIND));
+        let good = std::fs::read(&path).expect("spilled file");
+        let original = artifact.encode();
+        let check = |bytes: &[u8], case: &str| {
+            std::fs::write(&path, bytes).expect("write corrupt spill");
+            let cache = ArtifactCache::with_spill_dir(&dir);
+            let mut rebuilt = false;
+            let (got, _) = cache
+                .fetch(shard(&cache), 1, || {
+                    rebuilt = true;
+                    Ok(artifact.clone())
+                })
+                .expect("fetch");
+            if rebuilt {
+                assert_eq!(cache.stats().rejected, 1, "{} {case}", T::KIND);
+            } else {
+                assert_eq!(got.encode(), original, "{} {case}", T::KIND);
+            }
+        };
+        for len in 0..good.len() {
+            check(&good[..len], &format!("truncated to {len}"));
+        }
+        for at in 0..good.len() {
+            let mut bytes = good.clone();
+            bytes[at] ^= 1 << (at % 8);
+            check(&bytes, &format!("flipped at {at}"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_corruption_of_a_locked_spill_is_rebuilt_or_exact() {
+        corrupt_every_byte(fir_lock().expect("lock"), |c| &c.locked);
+    }
+
+    #[test]
+    fn every_corruption_of_a_lowered_spill_is_rebuilt_or_exact() {
+        corrupt_every_byte(spi_lowering().expect("lower"), |c| &c.lowered);
+    }
+
+    #[test]
+    fn every_corruption_of_a_training_spill_is_rebuilt_or_exact() {
+        let rows = TrainingSet {
+            features: vec![vec![3, 4], vec![5, 6], vec![7, 8]],
+            labels: vec![1, 0, 1],
+        };
+        corrupt_every_byte(rows, |c| &c.training);
+    }
+
+    #[test]
+    fn a_halved_training_spill_gives_the_cold_set() {
+        let dir = spill_dir("halved");
+        let cold = wide_set(4);
+        ArtifactCache::with_spill_dir(&dir).training(5, || cold.clone());
+        let path = dir.join(format!("{:016x}.training", 5u64));
+        let text = std::fs::read_to_string(&path).expect("spilled");
+        std::fs::write(&path, &text[..text.len() / 2]).expect("halve");
+        let warm = ArtifactCache::with_spill_dir(&dir);
+        assert_eq!(*warm.training(5, || cold.clone()), cold);
+        assert_eq!(warm.stats().rejected, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_edited_locked_spill_gives_the_cold_artifact() {
+        let dir = spill_dir("edited");
+        let cold = ArtifactCache::with_spill_dir(&dir)
+            .locked(6, fir_lock)
+            .expect("locks");
+        let path = dir.join(format!("{:016x}.locked", 6u64));
+        let text = std::fs::read_to_string(&path).expect("spilled");
+        let edited = text.replacen(" + ", " - ", 1);
+        assert_ne!(edited, text, "the locked Verilog has an adder");
+        std::fs::write(&path, edited).expect("edit");
+        let warm = ArtifactCache::with_spill_dir(&dir);
+        let got = warm.locked(6, fir_lock).expect("relocks");
+        assert_eq!(got.encode(), cold.encode());
+        assert_eq!(warm.stats().rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -940,8 +1041,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mlrl-cache-cap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Each spilled set is ~200 bytes; a 500-byte cap holds two.
-        let cache = ArtifactCache::with_spill_dir_capped(&dir, 500);
+        // Each spilled set is ~270 bytes; a 600-byte cap holds two.
+        let cache = ArtifactCache::with_spill_dir_capped(&dir, 600);
         for key in 0..4u64 {
             cache.training(key, || wide_set(key as u32));
         }
@@ -950,13 +1051,13 @@ mod tests {
             "cap must evict (stats: {:?})",
             cache.stats()
         );
-        let spilled = |key: u64| dir.join(format!("{key:016x}.train")).exists();
+        let spilled = |key: u64| dir.join(format!("{key:016x}.training")).exists();
         assert!(!spilled(0), "oldest spill must be the first eviction");
         assert!(spilled(3), "the freshest spill always survives its round");
 
         // Eviction degrades to a rebuild, never an error: a fresh cache
         // over the same dir misses the evicted key and rebuilds it.
-        let second = ArtifactCache::with_spill_dir_capped(&dir, 500);
+        let second = ArtifactCache::with_spill_dir_capped(&dir, 600);
         let rebuilt = second.training(0, || wide_set(0));
         assert_eq!(*rebuilt, wide_set(0));
         assert_eq!(second.stats().misses, 1);
@@ -979,7 +1080,7 @@ mod tests {
     fn scripted_access_sequence_yields_exact_stats_deltas() {
         let dir = std::env::temp_dir().join(format!("mlrl-cache-script-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let spilled = |key: u64| dir.join(format!("{key:016x}.train")).exists();
+        let spilled = |key: u64| dir.join(format!("{key:016x}.training")).exists();
         let exactly = |hits: usize, misses: usize, evictions: usize| CacheStats {
             hits,
             misses,
@@ -987,10 +1088,10 @@ mod tests {
             ..Default::default()
         };
 
-        // Each spilled set is ~200 bytes; a 500-byte cap holds two.
+        // Each spilled set is ~270 bytes; a 600-byte cap holds two.
         // Step 1+2: two inserts into a fresh capped cache — two misses,
         // both resident on disk, nothing evicted.
-        let writer = ArtifactCache::with_spill_dir_capped(&dir, 500);
+        let writer = ArtifactCache::with_spill_dir_capped(&dir, 600);
         let before = writer.stats();
         writer.training(100, || wide_set(1));
         writer.training(101, || wide_set(2));
@@ -1000,7 +1101,7 @@ mod tests {
         // Step 3: read A through a *fresh* cache over the same dir (the
         // writer's memory shard would satisfy the lookup without touching
         // the spill): one hit, and A's recency refreshes on the read.
-        let reader = ArtifactCache::with_spill_dir_capped(&dir, 500);
+        let reader = ArtifactCache::with_spill_dir_capped(&dir, 600);
         let before = reader.stats();
         reader.training(100, || panic!("resident key must load from disk"));
         assert_eq!(reader.stats().since(before), exactly(1, 0, 0));

@@ -288,6 +288,7 @@ fn bridge_cache_stats(delta: &crate::cache::CacheStats) {
     mlrl_obs::counter_add("cache.lowered_hits", delta.lowered_hits as u64);
     mlrl_obs::counter_add("cache.lowered_misses", delta.lowered_misses as u64);
     mlrl_obs::counter_add("cache.evictions", delta.evictions as u64);
+    mlrl_obs::counter_add("cache.spill.rejected", delta.rejected as u64);
 }
 
 /// The spec's expanded job list in the engine's cache-aware schedule

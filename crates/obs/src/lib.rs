@@ -687,12 +687,14 @@ pub fn trace_json() -> String {
     })
 }
 
-/// Write `text` to `path` through a sibling `<name>.tmp` file and a
-/// rename, so a concurrent reader never sees a torn file and a crash
-/// leaves the previous file whole.
+/// Write `text` to `path` through a sibling `<name>.<pid>.tmp` file and
+/// a rename, so a concurrent reader never sees a torn file and a crash
+/// leaves the previous file whole. The pid keeps processes that write
+/// the same file (workers sharing a cache dir) off each other's temp
+/// file.
 pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+    tmp.push(format!(".{}.tmp", std::process::id()));
     std::fs::write(&tmp, text)
         .and_then(|()| std::fs::rename(&tmp, path))
         .inspect_err(|_| {

@@ -81,17 +81,13 @@ pub enum WorkerEvent {
     },
 }
 
-/// Formats the `hello` line.
-pub fn hello_line(cells: usize) -> String {
-    format!("mlrl-worker v{PROTOCOL_VERSION} cells={cells}")
-}
-
-/// Formats a `hello` line carrying the worker's telemetry-epoch wall
-/// clock. Readers predating the field drop the whole hello — which is
-/// harmless (hello is a liveness nicety, not load-bearing) — so
-/// workers only emit this form under `--telemetry`.
-pub fn hello_line_with_epoch(cells: usize, epoch_us: u64) -> String {
-    format!("mlrl-worker v{PROTOCOL_VERSION} cells={cells} epoch_us={epoch_us}")
+/// Formats the `hello` line. The telemetry-epoch wall clock rides along
+/// only under `--telemetry`: readers predating the field drop the whole
+/// hello, which is harmless (hello is a liveness nicety, not
+/// load-bearing).
+pub fn hello_line(cells: usize, epoch_us: Option<u64>) -> String {
+    let epoch = epoch_us.map_or(String::new(), |us| format!(" epoch_us={us}"));
+    format!("mlrl-worker v{PROTOCOL_VERSION} cells={cells}{epoch}")
 }
 
 /// Formats a `start` line.
@@ -119,16 +115,12 @@ pub fn trace_line(payload: &str) -> String {
     format!("trace {payload}")
 }
 
-/// Formats the `bye` line.
-pub fn bye_line(completed: usize) -> String {
-    format!("bye {completed}")
-}
-
-/// Formats a `bye` line carrying a final telemetry rollup. Readers
-/// predating the payload parse the line as non-protocol and ignore it,
-/// which is why workers only emit this form under `--telemetry`.
-pub fn bye_line_with_metrics(completed: usize, payload: &str) -> String {
-    format!("bye {completed} {payload}")
+/// Formats the `bye` line. The final telemetry rollup rides along only
+/// under `--telemetry`: readers predating the payload parse the line as
+/// non-protocol and ignore it.
+pub fn bye_line(completed: usize, metrics: Option<&str>) -> String {
+    let payload = metrics.map_or(String::new(), |m| format!(" {m}"));
+    format!("bye {completed}{payload}")
 }
 
 /// Parses one worker stdout line; `None` for anything that is not a
@@ -202,7 +194,7 @@ mod tests {
     #[test]
     fn lines_round_trip_through_the_parser() {
         assert_eq!(
-            parse_line(&hello_line(12)),
+            parse_line(&hello_line(12, None)),
             Some(WorkerEvent::Hello {
                 version: PROTOCOL_VERSION,
                 cells: 12,
@@ -210,7 +202,7 @@ mod tests {
             })
         );
         assert_eq!(
-            parse_line(&hello_line_with_epoch(12, 1_700_000_000_000_000)),
+            parse_line(&hello_line(12, Some(1_700_000_000_000_000))),
             Some(WorkerEvent::Hello {
                 version: PROTOCOL_VERSION,
                 cells: 12,
@@ -231,7 +223,7 @@ mod tests {
         );
         assert_eq!(parse_line(&heartbeat_line()), Some(WorkerEvent::Heartbeat));
         assert_eq!(
-            parse_line(&bye_line(3)),
+            parse_line(&bye_line(3, None)),
             Some(WorkerEvent::Bye {
                 completed: 3,
                 metrics: None
@@ -249,7 +241,7 @@ mod tests {
             })
         );
         assert_eq!(
-            parse_line(&bye_line_with_metrics(2, payload)),
+            parse_line(&bye_line(2, Some(payload))),
             Some(WorkerEvent::Bye {
                 completed: 2,
                 metrics: Some(payload.to_owned())

@@ -67,9 +67,11 @@ impl Trace {
         for ev in events {
             let obj = ev.as_object()?;
             let name = obj.get("name")?.as_str()?.to_owned();
-            let tid = obj.get("tid").and_then(Value::as_f64).unwrap_or(0.0) as u64;
+            // A missing or malformed field rejects the whole trace.
+            let field = |key: &str| obj.get(key).and_then(Value::as_u64);
             match obj.get("ph").and_then(Value::as_str) {
                 Some("M") if name == "thread_name" => {
+                    let tid = field("tid")?;
                     if let Some(label) = obj
                         .get("args")
                         .and_then(Value::as_object)
@@ -81,9 +83,9 @@ impl Trace {
                 }
                 Some("X") => trace.spans.push(TraceSpan {
                     name,
-                    ts_us: obj.get("ts").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-                    dur_us: obj.get("dur").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-                    tid,
+                    ts_us: field("ts")?,
+                    dur_us: field("dur")?,
+                    tid: field("tid")?,
                 }),
                 _ => {}
             }
@@ -703,6 +705,34 @@ mod tests {
         render_worker_phases(&mut out, &old, None);
         assert!(out.contains("no w<slot>/ worker lanes"), "{out}");
         assert!(!out.contains("clock skew"), "{out}");
+    }
+
+    #[test]
+    fn malformed_span_fields_reject_the_whole_trace() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/report_fixture");
+        let text = std::fs::read_to_string(fixture.join("trace.json")).expect("fixture trace");
+        assert_eq!(Trace::parse(&text).expect("fixture parses").spans.len(), 18);
+        let mutated = [
+            (r#""ts":4164,"dur":2253,"#, r#""ts":4164,"dur":"12ms","#),
+            (r#""dur":2,"pid":1,"tid":1"#, r#""dur":2,"pid":1,"tid":-7"#),
+        ]
+        .iter()
+        .fold(text.clone(), |t, (from, to)| {
+            assert!(t.contains(from), "{from}");
+            t.replacen(from, to, 1)
+        });
+        assert!(Trace::parse(&mutated).is_none());
+
+        let dir = std::env::temp_dir().join(format!("mlrl-report-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        for name in ["journal.jsonl", "metrics.json"] {
+            std::fs::copy(fixture.join(name), dir.join(name)).expect("copy fixture");
+        }
+        std::fs::write(dir.join("trace.json"), mutated).expect("trace");
+        let report = render_report(&dir, &ReportOptions::default()).expect("renders");
+        assert!(report.contains("no readable trace at"), "{report}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

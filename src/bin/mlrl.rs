@@ -506,18 +506,11 @@ fn cmd_worker(args: &Parsed) -> Result<(), String> {
         return Err(format!("cell index {bad} out of range ({total} cells)"));
     }
 
-    // The epoch-bearing hello only flows under --telemetry: it hands
-    // the supervisor this worker's wall clock at trace-epoch time so
-    // streamed spans can be skew-corrected onto one fleet timeline.
-    // Readers predating the field drop the whole hello otherwise.
-    if telemetry {
-        emit_protocol_line(&protocol::hello_line_with_epoch(
-            cells.len(),
-            mlrl::obs::epoch_unix_micros(),
-        ));
-    } else {
-        emit_protocol_line(&protocol::hello_line(cells.len()));
-    }
+    // Under --telemetry the hello hands the supervisor this worker's
+    // wall clock at trace-epoch time so streamed spans can be
+    // skew-corrected onto one fleet timeline.
+    let epoch_us = telemetry.then(mlrl::obs::epoch_unix_micros);
+    emit_protocol_line(&protocol::hello_line(cells.len(), epoch_us));
 
     // Heartbeats flow between cell events so the supervisor can tell a
     // wedged worker from one grinding through an expensive cell.
@@ -598,10 +591,9 @@ fn cmd_worker(args: &Parsed) -> Result<(), String> {
             emit_protocol_line(&protocol::done_line(record.index, &record.canonical_line()));
         }
     }
-    // The payload-carrying bye only flows under --telemetry: readers
-    // predating the payload would drop the whole line otherwise. The
-    // final trace flush goes first so spans recorded after the last
-    // cell (teardown, stragglers) still reach the merged timeline.
+    // Under --telemetry the bye carries the final rollup. The final
+    // trace flush goes first so spans recorded after the last cell
+    // (teardown, stragglers) still reach the merged timeline.
     if telemetry {
         if fault_trace {
             emit_protocol_line("trace {\"lanes\":[\"main\"],\"ev");
@@ -609,20 +601,19 @@ fn cmd_worker(args: &Parsed) -> Result<(), String> {
         if let Some(chunk) = mlrl::obs::drain_trace_chunk() {
             emit_protocol_line(&protocol::trace_line(&chunk));
         }
-        emit_protocol_line(&protocol::bye_line_with_metrics(
-            report.records.len(),
-            &mlrl::obs::snapshot().to_json(),
-        ));
-    } else {
-        emit_protocol_line(&protocol::bye_line(report.records.len()));
     }
+    let metrics = telemetry.then(|| mlrl::obs::snapshot().to_json());
+    emit_protocol_line(&protocol::bye_line(
+        report.records.len(),
+        metrics.as_deref(),
+    ));
     Ok(())
 }
 
 const ORCHESTRATE: Command = Command(&[
     "mlrl orchestrate <spec.txt> [--workers N] [--run-dir DIR] [--resume DIR]",
     "[--cache-dir DIR] [--cache-cap BYTES] [--worker-threads N] [--opt-level o0|o1|o2]",
-    "[--wedge-timeout SECS] [--max-restarts N] [--canonical] [--jsonl out.jsonl] [--quick]",
+    "[--wedge-timeout SECS] [--max-restarts N] [--canonical] [--quick]",
     "[--trace-out FILE] [--metrics-out FILE] [--trace-sample N]",
 ]);
 
@@ -668,9 +659,6 @@ fn cmd_orchestrate(args: &Parsed) -> Result<(), String> {
 
     let outcome = orchestrate(&cfg)?;
 
-    if let Some(out) = args.value("--jsonl") {
-        fs::write(out, &outcome.canonical).map_err(|e| e.to_string())?;
-    }
     if args.has("--canonical") {
         print!("{}", outcome.canonical);
     }

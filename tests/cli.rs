@@ -306,6 +306,38 @@ fn unparsable_numeric_flags_are_usage_errors() {
 }
 
 #[test]
+fn orchestrate_has_no_jsonl_flag() {
+    // `--canonical` prints, and `<run-dir>/merged.jsonl` holds, the bytes
+    // a second `--jsonl` output would duplicate.
+    let dir = tmpdir("orch-jsonl");
+    let spec = dir.join("c.spec");
+    std::fs::write(
+        &spec,
+        "benchmarks = FIR\nschemes = assure\nbudgets = 0.5\nseeds = 3\nattacks = none\n",
+    )
+    .expect("write spec");
+    let written = dir.join("x");
+    let run_dir = dir.join("run");
+    let out = mlrl()
+        .args([
+            "orchestrate",
+            spec.to_str().unwrap(),
+            "--run-dir",
+            run_dir.to_str().unwrap(),
+            "--jsonl",
+            written.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag `--jsonl`"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(!written.exists() && !run_dir.exists(), "nothing is written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_closed_stdout_ends_the_command_quietly() {
     let (reader, writer) = std::io::pipe().expect("pipe");
     drop(reader);
