@@ -19,9 +19,10 @@
 //! With a spill directory configured, locked modules, training sets, and
 //! lowered netlists also persist as files named by their content hash, so
 //! separate CLI invocations of the same spec warm-start from disk. Each
-//! artifact is one file: a header line with the kind, a format version,
-//! the payload length and the payload's FNV-1a 64, then a text payload.
-//! A file that fails any check is rebuilt, never trusted. A
+//! artifact is one container: a header line with the kind, a format
+//! version, the payload length and the payload's FNV-1a 64, then a text
+//! payload (a locked module's spans a `.key` and a `.v` file). A spill
+//! that fails any check is rebuilt, never trusted. A
 //! long-lived spill directory (an orchestrated multi-day sweep, a shared
 //! `--cache-dir` across campaigns) can additionally be *capped*
 //! ([`ArtifactCache::with_spill_dir_capped`]): when the on-disk bytes
@@ -36,7 +37,8 @@ use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 use mlrl_attack::relock::TrainingSet;
-use mlrl_locking::key::{Key, KeyBitKind};
+use mlrl_locking::key::Key;
+use mlrl_locking::key::KeyBitKind::{self, Branch, Constant, Operation};
 use mlrl_netlist::serdes::{emit_netlist, parse_netlist};
 use mlrl_netlist::Netlist;
 use mlrl_rtl::parser::parse_verilog;
@@ -80,8 +82,8 @@ pub struct CacheStats {
     pub lowered_misses: usize,
     /// Spill files deleted by the LRU cap (capped spill dirs only).
     pub evictions: usize,
-    /// Spill files that existed but failed a check (torn, corrupt, or of
-    /// another format version); each was rebuilt and spilled again.
+    /// Spills that existed but failed a check (torn, corrupt, a part
+    /// missing, or another format version); each was rebuilt and respilled.
     pub rejected: usize,
 }
 
@@ -220,6 +222,9 @@ impl SpillIndex {
         if let Ok(read) = std::fs::read_dir(dir) {
             for entry in read.flatten() {
                 let path = entry.path();
+                if path.extension().is_some_and(|ext| ext == "tmp") {
+                    continue;
+                }
                 if let Ok(meta) = entry.metadata() {
                     if meta.is_file() {
                         let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
@@ -261,6 +266,26 @@ struct Spill {
     dir: PathBuf,
     cap: Option<u64>,
     index: Mutex<SpillIndex>,
+}
+
+impl Spill {
+    fn path(&self, content_key: u64, ext: &str) -> PathBuf {
+        self.dir.join(format!("{content_key:016x}.{ext}"))
+    }
+
+    /// Reads one spill file, refreshing its LRU recency.
+    fn read(&self, content_key: u64, ext: &str) -> std::io::Result<String> {
+        let path = self.path(content_key, ext);
+        let text = {
+            let _span = mlrl_obs::span("cache.spill.read");
+            std::fs::read_to_string(&path)?
+        };
+        if self.cap.is_some() {
+            let mut index = self.index.lock().expect("spill index poisoned");
+            index.touch(&path, text.len() as u64);
+        }
+        Ok(text)
+    }
 }
 
 /// Thread-safe content-addressed store for campaign artifacts.
@@ -305,7 +330,8 @@ impl ArtifactCache {
     /// spilled files exceed `cap_bytes`, the least-recently-used ones are
     /// deleted until the directory fits again. Pre-existing files are
     /// indexed oldest-modified-first, so a long-lived shared cache dir
-    /// sheds its stalest artifacts first.
+    /// sheds its stalest artifacts first. Evicting half a `.key`/`.v`
+    /// pair makes a rejected miss. `*.tmp` files are not indexed.
     pub fn with_spill_dir_capped(dir: impl Into<PathBuf>, cap_bytes: u64) -> Self {
         let dir = dir.into();
         let index = Mutex::new(SpillIndex::scan(&dir));
@@ -449,55 +475,51 @@ impl ArtifactCache {
 
     // -- disk spill: `load` and `store` are all that touch spill files --
 
-    fn spill_path(&self, content_key: u64, kind: &str) -> Option<PathBuf> {
-        self.spill
-            .as_ref()
-            .map(|s| s.dir.join(format!("{content_key:016x}.{kind}")))
-    }
-
-    /// Reads and decodes the spill of `content_key`, refreshing its LRU
-    /// recency. A missing file is a plain miss; one that fails any check
-    /// is a miss counted in [`CacheStats::rejected`], and the rebuilt
-    /// artifact is spilled over it.
+    /// Reads and decodes the spill of `content_key`. A missing header
+    /// file is a plain miss; a spill that fails any check is a miss
+    /// counted in [`CacheStats::rejected`], and the rebuilt artifact is
+    /// spilled over it.
     fn load<T: Spilled>(&self, content_key: u64) -> Option<T> {
-        let path = self.spill_path(content_key, T::KIND)?;
-        let read = {
-            let _span = mlrl_obs::span("cache.spill.read");
-            std::fs::read_to_string(&path)
-        };
-        let found = match read {
+        let spill = self.spill.as_ref()?;
+        let (head, sides) = T::PARTS.split_last()?;
+        let text = match spill.read(content_key, head) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(_) => None,
-            Ok(text) => {
-                if let Some(spill) = self.spill.as_ref().filter(|s| s.cap.is_some()) {
-                    let mut index = spill.index.lock().expect("spill index poisoned");
-                    index.touch(&path, text.len() as u64);
-                }
-                unframe(T::KIND, &text).and_then(T::decode)
-            }
+            read => read.ok(),
         };
+        let found = text.and_then(|text| {
+            let sides = sides.iter().map(|ext| spill.read(content_key, ext).ok());
+            let sides = sides.collect::<Option<Vec<String>>>()?;
+            let (header, payload) = text.split_once('\n')?;
+            let mut parts: Vec<&str> = sides.iter().map(String::as_str).collect();
+            parts.push(payload);
+            (header == spill_header(T::KIND, &parts)).then(|| T::decode(&parts))?
+        });
         if found.is_none() {
             self.rejected.fetch_add(1, Ordering::Relaxed);
         }
         found
     }
 
-    /// Spills `artifact` through [`mlrl_obs::write_atomic`], so a reader
-    /// never sees a torn file; a failed write is a miss next run.
+    /// Spills `artifact`, one [`mlrl_obs::write_atomic`] per part, the
+    /// header part last; a failed write is a miss next run.
     fn store<T: Spilled>(&self, content_key: u64, artifact: &T) {
-        let Some(path) = self.spill_path(content_key, T::KIND) else {
+        let Some(spill) = self.spill.as_ref() else {
             return;
         };
-        let Some(payload) = artifact.encode() else {
+        let Some(mut parts) = artifact.encode() else {
             return;
         };
         let _span = mlrl_obs::span("cache.spill.write");
-        let mut text = spill_header(T::KIND, &payload);
-        text.push_str(&payload);
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
+        let header = spill_header(T::KIND, &parts) + "\n";
+        if let Some(head) = parts.last_mut() {
+            head.insert_str(0, &header);
         }
-        if mlrl_obs::write_atomic(&path, &text).is_ok() {
+        let _ = std::fs::create_dir_all(&spill.dir);
+        for (ext, text) in T::PARTS.iter().zip(&parts) {
+            let path = spill.path(content_key, ext);
+            if mlrl_obs::write_atomic(&path, text).is_err() {
+                return;
+            }
             self.enforce_spill_cap(&path, text.len() as u64);
         }
     }
@@ -535,111 +557,89 @@ impl ArtifactCache {
 }
 
 /// Spill container format version. Bump it when a payload encoding
-/// changes: files of the old version then read as rejected misses.
+/// changes: spills of the old version then read as rejected misses.
 const SPILL_VERSION: u32 = 1;
 
-/// The header line of a spill file: [`spill_label`], then the FNV-1a 64
-/// of the payload.
-fn spill_header(kind: &str, payload: &str) -> String {
-    let sum = crate::fnv::fnv1a(payload);
-    format!("{} {sum:016x}\n", spill_label(kind, payload))
+/// A spill's header line, without its newline: a `//` comment (so a `.v`
+/// part stays a Verilog file) with the kind, the format version, each
+/// part's length and the FNV-1a 64 of the parts in order.
+fn spill_header(kind: &str, parts: &[impl AsRef<str>]) -> String {
+    let mut sum = crate::fnv::Fnv64::new();
+    let mut header = format!("// mlrl-spill {kind} v{SPILL_VERSION}");
+    for part in parts {
+        sum.write_str(part.as_ref());
+        header.push_str(&format!(" {}", part.as_ref().len()));
+    }
+    header + &format!(" {:016x}", sum.finish())
 }
 
-/// The kind, the format version and the payload length in bytes.
-fn spill_label(kind: &str, payload: &str) -> String {
-    format!("mlrl-spill {kind} v{SPILL_VERSION} {}", payload.len())
-}
-
-/// The payload of a spill file, borrowed from `text`, when its header
-/// line is the one [`spill_header`] gives for that payload. The payload
-/// is hashed only once its kind, version and length match.
-fn unframe<'a>(kind: &str, text: &'a str) -> Option<&'a str> {
-    let (header, payload) = text.split_once('\n')?;
-    let (label, sum) = header.rsplit_once(' ')?;
-    (label == spill_label(kind, payload) && sum == format!("{:016x}", crate::fnv::fnv1a(payload)))
-        .then_some(payload)
-}
-
-/// An artifact that spills: `KIND` names its file extension and header
-/// kind; `encode` gives `None` for an artifact that stays memory-only.
+/// An artifact that spills as one `<key:016x>.<ext>` file per `PARTS`
+/// extension, the last opening with the header line. `encode` gives one
+/// text per part, or `None` for an artifact that stays memory-only.
 trait Spilled: Sized {
     const KIND: &'static str;
-    fn encode(&self) -> Option<String>;
-    fn decode(payload: &str) -> Option<Self>;
+    const PARTS: &'static [&'static str];
+    fn encode(&self) -> Option<Vec<String>>;
+    fn decode(parts: &[&str]) -> Option<Self>;
 }
 
-/// Appends the `key <bits>` line (`0`/`1`, `K[0]` first) that opens the
-/// locked and lowered payloads.
+/// Appends a key's `0`/`1` line (`K[0]` first), the line that opens the
+/// locked `.key` part and the lowered payload.
 fn push_key_line(out: &mut String, bits: &[bool]) {
-    out.push_str("key ");
     out.extend(bits.iter().map(|&b| if b { '1' } else { '0' }));
     out.push('\n');
 }
 
-/// Splits the `key <bits>` line off the front of a payload.
-fn split_key_line(payload: &str) -> Option<(Vec<bool>, &str)> {
-    let (line, rest) = payload.split_once('\n')?;
-    let bits = line
-        .strip_prefix("key ")?
-        .chars()
-        .map(|c| match c {
-            '0' => Some(false),
-            '1' => Some(true),
-            _ => None,
-        })
-        .collect::<Option<_>>()?;
-    Some((bits, rest))
+/// Splits the key line off the front of a part.
+fn split_key_line(text: &str) -> Option<(Vec<bool>, &str)> {
+    let (line, rest) = text.split_once('\n')?;
+    let bits = line.chars().map(|c| Some(c.to_digit(2)? == 1));
+    Some((bits.collect::<Option<_>>()?, rest))
 }
 
-/// The key line, `kinds <O|B|C per bit>`, one `trace <key bits> <M_g_sec>`
-/// line per lock step, then the emitted Verilog.
+/// Key-bit kinds in the order of their `.key` letters.
+const KINDS: [KeyBitKind; 3] = [Operation, Branch, Constant];
+const KIND_LETTERS: [u8; 3] = *b"OBC";
+
+/// Two parts: `.key` holds the key line, one `O|B|C` kind per bit and
+/// one `<key bits> <M_g_sec>` line per lock step; `.v` holds the emitted
+/// Verilog after the header line. The layout is the one
+/// `campaign_bench`'s traced walk reads on its own.
 impl Spilled for LockedArtifact {
     const KIND: &'static str = "locked";
+    const PARTS: &'static [&'static str] = &["key", "v"];
 
-    fn encode(&self) -> Option<String> {
-        let mut out = String::new();
-        push_key_line(&mut out, self.key.as_bits());
-        out.push_str("kinds ");
+    fn encode(&self) -> Option<Vec<String>> {
+        let mut key = String::new();
+        push_key_line(&mut key, self.key.as_bits());
         for i in 0..self.key.len() as u32 {
-            out.push(match self.key.kind(i)? {
-                KeyBitKind::Operation => 'O',
-                KeyBitKind::Branch => 'B',
-                KeyBitKind::Constant => 'C',
-            });
+            let at = KINDS.iter().position(|&k| Some(k) == self.key.kind(i))?;
+            key.push(KIND_LETTERS[at] as char);
         }
-        out.push('\n');
+        key.push('\n');
         for (n, g) in self.trace.iter().flatten() {
-            out.push_str(&format!("trace {n} {g}\n"));
+            key.push_str(&format!("{n} {g}\n"));
         }
-        out.push_str(&mlrl_rtl::emit::emit_verilog(&self.module).ok()?);
-        Some(out)
+        Some(vec![key, mlrl_rtl::emit::emit_verilog(&self.module).ok()?])
     }
 
-    fn decode(payload: &str) -> Option<Self> {
-        let (bits, rest) = split_key_line(payload)?;
-        let (kinds, mut rest) = rest.split_once('\n')?;
-        let kinds = kinds.strip_prefix("kinds ")?;
-        if kinds.len() != bits.len() {
+    fn decode(parts: &[&str]) -> Option<Self> {
+        let [key_text, verilog] = parts else {
             return None;
-        }
+        };
+        let (bits, rest) = split_key_line(key_text)?;
+        let (kinds, steps) = rest.split_once('\n')?;
+        (kinds.len() == bits.len()).then_some(())?;
         let mut key = Key::new();
         for (b, k) in bits.into_iter().zip(kinds.chars()) {
-            let kind = match k {
-                'O' => KeyBitKind::Operation,
-                'B' => KeyBitKind::Branch,
-                'C' => KeyBitKind::Constant,
-                _ => return None,
-            };
-            key.push(b, kind);
+            key.push(b, KINDS[KIND_LETTERS.iter().position(|&l| l as char == k)?]);
         }
         let mut trace = Vec::new();
-        while let Some(step) = rest.strip_prefix("trace ") {
-            let (line, tail) = step.split_once('\n')?;
+        for line in steps.lines() {
             let (n, g) = line.split_once(' ')?;
             trace.push((n.parse().ok()?, g.parse().ok()?));
-            rest = tail;
         }
-        let module = parse_verilog(rest).ok()?;
+        let module = parse_verilog(verilog).ok()?;
         let trace = (!trace.is_empty()).then_some(trace);
         Some(LockedArtifact { module, key, trace })
     }
@@ -650,8 +650,9 @@ impl Spilled for LockedArtifact {
 /// memory-only.
 impl Spilled for TrainingSet {
     const KIND: &'static str = "training";
+    const PARTS: &'static [&'static str] = &["training"];
 
-    fn encode(&self) -> Option<String> {
+    fn encode(&self) -> Option<Vec<String>> {
         let width = self.features.first().map_or(2, Vec::len);
         if self.features.iter().any(|f| f.len() != width) {
             return None;
@@ -663,11 +664,11 @@ impl Spilled for TrainingSet {
             }
             text.push_str(&format!("{label}\n"));
         }
-        Some(text)
+        Some(vec![text])
     }
 
-    fn decode(payload: &str) -> Option<Self> {
-        let (head, rows) = payload.split_once('\n')?;
+    fn decode(parts: &[&str]) -> Option<Self> {
+        let (head, rows) = parts.first()?.split_once('\n')?;
         let width: usize = head.strip_prefix("width ")?.parse().ok()?;
         let mut features = Vec::new();
         let mut labels = Vec::new();
@@ -686,20 +687,21 @@ impl Spilled for TrainingSet {
     }
 }
 
-/// The key line (`key ` alone for a plain synthesis), then the
+/// The key line (empty for a plain synthesis), then the
 /// [`mlrl_netlist::serdes`] text.
 impl Spilled for LoweredArtifact {
     const KIND: &'static str = "lowered";
+    const PARTS: &'static [&'static str] = &["lowered"];
 
-    fn encode(&self) -> Option<String> {
+    fn encode(&self) -> Option<Vec<String>> {
         let mut out = String::new();
         push_key_line(&mut out, &self.key);
         out.push_str(&emit_netlist(&self.netlist));
-        Some(out)
+        Some(vec![out])
     }
 
-    fn decode(payload: &str) -> Option<Self> {
-        let (key, body) = split_key_line(payload)?;
+    fn decode(parts: &[&str]) -> Option<Self> {
+        let (key, body) = split_key_line(parts.first()?)?;
         let netlist = parse_netlist(body).ok()?;
         Some(LoweredArtifact { netlist, key })
     }
@@ -788,10 +790,10 @@ mod tests {
         })
     }
 
-    /// A SIM_SPI width-4 lowering, gate-locked with 5 key bits.
-    fn spi_lowering() -> Result<LoweredArtifact, String> {
+    /// A SIM_SPI lowering at `width`, gate-locked with 5 key bits.
+    fn spi_lowering(width: u32) -> Result<LoweredArtifact, String> {
         let spec = benchmark_by_name("SIM_SPI").expect("benchmark");
-        let module = mlrl_rtl::bench_designs::generate_with_width(&spec, 3, 4);
+        let module = mlrl_rtl::bench_designs::generate_with_width(&spec, 3, width);
         let mut netlist = mlrl_netlist::lower::lower_module(&module)
             .map_err(|e| e.to_string())?
             .to_scan_view();
@@ -832,10 +834,25 @@ mod tests {
         );
         assert_eq!(a.key, b.key);
         assert_eq!(a.trace, b.trace);
+        let emitted = mlrl_rtl::emit::emit_verilog(&a.module).expect("emit a");
         assert_eq!(
-            mlrl_rtl::emit::emit_verilog(&a.module).expect("emit a"),
-            mlrl_rtl::emit::emit_verilog(&b.module).expect("emit b"),
+            emitted,
+            mlrl_rtl::emit::emit_verilog(&b.module).expect("emit b")
         );
+
+        // The `.v` part, header line included, parses on its own.
+        let v = std::fs::read_to_string(dir.join(format!("{:016x}.v", 7u64))).expect("spilled");
+        let module = parse_verilog(&v).expect("the header is a comment");
+        assert_eq!(
+            emitted,
+            mlrl_rtl::emit::emit_verilog(&module).expect("emit")
+        );
+
+        // A `.v` part without its `.key` part is a rejected miss.
+        std::fs::remove_file(dir.join(format!("{:016x}.key", 7u64))).expect("drop key part");
+        let third = ArtifactCache::with_spill_dir(&dir);
+        third.locked(7, fir_lock).expect("relocks");
+        assert_eq!(third.stats().rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -843,7 +860,7 @@ mod tests {
     fn lowered_netlists_round_trip_through_spill_dir() {
         let dir = spill_dir("low");
         let first = ArtifactCache::with_spill_dir(&dir);
-        let a = first.lowered(13, spi_lowering).expect("builds");
+        let a = first.lowered(13, || spi_lowering(6)).expect("builds");
         assert_eq!(
             first.stats(),
             CacheStats {
@@ -940,20 +957,31 @@ mod tests {
     }
 
     /// Spills `artifact`, then serves every truncation and every
-    /// single-bit flip of its file to a fresh cache. Each case must be a
-    /// rejected miss that calls the rebuild closure, or load an artifact
-    /// with the original's payload.
+    /// single-bit flip of each of its files to a fresh cache. Each case
+    /// must be a rejected miss that calls the rebuild closure, or load an
+    /// artifact with the original's payload.
     fn corrupt_every_byte<T: Spilled + Clone>(artifact: T, shard: fn(&ArtifactCache) -> &Shard<T>) {
         let dir = spill_dir(&format!("corrupt-{}", T::KIND));
         let cold = ArtifactCache::with_spill_dir(&dir);
         cold.fetch(shard(&cold), 1, || Ok(artifact.clone()))
             .expect("spills");
-        let path = dir.join(format!("{:016x}.{}", 1, T::KIND));
-        let good = std::fs::read(&path).expect("spilled file");
+        for ext in T::PARTS {
+            corrupt_every_byte_of(&artifact, shard, &dir.join(format!("{:016x}.{ext}", 1)));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn corrupt_every_byte_of<T: Spilled + Clone>(
+        artifact: &T,
+        shard: fn(&ArtifactCache) -> &Shard<T>,
+        path: &Path,
+    ) {
+        let dir = path.parent().expect("spill dir");
+        let good = std::fs::read(path).expect("spilled file");
         let original = artifact.encode();
         let check = |bytes: &[u8], case: &str| {
-            std::fs::write(&path, bytes).expect("write corrupt spill");
-            let cache = ArtifactCache::with_spill_dir(&dir);
+            std::fs::write(path, bytes).expect("write corrupt spill");
+            let cache = ArtifactCache::with_spill_dir(dir);
             let mut rebuilt = false;
             let (got, _) = cache
                 .fetch(shard(&cache), 1, || {
@@ -961,10 +989,11 @@ mod tests {
                     Ok(artifact.clone())
                 })
                 .expect("fetch");
+            let case = format!("{} {case}", path.display());
             if rebuilt {
-                assert_eq!(cache.stats().rejected, 1, "{} {case}", T::KIND);
+                assert_eq!(cache.stats().rejected, 1, "{case}");
             } else {
-                assert_eq!(got.encode(), original, "{} {case}", T::KIND);
+                assert_eq!(got.encode(), original, "{case}");
             }
         };
         for len in 0..good.len() {
@@ -975,7 +1004,9 @@ mod tests {
             bytes[at] ^= 1 << (at % 8);
             check(&bytes, &format!("flipped at {at}"));
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        // The rebuilds respilled over the corrupt file; restore the cold
+        // bytes in any case for the next part.
+        std::fs::write(path, &good).expect("restore spill");
     }
 
     #[test]
@@ -985,7 +1016,7 @@ mod tests {
 
     #[test]
     fn every_corruption_of_a_lowered_spill_is_rebuilt_or_exact() {
-        corrupt_every_byte(spi_lowering().expect("lower"), |c| &c.lowered);
+        corrupt_every_byte(spi_lowering(4).expect("lower"), |c| &c.lowered);
     }
 
     #[test]
@@ -1017,7 +1048,7 @@ mod tests {
         let cold = ArtifactCache::with_spill_dir(&dir)
             .locked(6, fir_lock)
             .expect("locks");
-        let path = dir.join(format!("{:016x}.locked", 6u64));
+        let path = dir.join(format!("{:016x}.v", 6u64));
         let text = std::fs::read_to_string(&path).expect("spilled");
         let edited = text.replacen(" + ", " - ", 1);
         assert_ne!(edited, text, "the locked Verilog has an adder");

@@ -691,7 +691,8 @@ pub fn trace_json() -> String {
 /// a rename, so a concurrent reader never sees a torn file and a crash
 /// leaves the previous file whole. The pid keeps processes that write
 /// the same file (workers sharing a cache dir) off each other's temp
-/// file.
+/// file. A killed process leaves its temp file behind, unused by later
+/// writes and safe to delete once no writer runs.
 pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".{}.tmp", std::process::id()));
