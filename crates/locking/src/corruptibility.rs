@@ -700,6 +700,31 @@ mod tests {
     }
 
     #[test]
+    fn gate_corruptibility_values_are_pinned() {
+        // Width invariance compares widths with each other only; this pins
+        // the values themselves (and so the RNG draw order: keys, then the
+        // chunk's stimulus), captured before the shared draw helpers.
+        let (original, locked, key) = gate_pair();
+        let cfg = CorruptibilityConfig {
+            wrong_keys: 100,
+            patterns: 6,
+            ticks: 0,
+            flips: 2,
+            seed: 11,
+        };
+        let r = measure_gate_corruptibility_w::<1>(&original, &locked, &key, &cfg).unwrap();
+        let bits = [
+            r.corruption_rate.to_bits(),
+            r.error_rate.to_bits(),
+            r.hamming_fraction.to_bits(),
+        ];
+        assert_eq!(
+            bits,
+            [0x3fedc28f5c28f5c3, 0x3fecb17e4b17e4b2, 0x3fc2c28f5c28f5c3]
+        );
+    }
+
+    #[test]
     fn gate_corruptibility_rejects_keyless_and_short_keys() {
         let (original, locked, key) = gate_pair();
         assert!(measure_gate_corruptibility(

@@ -82,12 +82,66 @@ fn full_lock_verify_attack_workflow() {
         .output()
         .expect("run attack");
     assert_success(&out, "attack");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("KPA:"),
-        "attack output missing KPA: {stdout}"
+    // Pinned byte for byte: ERA's balanced pairs leave the frequency table
+    // with ties, which fall back to the all-zero global majority.
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "attacked bits: 32\n\
+         predicted key: 00000000000000000000000000000000\n\
+         KPA: 40.62% (50% = random guess)\n"
     );
 
+    // Without `--key` the KPA line is suppressed.
+    let out = mlrl()
+        .args(["attack", locked.to_str().unwrap(), "--relocks", "15"])
+        .output()
+        .expect("run attack without key");
+    assert_success(&out, "attack without key");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "attacked bits: 32\n\
+         predicted key: 00000000000000000000000000000000\n"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn attack_output_on_assure_is_pinned() {
+    // ASSURE leaks on the all-Add/Mul FIR, so every predicted bit is
+    // informative: the whole stdout is pinned byte for byte.
+    let dir = tmpdir("assure-attack");
+    let design = dir.join("fir.v");
+    let locked = dir.join("fir_locked.v");
+    let key = dir.join("fir.key");
+    let run = |args: &[&str], what: &str| {
+        let out = mlrl().args(args).output().expect(what);
+        assert_success(&out, what);
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let (design, locked, key) = (
+        design.to_str().unwrap(),
+        locked.to_str().unwrap(),
+        key.to_str().unwrap(),
+    );
+    run(&["gen", "FIR", "--seed", "5", "-o", design], "gen");
+    run(
+        &[
+            "lock", design, "--scheme", "assure", "--budget", "0.5", "--seed", "9", "-o",
+            locked, "--key-out", key,
+        ],
+        "lock",
+    );
+    let stdout = run(
+        &["attack", locked, "--relocks", "15", "--key", key],
+        "attack",
+    );
+    assert_eq!(
+        stdout,
+        "attacked bits: 32\n\
+         predicted key: 10111011110011100001110001110010\n\
+         KPA: 100.00% (50% = random guess)\n"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
