@@ -45,74 +45,6 @@ fn encode_branch(module: &Module, id: ExprId) -> u32 {
     }
 }
 
-/// A locality extended with structural context: the operator consuming the
-/// multiplexer output (`parent`) — the RTL analogue of SnapShot's wider
-/// netlist window at gate level \[6\].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ContextLocality {
-    /// The core `[K[i], C1, C2]` locality.
-    pub core: Locality,
-    /// Code of the operation consuming the mux output ([`LEAF_CODE`] when
-    /// the mux drives an assignment directly).
-    pub parent: u32,
-}
-
-impl ContextLocality {
-    /// The ML feature vector `[C1, C2, parent]`.
-    pub fn features(&self) -> Vec<u32> {
-        vec![self.core.c1, self.core.c2, self.parent]
-    }
-}
-
-/// Extracts localities with parent-context features.
-///
-/// The parent of a key mux is the binary operation whose operand list
-/// contains it; muxes feeding assignments (or other muxes) directly get
-/// [`LEAF_CODE`]/[`MUX_CODE`] parents respectively.
-pub fn extract_context_localities(module: &Module) -> Vec<ContextLocality> {
-    // First pass: record the consuming code of every node.
-    let mut parent_code: std::collections::HashMap<ExprId, u32> = std::collections::HashMap::new();
-    visit::walk_exprs(module, |_, expr| {
-        let code = match expr {
-            Expr::Binary { op, .. } => Some(op.code()),
-            Expr::Ternary { cond, .. } => {
-                if matches!(module.expr(*cond), Ok(Expr::KeyBit(_))) {
-                    Some(MUX_CODE)
-                } else {
-                    Some(LEAF_CODE)
-                }
-            }
-            _ => None,
-        };
-        if let Some(code) = code {
-            for c in expr.children() {
-                parent_code.entry(c).or_insert(code);
-            }
-        }
-    });
-    let mut out = Vec::new();
-    visit::walk_exprs(module, |id, expr| {
-        if let Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } = expr
-        {
-            if let Ok(Expr::KeyBit(bit)) = module.expr(*cond) {
-                out.push(ContextLocality {
-                    core: Locality {
-                        key_bit: *bit,
-                        c1: encode_branch(module, *then_expr),
-                        c2: encode_branch(module, *else_expr),
-                    },
-                    parent: parent_code.get(&id).copied().unwrap_or(LEAF_CODE),
-                });
-            }
-        }
-    });
-    out
-}
-
 /// Extracts every key-controlled locality from `module`, in deterministic
 /// walk order.
 ///
@@ -214,40 +146,6 @@ mod tests {
         let locs = extract_localities(&m);
         assert_eq!(locs[0].c1, LEAF_CODE);
         assert_eq!(locs[0].c2, BinaryOp::Sub.code());
-    }
-
-    #[test]
-    fn context_parent_is_consuming_op() {
-        let m = parse_verilog(
-            "module t(K, a, b, y);\n input [0:0] K;\n input [7:0] a, b;\n output [7:0] y;\n assign y = (K[0] ? a + b : a - b) * b;\nendmodule",
-        )
-        .unwrap();
-        let locs = extract_context_localities(&m);
-        assert_eq!(locs.len(), 1);
-        assert_eq!(locs[0].parent, BinaryOp::Mul.code());
-        assert_eq!(locs[0].core.c1, BinaryOp::Add.code());
-    }
-
-    #[test]
-    fn context_parent_is_leaf_for_direct_assigns() {
-        let m = parse_verilog(
-            "module t(K, a, b, y);\n input [0:0] K;\n input [7:0] a, b;\n output [7:0] y;\n assign y = K[0] ? a + b : a - b;\nendmodule",
-        )
-        .unwrap();
-        let locs = extract_context_localities(&m);
-        assert_eq!(locs[0].parent, mlrl_rtl::op::LEAF_CODE);
-    }
-
-    #[test]
-    fn context_core_matches_plain_extraction() {
-        let mut m = generate(&benchmark_by_name("SASC").unwrap(), 9);
-        lock_operations(&mut m, &AssureConfig::random(20, 4)).unwrap();
-        let plain = extract_localities(&m);
-        let ctx = extract_context_localities(&m);
-        assert_eq!(ctx.len(), plain.len());
-        for (c, p) in ctx.iter().zip(&plain) {
-            assert_eq!(&c.core, p);
-        }
     }
 
     #[test]

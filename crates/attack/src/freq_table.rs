@@ -14,122 +14,93 @@ use mlrl_locking::key::Key;
 use mlrl_rtl::Module;
 
 use crate::extract::extract_localities;
-use crate::relock::{build_training_set, RelockConfig, TrainingSet};
+use crate::relock::TrainingSet;
+use crate::snapshot::AttackReport;
 
-/// Result of a frequency-table attack.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FreqTableReport {
-    /// KPA in percent over the attacked bits.
-    pub kpa: f64,
-    /// Bits attacked.
-    pub attacked_bits: usize,
-    /// `(c1, c2) -> (label-0 count, label-1 count)` — the whole "model".
-    pub table: HashMap<(u32, u32), (usize, usize)>,
-    /// Per-bit predictions `(key_bit, predicted)`.
-    pub predictions: Vec<(u32, bool)>,
+/// `locality → (label-0 count, label-1 count)` over `training`: the whole
+/// "model" of a frequency-table attack, at either level.
+pub(crate) fn label_counts(training: &TrainingSet) -> HashMap<&[u32], (usize, usize)> {
+    let mut table: HashMap<&[u32], (usize, usize)> = HashMap::new();
+    for (f, &label) in training.features.iter().zip(&training.labels) {
+        let slot = table.entry(f.as_slice()).or_default();
+        if label == 1 {
+            slot.1 += 1;
+        } else {
+            slot.0 += 1;
+        }
+    }
+    table
 }
 
-/// Runs the frequency-table attack against `target` (scored with
-/// `true_key`, which the attacker never sees).
+/// Runs the frequency-table attack against `target`, counting over
+/// `training` (scored with `true_key`, which the attacker never sees).
 ///
-/// Returns `None` when the target exposes no localities.
+/// Each key bit gets the majority label of its `(C1, C2)` pair in
+/// training. An unseen pair or a tie falls back to the training set's
+/// global majority label, and a global tie to 1. The gate-level table
+/// ([`gate_freq_table_attack`](crate::gate_snapshot::gate_freq_table_attack))
+/// falls back to 0 instead; the campaign golden pins both rules, so they
+/// stay different.
+///
+/// Returns `None` when the target exposes no localities or `training` is
+/// empty.
 pub fn freq_table_attack(
     target: &Module,
     true_key: &Key,
-    relock: &RelockConfig,
-) -> Option<FreqTableReport> {
-    // Extract before relocking: no localities means nothing to attack,
-    // and training-set generation is the expensive half.
-    let target_localities = extract_localities(target);
-    if target_localities.is_empty() {
-        return None;
-    }
-    let training = build_training_set(target, relock);
-    attack_localities(&target_localities, true_key, &training)
-}
-
-/// Like [`freq_table_attack`], but consuming a prebuilt training set
-/// (e.g. one shared through `mlrl-engine`'s content-addressed artifact
-/// cache instead of being re-relocked per attack).
-pub fn freq_table_attack_with_training(
-    target: &Module,
-    true_key: &Key,
     training: &TrainingSet,
-) -> Option<FreqTableReport> {
-    attack_localities(&extract_localities(target), true_key, training)
-}
-
-fn attack_localities(
-    target_localities: &[crate::Locality],
-    true_key: &Key,
-    training: &TrainingSet,
-) -> Option<FreqTableReport> {
-    if target_localities.is_empty() {
+) -> Option<AttackReport> {
+    let localities = extract_localities(target);
+    if localities.is_empty() || training.is_empty() {
         return None;
     }
-    if training.is_empty() {
-        return None;
-    }
-
-    let mut table: HashMap<(u32, u32), (usize, usize)> = HashMap::new();
-    let mut global = (0usize, 0usize);
-    for (f, &label) in training.features.iter().zip(&training.labels) {
-        let entry = table.entry((f[0], f[1])).or_default();
-        if label == 1 {
-            entry.1 += 1;
-            global.1 += 1;
-        } else {
-            entry.0 += 1;
-            global.0 += 1;
-        }
-    }
-
-    let mut predictions = Vec::with_capacity(target_localities.len());
-    let mut correct = 0usize;
-    let mut scored = 0usize;
-    for loc in target_localities {
-        let (n0, n1) = table.get(&(loc.c1, loc.c2)).copied().unwrap_or(global);
-        // Ties resolve to the global majority; a global tie to `true`.
-        let predicted = if n1 == n0 {
-            global.1 >= global.0
-        } else {
-            n1 > n0
-        };
-        predictions.push((loc.key_bit, predicted));
-        if let Some(actual) = true_key.bit(loc.key_bit) {
-            scored += 1;
-            if predicted == actual {
-                correct += 1;
-            }
-        }
-    }
-    let kpa = if scored == 0 {
-        0.0
-    } else {
-        100.0 * correct as f64 / scored as f64
-    };
-    Some(FreqTableReport {
-        kpa,
-        attacked_bits: scored,
-        table,
+    let table = label_counts(training);
+    let global = table
+        .values()
+        .fold((0, 0), |(g0, g1), &(n0, n1)| (g0 + n0, g1 + n1));
+    let predictions = localities
+        .iter()
+        .map(|loc| {
+            let (n0, n1) = table.get(&[loc.c1, loc.c2][..]).copied().unwrap_or(global);
+            let predicted = if n1 == n0 {
+                global.1 >= global.0
+            } else {
+                n1 > n0
+            };
+            (loc.key_bit, predicted)
+        })
+        .collect();
+    Some(AttackReport::score(
         predictions,
-    })
+        |bit| true_key.bit(bit),
+        training.len(),
+        "freq-table".to_owned(),
+        None,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relock::{build_training_set, RelockConfig};
     use mlrl_locking::assure::{lock_operations, AssureConfig};
     use mlrl_locking::era::{era_lock, EraConfig};
+    use mlrl_locking::key::KeyBitKind;
     use mlrl_rtl::bench_designs::{benchmark_by_name, generate};
+    use mlrl_rtl::op::BinaryOp;
+    use mlrl_rtl::parser::parse_verilog;
     use mlrl_rtl::visit;
 
-    fn relock_cfg(seed: u64) -> RelockConfig {
-        RelockConfig {
+    fn training(m: &Module, seed: u64) -> TrainingSet {
+        let relock = RelockConfig {
             rounds: 25,
             budget_fraction: 0.75,
             seed,
-        }
+        };
+        build_training_set(m, &relock)
+    }
+
+    fn attack(m: &Module, key: &Key, seed: u64) -> Option<AttackReport> {
+        freq_table_attack(m, key, &training(m, seed))
     }
 
     #[test]
@@ -137,13 +108,15 @@ mod tests {
         let mut m = generate(&benchmark_by_name("FIR").unwrap(), 5);
         let total = visit::binary_ops(&m).len();
         let key = lock_operations(&mut m, &AssureConfig::serial(total * 3 / 4, 6)).unwrap();
-        let report = freq_table_attack(&m, &key, &relock_cfg(7)).unwrap();
+        let report = attack(&m, &key, 7).unwrap();
         assert!(
             report.kpa > 90.0,
             "counting table should break FIR, got {}",
             report.kpa
         );
         assert_eq!(report.attacked_bits, key.len());
+        assert_eq!(report.model_name, "freq-table");
+        assert_eq!(report.cv_accuracy, None);
     }
 
     #[test]
@@ -153,7 +126,7 @@ mod tests {
             let mut m = generate(&benchmark_by_name("FIR").unwrap(), 100 + i);
             let total = visit::binary_ops(&m).len();
             let outcome = era_lock(&mut m, &EraConfig::new(total * 3 / 4, i)).unwrap();
-            let report = freq_table_attack(&m, &outcome.key, &relock_cfg(i ^ 0xAB)).unwrap();
+            let report = attack(&m, &outcome.key, i ^ 0xAB).unwrap();
             kpas.push(report.kpa);
         }
         let mean = kpas.iter().sum::<f64>() / kpas.len() as f64;
@@ -166,16 +139,64 @@ mod tests {
     #[test]
     fn unlocked_target_returns_none() {
         let m = generate(&benchmark_by_name("IIR").unwrap(), 1);
-        assert!(freq_table_attack(&m, &Key::new(), &relock_cfg(1)).is_none());
+        assert!(attack(&m, &Key::new(), 1).is_none());
     }
 
     #[test]
-    fn table_covers_training_features() {
+    fn label_counts_cover_every_training_row() {
         let mut m = generate(&benchmark_by_name("SASC").unwrap(), 2);
-        let key = lock_operations(&mut m, &AssureConfig::serial(15, 3)).unwrap();
-        let report = freq_table_attack(&m, &key, &relock_cfg(4)).unwrap();
-        assert!(!report.table.is_empty());
-        let total: usize = report.table.values().map(|(a, b)| a + b).sum();
-        assert!(total > 0);
+        lock_operations(&mut m, &AssureConfig::serial(15, 3)).unwrap();
+        let training = training(&m, 4);
+        let table = label_counts(&training);
+        assert!(!table.is_empty());
+        let total: usize = table.values().map(|(a, b)| a + b).sum();
+        assert_eq!(total, training.len());
+    }
+
+    #[test]
+    fn unseen_pairs_and_ties_fall_back_to_the_global_majority() {
+        // One key-controlled (Add, Sub) pair; the training rows decide.
+        let m = parse_verilog(
+            "module t(K, a, b, y);\n input [0:0] K;\n input [7:0] a, b;\n output [7:0] y;\n assign y = K[0] ? a + b : a - b;\nendmodule",
+        )
+        .unwrap();
+        let mut key = Key::new();
+        key.push(true, KeyBitKind::Operation);
+        let (add, sub, mul) = (
+            BinaryOp::Add.code(),
+            BinaryOp::Sub.code(),
+            BinaryOp::Mul.code(),
+        );
+        let predict = |rows: &[([u32; 2], usize)]| {
+            let training = TrainingSet {
+                features: rows.iter().map(|(f, _)| f.to_vec()).collect(),
+                labels: rows.iter().map(|&(_, l)| l).collect(),
+            };
+            freq_table_attack(&m, &key, &training).unwrap().predictions[0].1
+        };
+        // The pair's own majority wins over the global one.
+        assert!(predict(&[
+            ([add, sub], 1),
+            ([mul, add], 0),
+            ([mul, add], 0)
+        ]));
+        // An unseen pair takes the global majority.
+        assert!(predict(&[
+            ([mul, add], 1),
+            ([mul, add], 1),
+            ([add, mul], 0)
+        ]));
+        assert!(!predict(&[
+            ([mul, add], 0),
+            ([mul, add], 0),
+            ([add, mul], 1)
+        ]));
+        // A tied pair takes the global majority; a global tie gives 1.
+        assert!(!predict(&[
+            ([add, sub], 0),
+            ([add, sub], 1),
+            ([mul, add], 0)
+        ]));
+        assert!(predict(&[([add, sub], 0), ([add, sub], 1)]));
     }
 }

@@ -12,17 +12,19 @@
 //!   operation obfuscation; leakage depends on how distinguishable the true
 //!   and decoy fan-ins are.
 //!
-//! The attack pipeline mirrors [`crate::snapshot`]: extract a fixed-size
-//! locality vector around every key gate, assemble a training set by
-//! self-referencing relocking, fit the auto-ml stack, and score key
-//! prediction accuracy.
+//! The pipeline is [`crate::snapshot`]'s: extract a fixed-size locality
+//! vector around every key gate, assemble a training set by
+//! self-referencing relocking, then run the same ML core (encode, auto-ml
+//! fit, predict) and the same scorer, into the same
+//! [`AttackReport`].
 
-use mlrl_ml::automl::{auto_fit, AutoMlConfig};
-use mlrl_ml::dataset::{Dataset, OneHotEncoder};
+use mlrl_ml::automl::AutoMlConfig;
 use mlrl_netlist::ir::{FanoutIndex, NetId, Netlist};
 use mlrl_netlist::lock::{lock_netlist, GateKey, GateLockScheme};
 
+use crate::freq_table::label_counts;
 use crate::relock::TrainingSet;
+use crate::snapshot::{ml_attack, AttackReport};
 
 /// Number of categorical features in a gate-level locality vector.
 pub const GATE_LOCALITY_WIDTH: usize = 5;
@@ -104,7 +106,8 @@ pub fn extract_gate_localities(netlist: &Netlist) -> Vec<GateLocality> {
     out
 }
 
-/// Configuration of a gate-level SnapShot run.
+/// Configuration of gate-level training-set assembly (self-referencing
+/// relocking).
 #[derive(Debug, Clone)]
 pub struct GateAttackConfig {
     /// Locking scheme the attacker relocks with (assumption 2 of the threat
@@ -116,8 +119,6 @@ pub struct GateAttackConfig {
     pub bits_per_round: usize,
     /// Base RNG seed; round `r` uses `seed + r + 1`.
     pub seed: u64,
-    /// Auto-ml search parameters.
-    pub automl: AutoMlConfig,
 }
 
 impl Default for GateAttackConfig {
@@ -127,25 +128,8 @@ impl Default for GateAttackConfig {
             rounds: 50,
             bits_per_round: 16,
             seed: 0,
-            automl: AutoMlConfig::default(),
         }
     }
-}
-
-/// Result of one gate-level attack run.
-#[derive(Debug)]
-pub struct GateAttackReport {
-    /// Key prediction accuracy in percent (50 % = random guess).
-    pub kpa: f64,
-    /// Number of target key bits attacked.
-    pub attacked_bits: usize,
-    /// Training samples used.
-    pub training_samples: usize,
-    /// Name of the auto-ml winner, the candidate that made the predictions
-    /// ([`AutoMlOutcome::winner`](mlrl_ml::AutoMlOutcome::winner)).
-    pub model_name: String,
-    /// Per-bit predictions `(key_bit, predicted_value)`.
-    pub predictions: Vec<(usize, bool)>,
 }
 
 /// Assembles a self-referencing gate-level training set: relock the locked
@@ -180,142 +164,77 @@ pub fn build_gate_training_set(target: &Netlist, cfg: &GateAttackConfig) -> Trai
     TrainingSet { features, labels }
 }
 
-/// Runs gate-level SnapShot against a locked netlist.
+/// Runs gate-level SnapShot against a locked netlist, trained on
+/// `training` (from [`build_gate_training_set`], typically cached).
 ///
 /// `true_key` scores the prediction only — the oracle-less attacker sees
 /// nothing but the locked netlist. Returns `None` if the target exposes no
-/// key-gate localities or training fails to produce samples.
+/// key-gate locality the true key can score, or `training` is empty.
 pub fn gate_snapshot_attack(
     target: &Netlist,
     true_key: &GateKey,
-    cfg: &GateAttackConfig,
-) -> Option<GateAttackReport> {
-    let training = build_gate_training_set(target, cfg);
-    gate_snapshot_attack_with_training(target, true_key, cfg, &training)
-}
-
-/// [`gate_snapshot_attack`] over a pre-built (typically cached) training
-/// set.
-pub fn gate_snapshot_attack_with_training(
-    target: &Netlist,
-    true_key: &GateKey,
-    cfg: &GateAttackConfig,
     training: &TrainingSet,
-) -> Option<GateAttackReport> {
-    let target_localities = scoreable_localities(target, true_key)?;
-    if training.is_empty() {
+    automl: &AutoMlConfig,
+) -> Option<AttackReport> {
+    let targets = scoreable_targets(target, true_key);
+    if targets.is_empty() || training.is_empty() {
         return None;
     }
-
-    let mut vocab = training.features.clone();
-    vocab.extend(target_localities.iter().map(|l| l.features.clone()));
-    let encoder = OneHotEncoder::fit(&vocab);
-    let x = encoder.transform_all(&training.features);
-    let train = Dataset::from_rows(x, training.labels.clone()).expect("training set is consistent");
-    let training_samples = train.len();
-    let outcome = auto_fit(&train, &cfg.automl);
-
-    let predict =
-        |loc: &GateLocality| outcome.model.predict(&encoder.transform(&loc.features)) == 1;
-    let (predictions, kpa) = score_predictions(&target_localities, true_key, predict);
-    let attacked_bits = predictions.len();
-
-    Some(GateAttackReport {
-        kpa,
-        attacked_bits,
-        training_samples,
-        model_name: outcome.winner,
-        predictions,
-    })
+    Some(ml_attack(&targets, training, automl, truth(true_key)))
 }
 
 /// Runs the Bayes-optimal frequency-table attack at gate level: count
-/// `locality → key bit` frequencies in the training set and predict the
-/// majority label per target locality (ties and unseen localities fall
-/// back to 0, mirroring [`crate::freq_table`]).
+/// `locality → key bit` frequencies in `training` and predict the majority
+/// label per target locality.
+///
+/// An unseen locality or a tie gives 0. The RTL table
+/// ([`freq_table_attack`](crate::freq_table::freq_table_attack)) falls back
+/// to the training set's global majority instead; the campaign golden pins
+/// both rules, so they stay different.
 ///
 /// Returns `None` under the same conditions as [`gate_snapshot_attack`].
 pub fn gate_freq_table_attack(
     target: &Netlist,
     true_key: &GateKey,
-    cfg: &GateAttackConfig,
-) -> Option<GateAttackReport> {
-    let training = build_gate_training_set(target, cfg);
-    gate_freq_table_attack_with_training(target, true_key, &training)
-}
-
-/// [`gate_freq_table_attack`] over a pre-built (typically cached) training
-/// set.
-pub fn gate_freq_table_attack_with_training(
-    target: &Netlist,
-    true_key: &GateKey,
     training: &TrainingSet,
-) -> Option<GateAttackReport> {
-    let target_localities = scoreable_localities(target, true_key)?;
-    if training.is_empty() {
+) -> Option<AttackReport> {
+    let targets = scoreable_targets(target, true_key);
+    if targets.is_empty() || training.is_empty() {
         return None;
     }
-
-    let mut table: std::collections::HashMap<&[u32], (usize, usize)> =
-        std::collections::HashMap::new();
-    for (f, &label) in training.features.iter().zip(&training.labels) {
-        let slot = table.entry(f.as_slice()).or_insert((0, 0));
-        if label == 1 {
-            slot.1 += 1;
-        } else {
-            slot.0 += 1;
-        }
-    }
-
-    let predict = |loc: &GateLocality| {
-        table
-            .get(loc.features.as_slice())
-            .map(|&(zeros, ones)| ones > zeros)
-            .unwrap_or(false)
-    };
-    let (predictions, kpa) = score_predictions(&target_localities, true_key, predict);
-    let attacked_bits = predictions.len();
-
-    Some(GateAttackReport {
-        kpa,
-        attacked_bits,
-        training_samples: training.len(),
-        model_name: "freq-table".to_owned(),
+    let table = label_counts(training);
+    let predictions = targets
+        .into_iter()
+        .map(|(bit, f)| {
+            let ones_win = table
+                .get(f.as_slice())
+                .is_some_and(|&(zeros, ones)| ones > zeros);
+            (bit, ones_win)
+        })
+        .collect();
+    Some(AttackReport::score(
         predictions,
-    })
+        truth(true_key),
+        training.len(),
+        "freq-table".to_owned(),
+        None,
+    ))
 }
 
-/// Target localities whose key bits the true key can score; `None` when
-/// the target exposes none.
-fn scoreable_localities(target: &Netlist, true_key: &GateKey) -> Option<Vec<GateLocality>> {
-    let localities: Vec<GateLocality> = extract_gate_localities(target)
+/// Target `(key_bit, features)` rows whose key bits the true key can
+/// score. The filter comes before any encoder is fit, because the target
+/// rows join the one-hot vocabulary.
+fn scoreable_targets(target: &Netlist, true_key: &GateKey) -> Vec<(u32, Vec<u32>)> {
+    extract_gate_localities(target)
         .into_iter()
         .filter(|l| l.key_bit < true_key.len())
-        .collect();
-    if localities.is_empty() {
-        None
-    } else {
-        Some(localities)
-    }
+        .map(|l| (l.key_bit as u32, l.features))
+        .collect()
 }
 
-/// Applies `predict` to every locality and scores against the true key.
-fn score_predictions(
-    localities: &[GateLocality],
-    true_key: &GateKey,
-    predict: impl Fn(&GateLocality) -> bool,
-) -> (Vec<(usize, bool)>, f64) {
-    let mut predictions = Vec::with_capacity(localities.len());
-    let mut correct = 0usize;
-    for loc in localities {
-        let predicted = predict(loc);
-        predictions.push((loc.key_bit, predicted));
-        if predicted == true_key.bits()[loc.key_bit] {
-            correct += 1;
-        }
-    }
-    let kpa = 100.0 * correct as f64 / predictions.len() as f64;
-    (predictions, kpa)
+/// The scorer's view of a gate-level key.
+fn truth(true_key: &GateKey) -> impl Fn(u32) -> Option<bool> + '_ {
+    move |bit| true_key.bits().get(bit as usize).copied()
 }
 
 #[cfg(test)]
@@ -340,16 +259,20 @@ mod tests {
         n
     }
 
-    fn fast_cfg(scheme: GateLockScheme) -> GateAttackConfig {
-        GateAttackConfig {
+    fn training(n: &Netlist, scheme: GateLockScheme) -> TrainingSet {
+        let cfg = GateAttackConfig {
             scheme,
             rounds: 15,
             bits_per_round: 16,
             seed: 3,
-            automl: AutoMlConfig {
-                max_train_samples: 2000,
-                ..Default::default()
-            },
+        };
+        build_gate_training_set(n, &cfg)
+    }
+
+    fn automl() -> AutoMlConfig {
+        AutoMlConfig {
+            max_train_samples: 2000,
+            ..Default::default()
         }
     }
 
@@ -376,8 +299,10 @@ mod tests {
         // The Fig. 1 premise: gate-level locking falls to structural ML.
         let mut n = sample_netlist(0);
         let key = xor_xnor_lock(&mut n, 24, 7).unwrap();
-        let report = gate_snapshot_attack(&n, &key, &fast_cfg(GateLockScheme::XorXnor)).unwrap();
+        let training = training(&n, GateLockScheme::XorXnor);
+        let report = gate_snapshot_attack(&n, &key, &training, &automl()).unwrap();
         assert_eq!(report.attacked_bits, 24);
+        assert!(report.cv_accuracy.is_some());
         assert!(
             report.kpa >= 95.0,
             "expected near-total break, got {}",
@@ -389,7 +314,8 @@ mod tests {
     fn mux_locking_with_random_decoys_resists_naive_localities() {
         let mut n = sample_netlist(1);
         let key = mux_lock(&mut n, 24, 9).unwrap();
-        let report = gate_snapshot_attack(&n, &key, &fast_cfg(GateLockScheme::Mux)).unwrap();
+        let training = training(&n, GateLockScheme::Mux);
+        let report = gate_snapshot_attack(&n, &key, &training, &automl()).unwrap();
         assert_eq!(report.attacked_bits, 24);
         // Real and decoy wires are drawn from the same distribution, so the
         // structural locality carries little signal. Allow generous slack
@@ -407,10 +333,11 @@ mod tests {
         // frequency table reaches ≈ 100 % on XOR/XNOR locking.
         let mut n = sample_netlist(0);
         let key = xor_xnor_lock(&mut n, 24, 7).unwrap();
-        let cfg = fast_cfg(GateLockScheme::XorXnor);
-        let report = gate_freq_table_attack(&n, &key, &cfg).unwrap();
+        let training = training(&n, GateLockScheme::XorXnor);
+        let report = gate_freq_table_attack(&n, &key, &training).unwrap();
         assert_eq!(report.attacked_bits, 24);
         assert_eq!(report.model_name, "freq-table");
+        assert_eq!(report.training_samples, training.len());
         assert!(
             report.kpa >= 95.0,
             "expected near-total break, got {}",
@@ -419,27 +346,49 @@ mod tests {
     }
 
     #[test]
-    fn cached_training_sets_reproduce_direct_runs() {
+    fn training_rows_are_gate_localities() {
         let mut n = sample_netlist(0);
-        let key = xor_xnor_lock(&mut n, 16, 3).unwrap();
-        let cfg = fast_cfg(GateLockScheme::XorXnor);
-        let training = build_gate_training_set(&n, &cfg);
-        assert!(!training.is_empty());
-        assert!(training
-            .features
-            .iter()
-            .all(|f| f.len() == GATE_LOCALITY_WIDTH));
-        let direct = gate_freq_table_attack(&n, &key, &cfg).unwrap();
-        let shared = gate_freq_table_attack_with_training(&n, &key, &training).unwrap();
-        assert_eq!(direct.predictions, shared.predictions);
-        assert_eq!(direct.kpa, shared.kpa);
+        xor_xnor_lock(&mut n, 16, 3).unwrap();
+        let set = training(&n, GateLockScheme::XorXnor);
+        assert!(!set.is_empty());
+        assert!(set.features.iter().all(|f| f.len() == GATE_LOCALITY_WIDTH));
+        assert_eq!(set, training(&n, GateLockScheme::XorXnor), "deterministic");
+    }
+
+    #[test]
+    fn freq_table_unseen_localities_and_ties_give_zero() {
+        let mut n = sample_netlist(0);
+        let key = xor_xnor_lock(&mut n, 1, 3).unwrap();
+        let row = extract_gate_localities(&n)[0].features.clone();
+        let predict = |rows: &[(Vec<u32>, usize)]| {
+            let training = TrainingSet {
+                features: rows.iter().map(|(f, _)| f.clone()).collect(),
+                labels: rows.iter().map(|&(_, l)| l).collect(),
+            };
+            gate_freq_table_attack(&n, &key, &training)
+                .unwrap()
+                .predictions[0]
+                .1
+        };
+        let other = vec![0; GATE_LOCALITY_WIDTH];
+        // Majority 1 on the target's own locality predicts 1 ...
+        assert!(predict(&[
+            (row.clone(), 1),
+            (row.clone(), 1),
+            (row.clone(), 0)
+        ]));
+        // ... but an unseen locality or a tie gives 0, whatever the
+        // global majority.
+        assert!(!predict(&[(other.clone(), 1), (other, 1)]));
+        assert!(!predict(&[(row.clone(), 1), (row, 0)]));
     }
 
     #[test]
     fn unlocked_netlist_yields_none() {
         let n = sample_netlist(2);
         let key = GateKey::new();
-        assert!(gate_snapshot_attack(&n, &key, &fast_cfg(GateLockScheme::XorXnor)).is_none());
-        assert!(gate_freq_table_attack(&n, &key, &fast_cfg(GateLockScheme::XorXnor)).is_none());
+        let training = training(&n, GateLockScheme::XorXnor);
+        assert!(gate_snapshot_attack(&n, &key, &training, &automl()).is_none());
+        assert!(gate_freq_table_attack(&n, &key, &training).is_none());
     }
 }

@@ -6,7 +6,9 @@
 //!   (the Pyverilog-based extractor of §5, reimplemented on our IR),
 //! - [`relock`] — training-set assembly by self-referencing relocking,
 //! - [`snapshot`] — the full SnapShot-RTL pipeline (Fig. 2): setup →
-//!   extraction → training (auto-ml) → deployment, scored by KPA,
+//!   extraction → training (auto-ml) → deployment, scored by KPA; its ML
+//!   core, scorer and [`AttackReport`] serve every SnapShot and
+//!   frequency-table attack at both levels,
 //! - [`pair_analysis`] — the §3.2 exact attack on the original (leaky)
 //!   ASSURE pairing,
 //! - [`observations`] — the §3 / Fig. 4 selection-strategy analysis,
@@ -18,6 +20,12 @@
 //!   EPIC-style netlist locking, reproducing the Fig. 1 premise that ML
 //!   breaks traditional gate-level locking.
 //!
+//! Every SnapShot-style attack takes a prebuilt training set
+//! ([`relock::build_training_set`] or
+//! [`gate_snapshot::build_gate_training_set`]): relocking is the expensive
+//! half, and one set serves both the auto-ml and the frequency-table
+//! attack on the same locked target.
+//!
 //! ## Threat model (§2.1)
 //!
 //! Oracle-less: the attacker holds only the locked RTL (assumed perfectly
@@ -27,18 +35,17 @@
 //! ## Quick example
 //!
 //! ```
-//! use mlrl_attack::relock::RelockConfig;
-//! use mlrl_attack::snapshot::{snapshot_attack, AttackConfig};
+//! use mlrl_attack::relock::{build_training_set, RelockConfig};
+//! use mlrl_attack::snapshot::snapshot_attack;
 //! use mlrl_locking::assure::{lock_operations, AssureConfig};
+//! use mlrl_ml::AutoMlConfig;
 //! use mlrl_rtl::bench_designs::{benchmark_by_name, generate};
 //!
 //! let mut m = generate(&benchmark_by_name("FIR").expect("benchmark"), 1);
 //! let key = lock_operations(&mut m, &AssureConfig::serial(47, 2))?;
-//! let cfg = AttackConfig {
-//!     relock: RelockConfig { rounds: 10, ..Default::default() },
-//!     ..Default::default()
-//! };
-//! let report = snapshot_attack(&m, &key, &cfg).expect("target has localities");
+//! let training = build_training_set(&m, &RelockConfig { rounds: 10, ..Default::default() });
+//! let report = snapshot_attack(&m, &key, &training, &AutoMlConfig::default())
+//!     .expect("target has localities");
 //! println!("KPA = {:.1}%", report.kpa);
 //! # Ok::<(), mlrl_locking::LockError>(())
 //! ```
@@ -57,4 +64,4 @@ pub mod relock;
 pub mod snapshot;
 
 pub use extract::{extract_localities, Locality};
-pub use snapshot::{snapshot_attack, snapshot_attack_with_training, AttackConfig, AttackReport};
+pub use snapshot::{snapshot_attack, AttackReport};

@@ -11,7 +11,7 @@
 use mlrl_locking::assure::{lock_operations, AssureConfig};
 use mlrl_rtl::{visit, Module};
 
-use crate::extract::{extract_context_localities, extract_localities};
+use crate::extract::extract_localities;
 
 /// Configuration of training-set generation.
 #[derive(Debug, Clone)]
@@ -39,7 +39,9 @@ impl Default for RelockConfig {
 /// A labelled training set of locality feature rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrainingSet {
-    /// Categorical feature rows `[C1, C2]`.
+    /// Categorical feature rows: `[C1, C2]` at RTL, a
+    /// [`GateLocality`](crate::gate_snapshot::GateLocality) vector at gate
+    /// level.
     pub features: Vec<Vec<u32>>,
     /// Key-bit labels (0 or 1).
     pub labels: Vec<usize>,
@@ -64,16 +66,6 @@ impl TrainingSet {
 ///
 /// Panics if `cfg.budget_fraction` is not positive.
 pub fn build_training_set(target: &Module, cfg: &RelockConfig) -> TrainingSet {
-    build_training_set_with(target, cfg, false)
-}
-
-/// Like [`build_training_set`], optionally extracting parent-context
-/// features (see [`crate::extract::extract_context_localities`]).
-pub fn build_training_set_with(
-    target: &Module,
-    cfg: &RelockConfig,
-    context_features: bool,
-) -> TrainingSet {
     assert!(
         cfg.budget_fraction > 0.0,
         "budget_fraction must be positive"
@@ -93,24 +85,13 @@ pub fn build_training_set_with(
             Ok(k) => k,
             Err(_) => continue, // nothing lockable: skip round
         };
-        let round_samples: Vec<(u32, Vec<u32>)> = if context_features {
-            extract_context_localities(&clone)
-                .into_iter()
-                .map(|l| (l.core.key_bit, l.features()))
-                .collect()
-        } else {
-            extract_localities(&clone)
-                .into_iter()
-                .map(|l| (l.key_bit, l.features()))
-                .collect()
-        };
-        for (key_bit, feats) in round_samples {
+        for loc in extract_localities(&clone) {
             // Only the bits added this round have known values.
-            if key_bit >= base_bits {
+            if loc.key_bit >= base_bits {
                 let value = key
-                    .bit(key_bit - base_bits)
+                    .bit(loc.key_bit - base_bits)
                     .expect("relock key covers its own bits");
-                features.push(feats);
+                features.push(loc.features());
                 labels.push(usize::from(value));
             }
         }

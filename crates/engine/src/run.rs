@@ -14,17 +14,16 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mlrl_attack::freq_table::freq_table_attack_with_training;
+use mlrl_attack::freq_table::freq_table_attack;
 use mlrl_attack::gate_snapshot::{
-    build_gate_training_set, gate_freq_table_attack_with_training,
-    gate_snapshot_attack_with_training, GateAttackConfig,
+    build_gate_training_set, gate_freq_table_attack, gate_snapshot_attack, GateAttackConfig,
 };
 use mlrl_attack::kpa_model::predict_kpa;
 use mlrl_attack::observations::{run_scenario, Scenario};
 use mlrl_attack::oracle_guided::{oracle_guided_attack, OracleAttackConfig};
 use mlrl_attack::pair_analysis::pair_analysis_attack;
 use mlrl_attack::relock::{build_training_set, RelockConfig};
-use mlrl_attack::snapshot::{snapshot_attack_with_training, AttackConfig};
+use mlrl_attack::snapshot::snapshot_attack;
 use mlrl_locking::assure::{lock_operations, AssureConfig, Selection};
 use mlrl_locking::corruptibility::{
     measure_corruptibility, measure_gate_corruptibility, CorruptibilityConfig,
@@ -753,31 +752,19 @@ fn run_attack(
 
     let _attack_span = mlrl_obs::span("phase.attack");
     match job.attack {
-        AttackKind::FreqTable => {
+        AttackKind::FreqTable | AttackKind::Snapshot => {
             let training = training.expect("training built above");
-            let report = freq_table_attack_with_training(&locked.module, &locked.key, &training)
-                .ok_or("target exposes no key-controlled localities")?;
-            record.kpa = Some(report.kpa);
-            record.attacked_bits = Some(report.attacked_bits);
-            record.training_samples = Some(training.len());
-        }
-        AttackKind::Snapshot => {
-            let training = training.expect("training built above");
-            let cfg = AttackConfig {
-                relock: RelockConfig {
-                    rounds: spec.relock_rounds,
-                    budget_fraction: 0.75,
-                    seed: job.relock_seed(),
-                },
-                automl: AutoMlConfig {
-                    seed: job.attack_seed(),
-                    ..Default::default()
-                },
-                context_features: false,
-            };
-            let report =
-                snapshot_attack_with_training(&locked.module, &locked.key, &cfg, &training)
-                    .ok_or("target exposes no key-controlled localities")?;
+            let report = match job.attack {
+                AttackKind::FreqTable => freq_table_attack(&locked.module, &locked.key, &training),
+                _ => {
+                    let automl = AutoMlConfig {
+                        seed: job.attack_seed(),
+                        ..Default::default()
+                    };
+                    snapshot_attack(&locked.module, &locked.key, &training, &automl)
+                }
+            }
+            .ok_or("target exposes no key-controlled localities")?;
             record.kpa = Some(report.kpa);
             record.attacked_bits = Some(report.attacked_bits);
             record.training_samples = Some(report.training_samples);
@@ -881,10 +868,6 @@ fn run_gate_attack(
                 rounds: spec.relock_rounds,
                 bits_per_round: lowered.key.len().clamp(1, 64),
                 seed: job.relock_seed(),
-                automl: AutoMlConfig {
-                    seed: job.attack_seed(),
-                    ..Default::default()
-                },
             };
             // Chained off the lowered artifact's content key, mirroring
             // the RTL training shard.
@@ -904,14 +887,15 @@ fn run_gate_attack(
             };
             let report = match job.attack {
                 AttackKind::FreqTable => {
-                    gate_freq_table_attack_with_training(&lowered.netlist, &gate_key, &training)
+                    gate_freq_table_attack(&lowered.netlist, &gate_key, &training)
                 }
-                _ => gate_snapshot_attack_with_training(
-                    &lowered.netlist,
-                    &gate_key,
-                    &gcfg,
-                    &training,
-                ),
+                _ => {
+                    let automl = AutoMlConfig {
+                        seed: job.attack_seed(),
+                        ..Default::default()
+                    };
+                    gate_snapshot_attack(&lowered.netlist, &gate_key, &training, &automl)
+                }
             }
             .ok_or("target exposes no key-gate localities")?;
             record.kpa = Some(report.kpa);

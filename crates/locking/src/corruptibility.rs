@@ -370,10 +370,10 @@ pub fn measure_gate_corruptibility_w<const W: usize>(
 
     let width = locked.key_width();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let inputs: Vec<(String, usize)> = original
+    let inputs: Vec<(String, u32)> = original
         .inputs()
         .iter()
-        .map(|p| (p.name.clone(), p.width()))
+        .map(|p| (p.name.clone(), p.width() as u32))
         .collect();
     let outputs: Vec<(String, usize)> = original
         .outputs()
@@ -406,23 +406,18 @@ pub fn measure_gate_corruptibility_w<const W: usize>(
         while remaining > 0 && chunk_sizes.len() < W {
             let lanes = remaining.min(64);
             for _ in 0..lanes {
-                let mut key = correct_key[..width].to_vec();
-                for _ in 0..cfg.flips.max(1) {
-                    let i = rng.gen_range(0..width);
-                    key[i] = !key[i];
-                }
-                wrong.push(key);
+                wrong.push(near_miss_key(
+                    &correct_key[..width],
+                    width,
+                    cfg.flips,
+                    &mut rng,
+                ));
             }
             // Pattern-major, port-minor, masked to the port width.
             let mut stim = Vec::with_capacity(cfg.patterns * inputs.len());
             for _ in 0..cfg.patterns {
                 for (_, width) in &inputs {
-                    let v: u64 = rng.gen();
-                    stim.push(if *width >= 64 {
-                        v
-                    } else {
-                        v & ((1u64 << width) - 1)
-                    });
+                    stim.push(mask_draw(rng.gen(), *width));
                 }
             }
             stimulus.push(stim);

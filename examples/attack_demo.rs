@@ -4,12 +4,13 @@
 //!
 //! Run with: `cargo run --release --example attack_demo [benchmark]`
 
-use mlrl::attack::relock::RelockConfig;
-use mlrl::attack::snapshot::{snapshot_attack, AttackConfig};
+use mlrl::attack::relock::{build_training_set, RelockConfig};
+use mlrl::attack::snapshot::snapshot_attack;
 use mlrl::locking::assure::{lock_operations, AssureConfig};
 use mlrl::locking::era::{era_lock, EraConfig};
 use mlrl::locking::hra::{hra_lock, HraConfig};
 use mlrl::locking::key::Key;
+use mlrl::ml::AutoMlConfig;
 use mlrl::rtl::bench_designs::{benchmark_by_name, generate};
 use mlrl::rtl::{visit, Module};
 
@@ -57,15 +58,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut module = generate(&spec, 2022);
         let total = visit::binary_ops(&module).len();
         let key = lock(&mut module, total * 3 / 4);
-        let cfg = AttackConfig {
-            relock: RelockConfig {
-                rounds: 50,
-                budget_fraction: 0.75,
-                seed: 77,
-            },
-            ..Default::default()
+        let relock = RelockConfig {
+            rounds: 50,
+            budget_fraction: 0.75,
+            seed: 77,
         };
-        let report = snapshot_attack(&module, &key, &cfg).expect("localities exist");
+        let training = build_training_set(&module, &relock);
+        let report = snapshot_attack(&module, &key, &training, &AutoMlConfig::default())
+            .expect("localities exist");
         println!(
             "{label:<8} {:>8} {:>10} {:>12} {:>7.1}%  {}",
             key.len(),

@@ -4,11 +4,12 @@
 //!
 //! Run with: `cargo run --release --example hierarchy`
 
-use mlrl::attack::relock::RelockConfig;
-use mlrl::attack::snapshot::{snapshot_attack, AttackConfig};
+use mlrl::attack::relock::{build_training_set, RelockConfig};
+use mlrl::attack::snapshot::snapshot_attack;
 use mlrl::locking::era::{era_lock, EraConfig};
 use mlrl::locking::pairs::PairTable;
 use mlrl::locking::report::LockingReport;
+use mlrl::ml::AutoMlConfig;
 use mlrl::rtl::equiv::{check_equiv, EquivConfig};
 use mlrl::rtl::parser::parse_design;
 use mlrl::rtl::stats::DesignStats;
@@ -76,15 +77,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(result.is_equivalent());
 
     // Attack it.
-    let cfg = AttackConfig {
-        relock: RelockConfig {
-            rounds: 40,
-            budget_fraction: 0.75,
-            seed: 13,
-        },
-        ..Default::default()
+    let relock = RelockConfig {
+        rounds: 40,
+        budget_fraction: 0.75,
+        seed: 13,
     };
-    let attack = snapshot_attack(&locked, &outcome.key, &cfg).expect("localities exist");
+    let training = build_training_set(&locked, &relock);
+    let attack = snapshot_attack(&locked, &outcome.key, &training, &AutoMlConfig::default())
+        .expect("localities exist");
     println!(
         "\nSnapShot-RTL on the ERA-locked flat pipeline: KPA = {:.1}% over {} bits",
         attack.kpa, attack.attacked_bits

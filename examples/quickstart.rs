@@ -3,9 +3,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use mlrl::attack::relock::RelockConfig;
-use mlrl::attack::snapshot::{snapshot_attack, AttackConfig};
+use mlrl::attack::relock::{build_training_set, RelockConfig};
+use mlrl::attack::snapshot::snapshot_attack;
 use mlrl::locking::era::{era_lock, EraConfig};
+use mlrl::ml::AutoMlConfig;
 use mlrl::rtl::ast::PortDir;
 use mlrl::rtl::bench_designs::{benchmark_by_name, generate};
 use mlrl::rtl::sim::Simulator;
@@ -65,15 +66,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. Attack it with SnapShot-RTL.
-    let cfg = AttackConfig {
-        relock: RelockConfig {
-            rounds: 40,
-            budget_fraction: 0.75,
-            seed: 9,
-        },
-        ..Default::default()
+    let relock = RelockConfig {
+        rounds: 40,
+        budget_fraction: 0.75,
+        seed: 9,
     };
-    let report = snapshot_attack(&locked, &outcome.key, &cfg).expect("localities exist");
+    let training = build_training_set(&locked, &relock);
+    let report = snapshot_attack(&locked, &outcome.key, &training, &AutoMlConfig::default())
+        .expect("localities exist");
     println!(
         "SnapShot-RTL vs ERA: KPA = {:.1}% over {} bits (50% = random guess; model: {})",
         report.kpa, report.attacked_bits, report.model_name

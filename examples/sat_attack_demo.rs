@@ -5,9 +5,10 @@
 //!
 //! Run with: `cargo run --release --example sat_attack_demo`
 
-use mlrl::attack::relock::RelockConfig;
-use mlrl::attack::snapshot::{snapshot_attack, AttackConfig};
+use mlrl::attack::relock::{build_training_set, RelockConfig};
+use mlrl::attack::snapshot::snapshot_attack;
 use mlrl::locking::era::{era_lock, EraConfig};
+use mlrl::ml::AutoMlConfig;
 use mlrl::netlist::equiv::check_netlists;
 use mlrl::netlist::lower::lower_module;
 use mlrl::rtl::bench_designs::{benchmark_by_name, generate_with_width};
@@ -26,14 +27,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("SIM_SPI @8 bit, ERA-locked with {} key bits", key.len());
 
     // 2. The oracle-less ML attack is held at the coin-flip floor.
-    let snap_cfg = AttackConfig {
-        relock: RelockConfig {
-            rounds: 60,
-            ..Default::default()
-        },
+    let relock = RelockConfig {
+        rounds: 60,
         ..Default::default()
     };
-    if let Some(report) = snapshot_attack(&locked, &outcome.key, &snap_cfg) {
+    let training = build_training_set(&locked, &relock);
+    if let Some(report) =
+        snapshot_attack(&locked, &outcome.key, &training, &AutoMlConfig::default())
+    {
         println!(
             "SnapShot-RTL (oracle-less): KPA = {:.1}% (~50% = chance)",
             report.kpa

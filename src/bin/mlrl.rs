@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mlrl::attack::freq_table::freq_table_attack;
-use mlrl::attack::relock::RelockConfig;
+use mlrl::attack::relock::{build_training_set, RelockConfig};
 use mlrl::engine::cache::parse_byte_size;
 use mlrl::engine::cli::{opt_level, CampaignFlags, Command, Parsed, Telemetry, CAMPAIGN_FLAGS};
 use mlrl::engine::report::merge_canonical_streams;
@@ -272,7 +272,8 @@ fn cmd_attack(args: &Parsed) -> Result<(), String> {
     for b in bits {
         score_key.push(b, KeyBitKind::Operation);
     }
-    let report = freq_table_attack(&locked, &score_key, &relock)
+    let training = build_training_set(&locked, &relock);
+    let report = freq_table_attack(&locked, &score_key, &training)
         .ok_or("design exposes no key-controlled localities")?;
     println!("attacked bits: {}", report.attacked_bits);
     let predicted: Vec<bool> = {

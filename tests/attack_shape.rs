@@ -3,21 +3,19 @@
 //! Absolute digits differ from the paper (synthetic benchmarks, different
 //! ML stack); the qualitative ordering must hold.
 
-use mlrl::attack::relock::RelockConfig;
-use mlrl::attack::snapshot::{snapshot_attack, AttackConfig};
+use mlrl::attack::relock::{build_training_set, RelockConfig};
+use mlrl::attack::snapshot::snapshot_attack;
 use mlrl::locking::assure::{lock_operations, AssureConfig};
 use mlrl::locking::era::{era_lock, EraConfig};
+use mlrl::ml::AutoMlConfig;
 use mlrl::rtl::bench_designs::{benchmark_by_name, DesignSpec};
 use mlrl::rtl::visit;
 
-fn attack_cfg(seed: u64) -> AttackConfig {
-    AttackConfig {
-        relock: RelockConfig {
-            rounds: 30,
-            budget_fraction: 0.75,
-            seed,
-        },
-        ..Default::default()
+fn relock_cfg(seed: u64) -> RelockConfig {
+    RelockConfig {
+        rounds: 30,
+        budget_fraction: 0.75,
+        seed,
     }
 }
 
@@ -45,7 +43,8 @@ fn mean_kpa(spec: &DesignSpec, scheme: &str, instances: usize) -> f64 {
             }
             other => panic!("unknown scheme {other}"),
         };
-        if let Some(report) = snapshot_attack(&module, &key, &attack_cfg(seed ^ 0xF00)) {
+        let training = build_training_set(&module, &relock_cfg(seed ^ 0xF00));
+        if let Some(report) = snapshot_attack(&module, &key, &training, &AutoMlConfig::default()) {
             sum += report.kpa;
             n += 1;
         }

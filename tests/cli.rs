@@ -127,8 +127,18 @@ fn attack_output_on_assure_is_pinned() {
     run(&["gen", "FIR", "--seed", "5", "-o", design], "gen");
     run(
         &[
-            "lock", design, "--scheme", "assure", "--budget", "0.5", "--seed", "9", "-o",
-            locked, "--key-out", key,
+            "lock",
+            design,
+            "--scheme",
+            "assure",
+            "--budget",
+            "0.5",
+            "--seed",
+            "9",
+            "-o",
+            locked,
+            "--key-out",
+            key,
         ],
         "lock",
     );

@@ -1,10 +1,11 @@
 //! Integration: the hierarchical flow end to end — parse a multi-module
 //! design, flatten, lock with each scheme, verify function, attack.
 
-use mlrl::attack::relock::RelockConfig;
-use mlrl::attack::snapshot::{snapshot_attack, AttackConfig};
+use mlrl::attack::relock::{build_training_set, RelockConfig};
+use mlrl::attack::snapshot::snapshot_attack;
 use mlrl::locking::assure::{lock_operations, AssureConfig};
 use mlrl::locking::era::{era_lock, EraConfig};
+use mlrl::ml::AutoMlConfig;
 use mlrl::rtl::equiv::{check_equiv, EquivConfig};
 use mlrl::rtl::parser::parse_design;
 use mlrl::rtl::{emit, parser, visit};
@@ -71,15 +72,14 @@ fn flattened_locked_design_round_trips_and_attacks() {
     assert_eq!(back.key_width(), locked.key_width());
 
     // The attack runs on the reparsed artifact (the attacker's view).
-    let cfg = AttackConfig {
-        relock: RelockConfig {
-            rounds: 15,
-            budget_fraction: 0.75,
-            seed: 7,
-        },
-        ..Default::default()
+    let relock = RelockConfig {
+        rounds: 15,
+        budget_fraction: 0.75,
+        seed: 7,
     };
-    let report = snapshot_attack(&back, &outcome.key, &cfg).expect("localities");
+    let training = build_training_set(&back, &relock);
+    let report = snapshot_attack(&back, &outcome.key, &training, &AutoMlConfig::default())
+        .expect("localities");
     assert_eq!(report.attacked_bits, outcome.key.len());
 }
 

@@ -3,11 +3,12 @@
 //! operation distribution) should predict the §5 evaluation.
 
 use mlrl::attack::kpa_model::predict_kpa;
-use mlrl::attack::relock::RelockConfig;
-use mlrl::attack::snapshot::{snapshot_attack, AttackConfig};
+use mlrl::attack::relock::{build_training_set, RelockConfig};
+use mlrl::attack::snapshot::snapshot_attack;
 use mlrl::locking::assure::{lock_operations, AssureConfig};
 use mlrl::locking::era::{era_lock, EraConfig};
 use mlrl::locking::pairs::PairTable;
+use mlrl::ml::AutoMlConfig;
 use mlrl::rtl::bench_designs::benchmark_by_name;
 use mlrl::rtl::visit;
 
@@ -28,15 +29,13 @@ fn measured_and_predicted(bench: &str, scheme: &str, seed: u64) -> (f64, f64) {
         other => panic!("unknown scheme {other}"),
     };
     let predicted = predict_kpa(&module, &key, &PairTable::fixed()).expected_kpa;
-    let cfg = AttackConfig {
-        relock: RelockConfig {
-            rounds: 40,
-            budget_fraction: 0.75,
-            seed: seed ^ 0xBEEF,
-        },
-        ..Default::default()
+    let relock = RelockConfig {
+        rounds: 40,
+        budget_fraction: 0.75,
+        seed: seed ^ 0xBEEF,
     };
-    let measured = snapshot_attack(&module, &key, &cfg)
+    let training = build_training_set(&module, &relock);
+    let measured = snapshot_attack(&module, &key, &training, &AutoMlConfig::default())
         .expect("localities")
         .kpa;
     (measured, predicted)

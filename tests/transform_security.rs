@@ -6,11 +6,12 @@
 //! optimizer, so localities survive and the ODT balance is untouched.
 
 use mlrl::attack::extract_localities;
-use mlrl::attack::relock::RelockConfig;
-use mlrl::attack::snapshot::{snapshot_attack, AttackConfig};
+use mlrl::attack::relock::{build_training_set, RelockConfig};
+use mlrl::attack::snapshot::snapshot_attack;
 use mlrl::locking::era::{era_lock, EraConfig};
 use mlrl::locking::odt::Odt;
 use mlrl::locking::pairs::PairTable;
+use mlrl::ml::AutoMlConfig;
 use mlrl::rtl::bench_designs::{benchmark_by_name, generate};
 use mlrl::rtl::equiv::{check_equiv, EquivConfig};
 use mlrl::rtl::transform::constant_fold;
@@ -91,15 +92,14 @@ fn attack_on_folded_era_design_stays_at_chance() {
         let outcome = era_lock(&mut locked, &EraConfig::new(total * 3 / 4, i)).expect("lock");
         let mut folded = locked.clone();
         constant_fold(&mut folded).expect("fold");
-        let cfg = AttackConfig {
-            relock: RelockConfig {
-                rounds: 25,
-                budget_fraction: 0.75,
-                seed: i ^ 0x33,
-            },
-            ..Default::default()
+        let relock = RelockConfig {
+            rounds: 25,
+            budget_fraction: 0.75,
+            seed: i ^ 0x33,
         };
-        let report = snapshot_attack(&folded, &outcome.key, &cfg).expect("localities");
+        let training = build_training_set(&folded, &relock);
+        let report = snapshot_attack(&folded, &outcome.key, &training, &AutoMlConfig::default())
+            .expect("localities");
         kpas.push(report.kpa);
     }
     let mean = kpas.iter().sum::<f64>() / kpas.len() as f64;
