@@ -720,6 +720,41 @@ mod tests {
     }
 
     #[test]
+    fn rtl_corruptibility_values_are_pinned() {
+        // Pins the exact values of the batched settle path (`ticks: 0`)
+        // and the one-lane clocked path (`ticks: 2`, on a controller with
+        // a state register), and so the RNG draw order both share: the
+        // key, then patterns × ports.
+        let pin = |design: &str, ticks: usize| {
+            let original = generate(&benchmark_by_name(design).unwrap(), 4);
+            let mut locked = original.clone();
+            let key = lock_operations(&mut locked, &AssureConfig::serial(12, 3)).unwrap();
+            let bits = key_bits(&key, locked.key_width());
+            let cfg = CorruptibilityConfig {
+                wrong_keys: 10,
+                patterns: 11,
+                ticks,
+                flips: 2,
+                seed: 5,
+            };
+            let r = measure_corruptibility(&original, &locked, &bits, &cfg).unwrap();
+            [
+                r.corruption_rate.to_bits(),
+                r.error_rate.to_bits(),
+                r.hamming_fraction.to_bits(),
+            ]
+        };
+        assert_eq!(
+            pin("IIR", 0),
+            [0x3feccccccccccccd, 0x3fe47ae147ae147a, 0x3fd12ad262ad262a]
+        );
+        assert_eq!(
+            pin("SASC", 2),
+            [0x3feccccccccccccd, 0x3fc7a91d7a91d7a9, 0x3fa2b7142b7142b8]
+        );
+    }
+
+    #[test]
     fn gate_corruptibility_rejects_keyless_and_short_keys() {
         let (original, locked, key) = gate_pair();
         assert!(measure_gate_corruptibility(
