@@ -14,6 +14,7 @@
 //!   operations — `+` is *always* real; the key can be read off directly.
 
 use mlrl_locking::assure::{lock_operations, AssureConfig, Selection};
+use mlrl_locking::key_budget;
 use mlrl_locking::pairs::PairTable;
 use mlrl_rtl::bench_designs::{benchmark_by_name, generate};
 use mlrl_rtl::op::BinaryOp;
@@ -86,7 +87,7 @@ pub fn run_scenario(
     let mut spec = benchmark_by_name("N_2046").expect("N_2046 exists");
     spec.op_mix = vec![(BinaryOp::Add, n_ops)];
     let mut target = generate(&spec, seed);
-    let budget = ((n_ops as f64) * test_budget).round().max(1.0) as usize;
+    let budget = key_budget(&target, test_budget).expect("+ network is lockable");
 
     // Test locking.
     let test_cfg = AssureConfig {

@@ -9,7 +9,8 @@
 //! the attacker knows — and adds them to the training set.
 
 use mlrl_locking::assure::{lock_operations, AssureConfig};
-use mlrl_rtl::{visit, Module};
+use mlrl_locking::key_budget;
+use mlrl_rtl::Module;
 
 use crate::extract::extract_localities;
 
@@ -73,17 +74,18 @@ pub fn build_training_set(target: &Module, cfg: &RelockConfig) -> TrainingSet {
     let base_bits = target.key_width();
     let mut features = Vec::new();
     let mut labels = Vec::new();
+    let Some(budget) = key_budget(target, cfg.budget_fraction) else {
+        return TrainingSet { features, labels }; // nothing lockable
+    };
     for round in 0..cfg.rounds {
         let mut clone = target.clone();
-        let lockable = visit::binary_ops(&clone).len();
-        let budget = ((lockable as f64) * cfg.budget_fraction).round().max(1.0) as usize;
         let round_seed = cfg
             .seed
             .wrapping_add(round as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let key = match lock_operations(&mut clone, &AssureConfig::random(budget, round_seed)) {
             Ok(k) => k,
-            Err(_) => continue, // nothing lockable: skip round
+            Err(_) => continue, // nothing the pair table can lock: skip round
         };
         for loc in extract_localities(&clone) {
             // Only the bits added this round have known values.
@@ -103,6 +105,7 @@ pub fn build_training_set(target: &Module, cfg: &RelockConfig) -> TrainingSet {
 mod tests {
     use super::*;
     use mlrl_rtl::bench_designs::{benchmark_by_name, generate};
+    use mlrl_rtl::visit;
 
     fn locked_target(name: &str, seed: u64) -> Module {
         let mut m = generate(&benchmark_by_name(name).unwrap(), seed);

@@ -24,15 +24,13 @@ use mlrl_attack::oracle_guided::{oracle_guided_attack, OracleAttackConfig};
 use mlrl_attack::pair_analysis::pair_analysis_attack;
 use mlrl_attack::relock::{build_training_set, RelockConfig};
 use mlrl_attack::snapshot::snapshot_attack;
-use mlrl_locking::assure::{lock_operations, AssureConfig, Selection};
 use mlrl_locking::corruptibility::{
     measure_corruptibility, measure_gate_corruptibility, CorruptibilityConfig,
 };
-use mlrl_locking::era::{era_lock, EraConfig};
-use mlrl_locking::hra::{hra_lock, HraConfig};
 use mlrl_locking::metric::SecurityMetric;
 use mlrl_locking::odt::Odt;
 use mlrl_locking::pairs::PairTable;
+use mlrl_locking::{key_budget, lock};
 use mlrl_ml::automl::AutoMlConfig;
 use mlrl_netlist::lock::{lock_netlist, GateKey, GateLockScheme};
 use mlrl_netlist::lower::lower_module;
@@ -521,22 +519,11 @@ fn execute_gate_locked(
     let base_lowered_key = lowered_content_key(base_verilog, spec.opt_level);
     let base_lowered = lowered_base(cache, base, base_verilog, spec.opt_level)?;
 
-    // Key length matches the RTL budget accounting (fraction of lockable
-    // operations), so gate and RTL cells of one sweep spend comparable
-    // key bits — the Fig. 1 apples-to-apples requirement.
-    let lockable = visit::binary_ops(base).len();
-    if lockable == 0 {
-        return Err(format!(
-            "benchmark `{}` has no lockable operations",
-            job.benchmark
-        ));
-    }
-    let key_len = ((lockable as f64) * job.budget).round().max(1.0) as usize;
-    let gate_scheme = match job.scheme {
-        SchemeKind::XorXnor => GateLockScheme::XorXnor,
-        SchemeKind::Mux => GateLockScheme::Mux,
-        other => return Err(format!("scheme `{}` is not a gate scheme", other.name())),
-    };
+    let key_len = cell_key_budget(base, job)?;
+    let gate_scheme = job
+        .scheme
+        .gate_scheme()
+        .ok_or_else(|| format!("scheme `{}` is not a gate scheme", job.scheme.name()))?;
 
     // Locked netlist: chained off the lowered base's content key, so
     // cells differing only in attack share it.
@@ -637,84 +624,31 @@ fn record_gate_shape(
     });
 }
 
+/// The cell's key budget: `job.budget` of the base design's lockable
+/// operations, the same for RTL and gate cells so one sweep spends
+/// comparable key bits at both levels (the Fig. 1 apples-to-apples
+/// requirement).
+fn cell_key_budget(base: &Module, job: &Job) -> Result<usize, String> {
+    key_budget(base, job.budget)
+        .ok_or_else(|| format!("benchmark `{}` has no lockable operations", job.benchmark))
+}
+
 fn lock_design(base: &Module, job: &Job) -> Result<LockedArtifact, String> {
+    // Gate schemes and profile cells never get here: expansion routes
+    // them through `execute_gate_locked` and `execute_profile`.
+    let scheme = job
+        .scheme
+        .lock_scheme()
+        .ok_or_else(|| format!("scheme `{}` cannot lock an RTL module", job.scheme.name()))?;
+    let bits = cell_key_budget(base, job)?;
     let mut module = base.clone();
-    let lockable = visit::binary_ops(&module).len();
-    if lockable == 0 {
-        return Err(format!(
-            "benchmark `{}` has no lockable operations",
-            job.benchmark
-        ));
-    }
-    let budget = ((lockable as f64) * job.budget).round().max(1.0) as usize;
-    let seed = job.lock_seed();
-    let (key, trace) = match job.scheme {
-        SchemeKind::Assure => (
-            lock_operations(&mut module, &AssureConfig::serial(budget, seed))
-                .map_err(|e| e.to_string())?,
-            None,
-        ),
-        SchemeKind::AssureRandom => (
-            lock_operations(&mut module, &AssureConfig::random(budget, seed))
-                .map_err(|e| e.to_string())?,
-            None,
-        ),
-        SchemeKind::AssureOriginal => (
-            // Serial ASSURE under the *original* (non-involutive) pair
-            // table — the §3.2 leaky configuration pair analysis reads.
-            lock_operations(
-                &mut module,
-                &AssureConfig {
-                    selection: Selection::Serial,
-                    pair_table: PairTable::original_assure(),
-                    budget,
-                    seed,
-                },
-            )
-            .map_err(|e| e.to_string())?,
-            None,
-        ),
-        SchemeKind::AssureDisjoint => (
-            // The Fig. 4d test lock is plain random selection; the
-            // disjointness constrains only the observation analysis'
-            // training relocks.
-            lock_operations(&mut module, &AssureConfig::random(budget, seed))
-                .map_err(|e| e.to_string())?,
-            None,
-        ),
-        SchemeKind::Hra => {
-            let outcome =
-                hra_lock(&mut module, &HraConfig::new(budget, seed)).map_err(|e| e.to_string())?;
-            let trace = outcome.trace.iter().map(|(n, g, _)| (*n, *g)).collect();
-            (outcome.key, Some(trace))
-        }
-        SchemeKind::HraGreedy => {
-            let outcome = hra_lock(&mut module, &HraConfig::greedy(budget, seed))
-                .map_err(|e| e.to_string())?;
-            let trace = outcome.trace.iter().map(|(n, g, _)| (*n, *g)).collect();
-            (outcome.key, Some(trace))
-        }
-        SchemeKind::Era => {
-            let outcome =
-                era_lock(&mut module, &EraConfig::new(budget, seed)).map_err(|e| e.to_string())?;
-            let trace = outcome.trace.iter().map(|(n, g, _)| (*n, *g)).collect();
-            (outcome.key, Some(trace))
-        }
-        SchemeKind::XorXnor | SchemeKind::Mux => {
-            // Unreachable by construction: expansion routes gate schemes
-            // through `execute_gate_locked`.
-            return Err(format!(
-                "gate scheme `{}` cannot lock an RTL module",
-                job.scheme.name()
-            ));
-        }
-        SchemeKind::None => {
-            // Unreachable by construction: expansion routes profile
-            // cells through `execute_profile`.
-            return Err("profile cells lock nothing".to_owned());
-        }
-    };
-    Ok(LockedArtifact { module, key, trace })
+    let outcome = lock(&mut module, scheme, bits, job.lock_seed()).map_err(|e| e.to_string())?;
+    let trace: Vec<(usize, f64)> = outcome.trace.iter().map(|&(n, g, _)| (n, g)).collect();
+    Ok(LockedArtifact {
+        module,
+        key: outcome.key,
+        trace: (!trace.is_empty()).then_some(trace),
+    })
 }
 
 fn run_attack(
@@ -859,10 +793,7 @@ fn run_gate_attack(
             // The attacker relocks with the scheme they face (threat-model
             // assumption 2); RTL schemes lower to MUX trees, so their
             // gate-level analogue is MUX insertion.
-            let relock_scheme = match job.scheme {
-                SchemeKind::XorXnor => GateLockScheme::XorXnor,
-                _ => GateLockScheme::Mux,
-            };
+            let relock_scheme = job.scheme.gate_scheme().unwrap_or(GateLockScheme::Mux);
             let gcfg = GateAttackConfig {
                 scheme: relock_scheme,
                 rounds: spec.relock_rounds,

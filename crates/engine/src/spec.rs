@@ -6,6 +6,8 @@
 //! spec-file format; [`CampaignSpec::expand`] (in [`crate::job`]) turns
 //! the grid into a deterministic job list.
 
+use mlrl_locking::LockScheme;
+use mlrl_netlist::lock::GateLockScheme;
 use mlrl_rtl::bench_designs::{benchmark_by_name, DesignSpec};
 use mlrl_rtl::op::{BinaryOp, ALL_BINARY_OPS};
 
@@ -144,7 +146,33 @@ impl SchemeKind {
     /// Whether this scheme locks the lowered netlist rather than the RTL
     /// module.
     pub fn is_gate_scheme(self) -> bool {
-        matches!(self, SchemeKind::XorXnor | SchemeKind::Mux)
+        self.gate_scheme().is_some()
+    }
+
+    /// The RTL locker of this scheme; `None` for the gate schemes and for
+    /// profile cells. `assure-disjoint` locks like `assure-random`: its
+    /// disjointness constrains only the Fig. 4d observation analysis'
+    /// training relocks.
+    pub fn lock_scheme(self) -> Option<LockScheme> {
+        match self {
+            SchemeKind::Assure => Some(LockScheme::Assure),
+            SchemeKind::AssureRandom | SchemeKind::AssureDisjoint => Some(LockScheme::AssureRandom),
+            SchemeKind::AssureOriginal => Some(LockScheme::AssureOriginal),
+            SchemeKind::Hra => Some(LockScheme::Hra),
+            SchemeKind::HraGreedy => Some(LockScheme::HraGreedy),
+            SchemeKind::Era => Some(LockScheme::Era),
+            SchemeKind::XorXnor | SchemeKind::Mux | SchemeKind::None => None,
+        }
+    }
+
+    /// The gate-level locker of this scheme; `None` for RTL schemes and
+    /// for profile cells.
+    pub fn gate_scheme(self) -> Option<GateLockScheme> {
+        match self {
+            SchemeKind::XorXnor => Some(GateLockScheme::XorXnor),
+            SchemeKind::Mux => Some(GateLockScheme::Mux),
+            _ => None,
+        }
     }
 
     /// Whether an attack is meaningful against this scheme. Profile

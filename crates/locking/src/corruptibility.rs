@@ -23,13 +23,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mlrl_rtl::ast::PortDir;
-use mlrl_rtl::sim::{BatchSimulator, Simulator};
+use mlrl_rtl::sim::BatchSimulator;
 use mlrl_rtl::Module;
 
 use crate::error::{LockError, Result};
 
-/// RTL patterns per batched settle in the combinational path: each lane of
-/// one tape walk carries an independent stimulus vector.
+/// RTL patterns per batched settle when `ticks == 0`: each lane of one
+/// tape walk carries an independent stimulus vector.
 const RTL_BATCH: usize = 8;
 
 /// Configuration for [`measure_corruptibility`].
@@ -128,9 +128,9 @@ pub fn measure_corruptibility(
         .collect();
 
     if cfg.ticks == 0 {
-        measure_rtl_combinational(original, locked, correct_key, cfg, &inputs, &outputs)
+        measure_rtl::<RTL_BATCH>(original, locked, correct_key, cfg, &inputs, &outputs)
     } else {
-        measure_rtl_sequential(original, locked, correct_key, cfg, &inputs, &outputs)
+        measure_rtl::<1>(original, locked, correct_key, cfg, &inputs, &outputs)
     }
 }
 
@@ -154,11 +154,60 @@ fn mask_draw(v: u64, width: u32) -> u64 {
     }
 }
 
-/// Combinational corruptibility: every pattern is an independent settle, so
-/// up to [`RTL_BATCH`] of them ride the lanes of one batched tape walk.
-/// Patterns are pre-drawn in the exact order the pattern-at-a-time loop
-/// consumed them, so the RNG stream (and every tally) is batch-invariant.
-fn measure_rtl_combinational(
+/// Running totals over the wrong keys of one measurement, shared by the
+/// RTL and gate-level loops so all three measures are defined once.
+struct Tally {
+    /// (pattern, output) reads per wrong key.
+    reads: u64,
+    /// Output bits seen per wrong key.
+    bits_seen: u64,
+    corrupted_keys: usize,
+    error_sum: f64,
+    hamming_sum: f64,
+}
+
+impl Tally {
+    /// Every wrong key sees `patterns` patterns of outputs of `widths`.
+    fn new(patterns: usize, widths: impl Iterator<Item = u64>) -> Self {
+        let (ports, bits) = widths.fold((0u64, 0u64), |(n, b), w| (n + 1, b + w));
+        Self {
+            reads: patterns as u64 * ports,
+            bits_seen: patterns as u64 * bits,
+            corrupted_keys: 0,
+            error_sum: 0.0,
+            hamming_sum: 0.0,
+        }
+    }
+
+    /// Adds one wrong key: `errors` of its reads differed, and `bit_flips`
+    /// of its output bits.
+    fn add_key(&mut self, errors: u64, bit_flips: u64) {
+        if errors > 0 {
+            self.corrupted_keys += 1;
+        }
+        self.error_sum += errors as f64 / self.reads.max(1) as f64;
+        self.hamming_sum += bit_flips as f64 / self.bits_seen.max(1) as f64;
+    }
+
+    fn report(self, wrong_keys: usize) -> CorruptibilityReport {
+        let n = wrong_keys.max(1) as f64;
+        CorruptibilityReport {
+            wrong_keys,
+            corruption_rate: self.corrupted_keys as f64 / n,
+            error_rate: self.error_sum / n,
+            hamming_fraction: self.hamming_sum / n,
+        }
+    }
+}
+
+/// RTL corruptibility over `V` lanes. With `cfg.ticks == 0` every pattern
+/// is an independent settle, so up to `V` of them ride the lanes of one
+/// batched tape walk; with ticks, each pattern advances register state
+/// carried over from the previous one, so the caller passes `V = 1`.
+/// Either way the key is drawn first, then the patterns × ports in the
+/// order a pattern-at-a-time loop consumes them, so the RNG stream (and
+/// every tally) is batch-invariant.
+fn measure_rtl<const V: usize>(
     original: &Module,
     locked: &Module,
     correct_key: &[bool],
@@ -172,21 +221,18 @@ fn measure_rtl_combinational(
 
     // Compile both designs once; each trial resets state instead of
     // reconstructing (and recompiling) the simulators.
-    let mut ref_sim = BatchSimulator::<RTL_BATCH>::new(original).map_err(sim_err)?;
+    let mut ref_sim = BatchSimulator::<V>::new(original).map_err(sim_err)?;
     ref_sim.set_key(correct_key).map_err(sim_err)?;
-    let mut bad_sim = BatchSimulator::<RTL_BATCH>::new(locked).map_err(sim_err)?;
+    let mut bad_sim = BatchSimulator::<V>::new(locked).map_err(sim_err)?;
 
-    let mut corrupted_keys = 0usize;
-    let mut error_sum = 0.0f64;
-    let mut hamming_sum = 0.0f64;
-
+    let mut tally = Tally::new(cfg.patterns, outputs.iter().map(|(_, w)| u64::from(*w)));
     for _ in 0..cfg.wrong_keys {
         let wrong = near_miss_key(correct_key, width, cfg.flips, &mut rng);
         ref_sim.reset();
         bad_sim.reset();
         bad_sim.set_key(&wrong).map_err(sim_err)?;
 
-        // Pattern-major, port-minor: the order the scalar loop drew.
+        // Pattern-major, port-minor.
         let mut stim = Vec::with_capacity(cfg.patterns * inputs.len());
         for _ in 0..cfg.patterns {
             for (_, width) in inputs {
@@ -194,13 +240,11 @@ fn measure_rtl_combinational(
             }
         }
 
-        let mut reads = 0u64;
         let mut errors = 0u64;
         let mut bit_flips = 0u64;
-        let mut bits_seen = 0u64;
         let mut done = 0usize;
         while done < cfg.patterns {
-            let lanes = (cfg.patterns - done).min(RTL_BATCH);
+            let lanes = (cfg.patterns - done).min(V);
             for (i, (name, _)) in inputs.iter().enumerate() {
                 let vals: Vec<u64> = (0..lanes)
                     .map(|l| stim[(done + l) * inputs.len() + i])
@@ -208,105 +252,30 @@ fn measure_rtl_combinational(
                 ref_sim.set_input_batch(name, &vals).map_err(sim_err)?;
                 bad_sim.set_input_batch(name, &vals).map_err(sim_err)?;
             }
-            ref_sim.settle().map_err(sim_err)?;
-            bad_sim.settle().map_err(sim_err)?;
+            if cfg.ticks == 0 {
+                ref_sim.settle().map_err(sim_err)?;
+                bad_sim.settle().map_err(sim_err)?;
+            } else {
+                for _ in 0..cfg.ticks {
+                    ref_sim.tick().map_err(sim_err)?;
+                    bad_sim.tick().map_err(sim_err)?;
+                }
+            }
             for lane in 0..lanes {
-                for (name, width) in outputs {
+                for (name, _) in outputs {
                     let a = ref_sim.get_lane(name, lane).map_err(sim_err)?;
                     let b = bad_sim.get_lane(name, lane).map_err(sim_err)?;
-                    reads += 1;
                     if a != b {
                         errors += 1;
                     }
                     bit_flips += (a ^ b).count_ones() as u64;
-                    bits_seen += *width as u64;
                 }
             }
             done += lanes;
         }
-        if errors > 0 {
-            corrupted_keys += 1;
-        }
-        error_sum += errors as f64 / reads.max(1) as f64;
-        hamming_sum += bit_flips as f64 / bits_seen.max(1) as f64;
+        tally.add_key(errors, bit_flips);
     }
-
-    let n = cfg.wrong_keys.max(1) as f64;
-    Ok(CorruptibilityReport {
-        wrong_keys: cfg.wrong_keys,
-        corruption_rate: corrupted_keys as f64 / n,
-        error_rate: error_sum / n,
-        hamming_fraction: hamming_sum / n,
-    })
-}
-
-/// Sequential corruptibility: each pattern's ticks advance register state
-/// carried over from the previous pattern, so trials stay scalar.
-fn measure_rtl_sequential(
-    original: &Module,
-    locked: &Module,
-    correct_key: &[bool],
-    cfg: &CorruptibilityConfig,
-    inputs: &[(String, u32)],
-    outputs: &[(String, u32)],
-) -> Result<CorruptibilityReport> {
-    let sim_err = LockError::Rtl;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let width = locked.key_width() as usize;
-
-    let mut ref_sim = Simulator::new(original).map_err(sim_err)?;
-    ref_sim.set_key(correct_key).map_err(sim_err)?;
-    let mut bad_sim = Simulator::new(locked).map_err(sim_err)?;
-
-    let mut corrupted_keys = 0usize;
-    let mut error_sum = 0.0f64;
-    let mut hamming_sum = 0.0f64;
-
-    for _ in 0..cfg.wrong_keys {
-        let wrong = near_miss_key(correct_key, width, cfg.flips, &mut rng);
-        ref_sim.reset();
-        bad_sim.reset();
-        bad_sim.set_key(&wrong).map_err(sim_err)?;
-
-        let mut reads = 0u64;
-        let mut errors = 0u64;
-        let mut bit_flips = 0u64;
-        let mut bits_seen = 0u64;
-        for _ in 0..cfg.patterns {
-            for (name, width) in inputs {
-                let v = mask_draw(rng.gen(), *width);
-                ref_sim.set_input(name, v).map_err(sim_err)?;
-                bad_sim.set_input(name, v).map_err(sim_err)?;
-            }
-            for _ in 0..cfg.ticks {
-                ref_sim.tick().map_err(sim_err)?;
-                bad_sim.tick().map_err(sim_err)?;
-            }
-            for (name, width) in outputs {
-                let a = ref_sim.get(name).map_err(sim_err)?;
-                let b = bad_sim.get(name).map_err(sim_err)?;
-                reads += 1;
-                if a != b {
-                    errors += 1;
-                }
-                bit_flips += (a ^ b).count_ones() as u64;
-                bits_seen += *width as u64;
-            }
-        }
-        if errors > 0 {
-            corrupted_keys += 1;
-        }
-        error_sum += errors as f64 / reads.max(1) as f64;
-        hamming_sum += bit_flips as f64 / bits_seen.max(1) as f64;
-    }
-
-    let n = cfg.wrong_keys.max(1) as f64;
-    Ok(CorruptibilityReport {
-        wrong_keys: cfg.wrong_keys,
-        corruption_rate: corrupted_keys as f64 / n,
-        error_rate: error_sum / n,
-        hamming_fraction: hamming_sum / n,
-    })
+    Ok(tally.report(cfg.wrong_keys))
 }
 
 /// Gate-level corruptibility over the multi-word key sweep: how badly a
@@ -385,14 +354,7 @@ pub fn measure_gate_corruptibility_w<const W: usize>(
     ref_sim.set_key(correct_key)?;
     let mut bad_sim = NetlistSimulator::<W>::with_width(locked)?;
 
-    let mut corrupted_keys = 0usize;
-    let mut error_sum = 0.0f64;
-    let mut hamming_sum = 0.0f64;
-
-    // Per-chunk totals: every chunk sees the same pattern count, so the
-    // (pattern, output) read count and output-bit count are constants.
-    let reads: u64 = cfg.patterns as u64 * outputs.len() as u64;
-    let bits_seen: u64 = cfg.patterns as u64 * outputs.iter().map(|(_, w)| *w as u64).sum::<u64>();
+    let mut tally = Tally::new(cfg.patterns, outputs.iter().map(|(_, w)| *w as u64));
 
     let mut remaining = cfg.wrong_keys;
     while remaining > 0 {
@@ -460,22 +422,11 @@ pub fn measure_gate_corruptibility_w<const W: usize>(
                 }
             }
         }
-        for lane in 0..total {
-            if errors[lane] > 0 {
-                corrupted_keys += 1;
-            }
-            error_sum += errors[lane] as f64 / reads.max(1) as f64;
-            hamming_sum += bit_flips[lane] as f64 / bits_seen.max(1) as f64;
+        for (&errors, &flips) in errors.iter().zip(&bit_flips) {
+            tally.add_key(errors, flips);
         }
     }
-
-    let n = cfg.wrong_keys.max(1) as f64;
-    Ok(CorruptibilityReport {
-        wrong_keys: cfg.wrong_keys,
-        corruption_rate: corrupted_keys as f64 / n,
-        error_rate: error_sum / n,
-        hamming_fraction: hamming_sum / n,
-    })
+    Ok(tally.report(cfg.wrong_keys))
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use crate::lock_step::{lock_type, valid_pairs, OpSites};
 use crate::metric::SecurityMetric;
 use crate::odt::Odt;
 use crate::pairs::PairTable;
+use crate::scheme::LockOutcome;
 
 /// Configuration for [`era_lock`].
 #[derive(Debug, Clone)]
@@ -37,21 +38,6 @@ impl EraConfig {
             seed,
         }
     }
-}
-
-/// Result of an ERA locking run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EraOutcome {
-    /// The locking key (operation bits only; ERA performs operation
-    /// obfuscation).
-    pub key: Key,
-    /// Bits actually consumed (≥ the budget when balancing overran it).
-    pub bits_used: usize,
-    /// Whether the budget was exceeded to guarantee security.
-    pub exceeded_budget: bool,
-    /// `(bits_used, M_g_sec, M_r_sec)` after every `Lock` call — the data
-    /// behind Fig. 5b.
-    pub trace: Vec<(usize, f64, f64)>,
 }
 
 /// Locks `module` with ERA.
@@ -77,7 +63,7 @@ pub struct EraOutcome {
 /// assert_eq!(odt.get(mlrl_rtl::op::BinaryOp::Mul), 0);
 /// # Ok::<(), mlrl_locking::error::LockError>(())
 /// ```
-pub fn era_lock(module: &mut Module, cfg: &EraConfig) -> Result<EraOutcome> {
+pub fn era_lock(module: &mut Module, cfg: &EraConfig) -> Result<LockOutcome> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut odt = Odt::load(module, cfg.pair_table.clone());
     let mut sites = OpSites::build(module);
@@ -90,10 +76,9 @@ pub fn era_lock(module: &mut Module, cfg: &EraConfig) -> Result<EraOutcome> {
     let mut theta = valid_pairs(&odt, &sites);
     if theta.is_empty() {
         if cfg.key_budget == 0 {
-            return Ok(EraOutcome {
+            return Ok(LockOutcome {
                 key,
                 bits_used: 0,
-                exceeded_budget: false,
                 trace,
             });
         }
@@ -139,10 +124,9 @@ pub fn era_lock(module: &mut Module, cfg: &EraConfig) -> Result<EraOutcome> {
         );
     }
 
-    Ok(EraOutcome {
+    Ok(LockOutcome {
         key,
         bits_used: n,
-        exceeded_budget: n > cfg.key_budget,
         trace,
     })
 }
@@ -190,7 +174,6 @@ mod tests {
         let mut m = generate(&benchmark_by_name("N_2046").unwrap(), 2);
         let outcome = era_lock(&mut m, &EraConfig::new(2046, 3)).unwrap();
         assert_eq!(outcome.bits_used, 2046);
-        assert!(!outcome.exceeded_budget);
         let odt = Odt::load(&m, PairTable::fixed());
         assert!(odt.is_balanced());
         let census = visit::op_census(&m);

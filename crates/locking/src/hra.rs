@@ -22,6 +22,7 @@ use crate::lock_step::{lock_type, undo_lock, valid_pairs, OpSites};
 use crate::metric::SecurityMetric;
 use crate::odt::Odt;
 use crate::pairs::PairTable;
+use crate::scheme::LockOutcome;
 
 /// Configuration for [`hra_lock`].
 #[derive(Debug, Clone)]
@@ -61,18 +62,6 @@ impl HraConfig {
     }
 }
 
-/// Result of an HRA/Greedy locking run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HraOutcome {
-    /// The locking key (operation bits only).
-    pub key: Key,
-    /// Bits consumed (≤ budget, +1 possible on a final 2-bit paired lock).
-    pub bits_used: usize,
-    /// `(bits_used, M_g_sec, M_r_sec)` after every applied lock — the data
-    /// behind Fig. 5b.
-    pub trace: Vec<(usize, f64, f64)>,
-}
-
 /// Locks `module` with HRA (or Greedy when `cfg.p_random == 0`).
 ///
 /// # Errors
@@ -91,7 +80,7 @@ pub struct HraOutcome {
 /// assert!(outcome.bits_used >= 20);
 /// # Ok::<(), mlrl_locking::error::LockError>(())
 /// ```
-pub fn hra_lock(module: &mut Module, cfg: &HraConfig) -> Result<HraOutcome> {
+pub fn hra_lock(module: &mut Module, cfg: &HraConfig) -> Result<LockOutcome> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut odt = Odt::load(module, cfg.pair_table.clone());
     let mut sites = OpSites::build(module);
@@ -104,7 +93,7 @@ pub fn hra_lock(module: &mut Module, cfg: &HraConfig) -> Result<HraOutcome> {
     let mut theta = valid_pairs(&odt, &sites);
     if theta.is_empty() {
         if cfg.key_budget == 0 {
-            return Ok(HraOutcome {
+            return Ok(LockOutcome {
                 key,
                 bits_used: 0,
                 trace,
@@ -164,7 +153,7 @@ pub fn hra_lock(module: &mut Module, cfg: &HraConfig) -> Result<HraOutcome> {
         }
     }
 
-    Ok(HraOutcome {
+    Ok(LockOutcome {
         key,
         bits_used: n,
         trace,

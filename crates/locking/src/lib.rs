@@ -14,18 +14,20 @@
 //! - [`lock_step`] — the shared `Lock` step (Alg. 1) with exact undo,
 //! - [`era`] — the Exact ML-Resilient Algorithm (Alg. 3),
 //! - [`hra`] — the Heuristic ML-Resilient Algorithm (Alg. 4) and the
-//!   Greedy variant (§4.4).
+//!   Greedy variant (§4.4),
+//! - [`scheme`] — the one entry point: [`lock`] a module under a
+//!   [`LockScheme`] with a budget from [`key_budget`].
 //!
 //! ## Quick example
 //!
 //! ```
-//! use mlrl_locking::assure::{lock_operations, AssureConfig};
+//! use mlrl_locking::{lock, LockScheme};
 //! use mlrl_rtl::bench_designs::{benchmark_by_name, generate};
 //!
 //! let spec = benchmark_by_name("FIR").expect("known benchmark");
 //! let mut module = generate(&spec, 42);
-//! let key = lock_operations(&mut module, &AssureConfig::serial(16, 7))?;
-//! assert_eq!(key.len(), 16);
+//! let outcome = lock(&mut module, LockScheme::Assure, 16, 7)?;
+//! assert_eq!(outcome.key.len(), 16);
 //! assert_eq!(module.key_width(), 16);
 //! # Ok::<(), mlrl_locking::error::LockError>(())
 //! ```
@@ -44,8 +46,10 @@ pub mod metric;
 pub mod odt;
 pub mod pairs;
 pub mod report;
+pub mod scheme;
 
 pub use error::{LockError, Result};
 pub use key::{Key, KeyBitKind};
 pub use odt::Odt;
 pub use pairs::PairTable;
+pub use scheme::{key_budget, lock, LockOutcome, LockScheme};

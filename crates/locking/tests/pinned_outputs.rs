@@ -7,9 +7,10 @@
 use mlrl_locking::era::{era_lock, EraConfig};
 use mlrl_locking::hra::{hra_lock, HraConfig};
 use mlrl_locking::key::Key;
+use mlrl_locking::key_budget;
 use mlrl_rtl::bench_designs::{benchmark_by_name, generate};
 use mlrl_rtl::emit::emit_verilog;
-use mlrl_rtl::{visit, Module};
+use mlrl_rtl::Module;
 
 const DESIGNS: [&str; 4] = ["N_1023", "DES3", "SHA256", "FIR"];
 const SEEDS: [u64; 2] = [1, 2];
@@ -81,8 +82,7 @@ fn digest(module: &Module, key: &Key, bits_used: usize, trace: &[(usize, f64, f6
 
 fn run(scheme: &str, design: &str, seed: u64, budget: f64) -> u64 {
     let mut m = generate(&benchmark_by_name(design).expect("benchmark"), seed);
-    let lockable = visit::binary_ops(&m).len();
-    let bits = ((lockable as f64) * budget).round().max(1.0) as usize;
+    let bits = key_budget(&m, budget).expect("lockable");
     let lock_seed = seed * 1_000 + 17;
     match scheme {
         "hra" => {

@@ -6,13 +6,9 @@
 
 use mlrl::attack::relock::{build_training_set, RelockConfig};
 use mlrl::attack::snapshot::snapshot_attack;
-use mlrl::locking::assure::{lock_operations, AssureConfig};
-use mlrl::locking::era::{era_lock, EraConfig};
-use mlrl::locking::hra::{hra_lock, HraConfig};
-use mlrl::locking::key::Key;
+use mlrl::locking::{key_budget, lock, LockScheme};
 use mlrl::ml::AutoMlConfig;
 use mlrl::rtl::bench_designs::{benchmark_by_name, generate};
-use mlrl::rtl::{visit, Module};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args()
@@ -23,41 +19,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("benchmark {} — {}", spec.name, spec.description);
     println!("operation mix: {:?}", spec.op_mix);
 
-    type Locker = Box<dyn Fn(&mut Module, usize) -> Key>;
-    let lockers: Vec<(&str, Locker)> = vec![
-        (
-            "ASSURE",
-            Box::new(|m: &mut Module, budget| {
-                lock_operations(m, &AssureConfig::serial(budget, 11)).expect("lockable")
-            }),
-        ),
-        (
-            "HRA",
-            Box::new(|m: &mut Module, budget| {
-                hra_lock(m, &HraConfig::new(budget, 11))
-                    .expect("lockable")
-                    .key
-            }),
-        ),
-        (
-            "ERA",
-            Box::new(|m: &mut Module, budget| {
-                era_lock(m, &EraConfig::new(budget, 11))
-                    .expect("lockable")
-                    .key
-            }),
-        ),
-    ];
-
     println!();
     println!(
         "{:<8} {:>8} {:>10} {:>12} {:>8}  winner",
         "scheme", "bits", "train", "attacked", "KPA"
     );
-    for (label, lock) in lockers {
+    let schemes = [
+        ("ASSURE", LockScheme::Assure),
+        ("HRA", LockScheme::Hra),
+        ("ERA", LockScheme::Era),
+    ];
+    for (label, scheme) in schemes {
         let mut module = generate(&spec, 2022);
-        let total = visit::binary_ops(&module).len();
-        let key = lock(&mut module, total * 3 / 4);
+        let bits = key_budget(&module, 0.75).expect("lockable");
+        let key = lock(&mut module, scheme, bits, 11)?.key;
         let relock = RelockConfig {
             rounds: 50,
             budget_fraction: 0.75,

@@ -5,10 +5,9 @@
 //!
 //! Run with: `cargo run --release --example metric_guided_design`
 
-use mlrl::locking::era::{era_lock, EraConfig};
-use mlrl::locking::hra::{hra_lock, HraConfig};
 use mlrl::locking::odt::Odt;
 use mlrl::locking::pairs::PairTable;
+use mlrl::locking::{lock, LockScheme};
 use mlrl::rtl::bench_designs::DesignSpec;
 use mlrl::rtl::op::BinaryOp;
 
@@ -62,54 +61,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         odt.total_imbalance()
     );
 
-    // ERA: jumps along the edges, may exceed the budget.
-    let mut m = mlrl::rtl::bench_designs::generate(&spec, 1);
-    let era = era_lock(&mut m, &EraConfig::new(35, 5))?;
-    ascii_plot(
-        "ERA",
-        &era.trace
-            .iter()
-            .map(|(n, g, _)| (*n, *g))
-            .collect::<Vec<_>>(),
-        60,
-    );
+    // ERA jumps along the edges and may exceed its budget; Greedy takes
+    // the steepest path, fewest bits to 100, but is reversible; HRA's
+    // random detours thwart reversibility at extra key-bit cost.
+    let runs = [
+        ("ERA", LockScheme::Era, 35),
+        ("Greedy", LockScheme::HraGreedy, 160),
+        ("HRA", LockScheme::Hra, 160),
+    ];
+    let mut to_100 = Vec::new();
+    for (label, scheme, budget) in runs {
+        let mut m = mlrl::rtl::bench_designs::generate(&spec, 1);
+        let trace = lock(&mut m, scheme, budget, 5)?.trace;
+        let metric: Vec<(usize, f64)> = trace.iter().map(|(n, g, _)| (*n, *g)).collect();
+        ascii_plot(label, &metric, 60);
+        let bits = metric.iter().find(|(_, g)| *g >= 100.0 - 1e-9);
+        let bits = bits.map_or_else(|| "not reached".into(), |(n, _)| n.to_string());
+        to_100.push((label, bits));
+    }
 
-    // Greedy: steepest path, fewest bits to 100, but reversible.
-    let mut m = mlrl::rtl::bench_designs::generate(&spec, 1);
-    let greedy = hra_lock(&mut m, &HraConfig::greedy(160, 5))?;
-    ascii_plot(
-        "Greedy",
-        &greedy
-            .trace
-            .iter()
-            .map(|(n, g, _)| (*n, *g))
-            .collect::<Vec<_>>(),
-        60,
-    );
-
-    // HRA: random detours thwart reversibility at extra key-bit cost.
-    let mut m = mlrl::rtl::bench_designs::generate(&spec, 1);
-    let hra = hra_lock(&mut m, &HraConfig::new(160, 5))?;
-    ascii_plot(
-        "HRA",
-        &hra.trace
-            .iter()
-            .map(|(n, g, _)| (*n, *g))
-            .collect::<Vec<_>>(),
-        60,
-    );
-
-    let to_100 = |trace: &[(usize, f64, f64)]| {
-        trace
-            .iter()
-            .find(|(_, g, _)| *g >= 100.0 - 1e-9)
-            .map(|(n, _, _)| n.to_string())
-            .unwrap_or_else(|| "not reached".into())
-    };
     println!("\nkey bits to M_g_sec = 100:");
-    println!("  ERA    {}", to_100(&era.trace));
-    println!("  Greedy {}", to_100(&greedy.trace));
-    println!("  HRA    {}", to_100(&hra.trace));
+    for (label, bits) in to_100 {
+        println!("  {label:<6} {bits}");
+    }
     println!("\npaper (Fig. 5b): greedy is most bit-efficient but reversible; HRA");
     println!("pays extra bits for an unpredictable trajectory; ERA forces each");
     println!("selected pair to zero immediately.");

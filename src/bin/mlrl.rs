@@ -63,13 +63,11 @@ use mlrl::engine::cache::parse_byte_size;
 use mlrl::engine::cli::{opt_level, CampaignFlags, Command, Parsed, Telemetry, CAMPAIGN_FLAGS};
 use mlrl::engine::report::merge_canonical_streams;
 use mlrl::engine::run::{Engine, JobEvent};
-use mlrl::engine::spec::CampaignSpec;
-use mlrl::locking::assure::{lock_operations, AssureConfig};
-use mlrl::locking::era::{era_lock, EraConfig};
-use mlrl::locking::hra::{hra_lock, HraConfig};
+use mlrl::engine::spec::{CampaignSpec, SchemeKind};
 use mlrl::locking::key::{Key, KeyBitKind};
 use mlrl::locking::pairs::PairTable;
 use mlrl::locking::report::LockingReport;
+use mlrl::locking::{key_budget, lock, LockError};
 use mlrl::netlist::emit::emit_structural_verilog;
 use mlrl::netlist::lock::{lock_netlist, GateLockScheme};
 use mlrl::netlist::lower::lower_module;
@@ -178,39 +176,33 @@ fn cmd_stats(args: &Parsed) -> Result<(), String> {
 }
 
 const LOCK: Command = Command(&[
-    "mlrl lock <design.v> [--scheme assure|assure-random|hra|era] [--budget F] [--seed N]",
-    "[-o locked.v] [--key-out key.txt]",
+    "mlrl lock <design.v> [--scheme assure|assure-random|assure-original|assure-disjoint|hra|hra-greedy|era]",
+    "[--budget F] [--seed N] [-o locked.v] [--key-out key.txt]",
 ]);
 
 fn cmd_lock(args: &Parsed) -> Result<(), String> {
+    let scheme = args.value("--scheme").unwrap_or("era");
+    let lock_scheme = SchemeKind::parse(scheme)
+        .ok()
+        .and_then(SchemeKind::lock_scheme)
+        .ok_or_else(|| {
+            let rtl = SchemeKind::ALL
+                .into_iter()
+                .filter(|s| s.lock_scheme().is_some());
+            let names: Vec<&str> = rtl.map(SchemeKind::name).collect();
+            format!(
+                "scheme `{scheme}` does not lock an RTL module (expected one of: {})",
+                names.join(", ")
+            )
+        })?;
+    let fraction: f64 = args.num("--budget", 0.75)?;
+    let seed: u64 = args.num("--seed", 2022)?;
     let original = load_module(args.required(0)?)?;
     let mut locked = original.clone();
-    let total = visit::binary_ops(&locked).len();
-    let fraction: f64 = args.num("--budget", 0.75)?;
-    let budget = ((total as f64) * fraction).round().max(1.0) as usize;
-    let seed: u64 = args.num("--seed", 2022)?;
-    let scheme = args.value("--scheme").unwrap_or("era");
-    let key: Key = match scheme {
-        "assure" => lock_operations(&mut locked, &AssureConfig::serial(budget, seed))
-            .map_err(|e| e.to_string())?,
-        "assure-random" => lock_operations(&mut locked, &AssureConfig::random(budget, seed))
-            .map_err(|e| e.to_string())?,
-        "hra" => {
-            hra_lock(&mut locked, &HraConfig::new(budget, seed))
-                .map_err(|e| e.to_string())?
-                .key
-        }
-        "era" => {
-            era_lock(&mut locked, &EraConfig::new(budget, seed))
-                .map_err(|e| e.to_string())?
-                .key
-        }
-        other => {
-            return Err(format!(
-                "unknown scheme `{other}` (assure|assure-random|hra|era)"
-            ))
-        }
-    };
+    let budget = key_budget(&locked, fraction).ok_or(LockError::NothingToLock.to_string())?;
+    let key = lock(&mut locked, lock_scheme, budget, seed)
+        .map_err(|e| e.to_string())?
+        .key;
     let report = LockingReport::build(scheme, &original, &locked, &key, &PairTable::fixed());
     eprintln!("{report}");
     let text = emit_verilog(&locked).map_err(|e| e.to_string())?;

@@ -496,6 +496,41 @@ fn unknown_benchmark_is_reported() {
 }
 
 #[test]
+fn lock_takes_every_rtl_scheme_name_and_refuses_the_rest() {
+    let dir = tmpdir("lock-schemes");
+    let design = dir.join("fir.v");
+    let out = mlrl()
+        .args(["gen", "FIR", "--seed", "3", "-o", design.to_str().unwrap()])
+        .output()
+        .expect("run gen");
+    assert_success(&out, "gen");
+    let lock = |scheme: &str, locked: &PathBuf| {
+        mlrl()
+            .args(["lock", design.to_str().unwrap(), "--scheme", scheme])
+            .args(["--budget", "0.5", "-o", locked.to_str().unwrap()])
+            .output()
+            .expect("run lock")
+    };
+
+    let locked = dir.join("greedy.v");
+    assert_success(&lock("hra-greedy", &locked), "lock --scheme hra-greedy");
+    assert!(locked.exists());
+
+    for scheme in ["mux", "bogus"] {
+        let locked = dir.join(format!("{scheme}.v"));
+        let out = lock(scheme, &locked);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{scheme}: {stderr}");
+        assert!(
+            stderr.contains(&format!("scheme `{scheme}` does not lock an RTL module")),
+            "{scheme}: {stderr}"
+        );
+        assert!(!locked.exists(), "{scheme}: wrote {}", locked.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn campaign_runs_spec_files_end_to_end() {
     let dir = tmpdir("campaign");
     let spec = dir.join("c.spec");

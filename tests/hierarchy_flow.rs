@@ -3,8 +3,7 @@
 
 use mlrl::attack::relock::{build_training_set, RelockConfig};
 use mlrl::attack::snapshot::snapshot_attack;
-use mlrl::locking::assure::{lock_operations, AssureConfig};
-use mlrl::locking::era::{era_lock, EraConfig};
+use mlrl::locking::{lock, LockScheme};
 use mlrl::ml::AutoMlConfig;
 use mlrl::rtl::equiv::{check_equiv, EquivConfig};
 use mlrl::rtl::parser::parse_design;
@@ -41,19 +40,12 @@ fn flatten_then_lock_preserves_hierarchy_function() {
     let flat = design.flatten("soc").expect("flatten");
     assert_eq!(visit::binary_ops(&flat).len(), 8, "4 macs x (mul + add)");
 
-    for scheme in ["assure", "era"] {
+    for scheme in [LockScheme::Assure, LockScheme::Era] {
         let mut locked = flat.clone();
-        let key = match scheme {
-            "assure" => lock_operations(&mut locked, &AssureConfig::serial(6, 3)).expect("lock"),
-            _ => {
-                era_lock(&mut locked, &EraConfig::new(6, 3))
-                    .expect("lock")
-                    .key
-            }
-        };
+        let key = lock(&mut locked, scheme, 6, 3).expect("lock").key;
         let r = check_equiv(&flat, &locked, &[], key.as_bits(), &EquivConfig::default())
             .expect("equiv");
-        assert!(r.is_equivalent(), "{scheme}: {r:?}");
+        assert!(r.is_equivalent(), "{scheme:?}: {r:?}");
     }
 }
 
@@ -63,7 +55,7 @@ fn flattened_locked_design_round_trips_and_attacks() {
     let flat = design.flatten("soc").expect("flatten");
     let mut locked = flat.clone();
     let total = visit::binary_ops(&locked).len();
-    let outcome = era_lock(&mut locked, &EraConfig::new(total, 5)).expect("lock");
+    let outcome = lock(&mut locked, LockScheme::Era, total, 5).expect("lock");
 
     // Emit -> parse round trip of the flattened locked design.
     let text = emit::emit_verilog(&locked).expect("emit");

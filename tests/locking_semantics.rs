@@ -8,8 +8,8 @@
 use mlrl::attack::extract_localities;
 use mlrl::locking::assure::{lock_operations, AssureConfig};
 use mlrl::locking::era::{era_lock, EraConfig};
-use mlrl::locking::hra::{hra_lock, HraConfig};
 use mlrl::locking::key::Key;
+use mlrl::locking::{lock, LockScheme};
 use mlrl::rtl::ast::PortDir;
 use mlrl::rtl::bench_designs::{benchmark_by_name, generate};
 use mlrl::rtl::sim::Simulator;
@@ -33,21 +33,10 @@ fn digest(module: &Module, key: &[bool], salt: u64) -> u64 {
     sim.outputs_digest().expect("digest")
 }
 
-fn lock_with(scheme: &str, module: &mut Module, budget: usize, seed: u64) -> Key {
-    match scheme {
-        "assure" => lock_operations(module, &AssureConfig::serial(budget, seed)).expect("lock"),
-        "hra" => {
-            hra_lock(module, &HraConfig::new(budget, seed))
-                .expect("lock")
-                .key
-        }
-        "era" => {
-            era_lock(module, &EraConfig::new(budget, seed))
-                .expect("lock")
-                .key
-        }
-        other => panic!("unknown scheme {other}"),
-    }
+const SCHEMES: [LockScheme; 3] = [LockScheme::Assure, LockScheme::Hra, LockScheme::Era];
+
+fn lock_with(scheme: LockScheme, module: &mut Module, budget: usize, seed: u64) -> Key {
+    lock(module, scheme, budget, seed).expect("lock").key
 }
 
 #[test]
@@ -56,14 +45,14 @@ fn every_scheme_preserves_function_under_correct_key() {
         let spec = benchmark_by_name(bench).expect("paper benchmark");
         let original = generate(&spec, 11);
         let total = visit::binary_ops(&original).len();
-        for scheme in ["assure", "hra", "era"] {
+        for scheme in SCHEMES {
             let mut locked = original.clone();
             let key = lock_with(scheme, &mut locked, total / 2, 5);
             for salt in 0..5 {
                 assert_eq!(
                     digest(&locked, key.as_bits(), salt),
                     digest(&original, &[], salt),
-                    "{bench}/{scheme} salt {salt}"
+                    "{bench}/{scheme:?} salt {salt}"
                 );
             }
         }
@@ -76,7 +65,7 @@ fn every_scheme_corrupts_under_wrong_keys() {
     let original = generate(&spec, 13);
     let total = visit::binary_ops(&original).len();
     let mut rng = StdRng::seed_from_u64(3);
-    for scheme in ["assure", "hra", "era"] {
+    for scheme in SCHEMES {
         let mut locked = original.clone();
         let key = lock_with(scheme, &mut locked, total / 2, 7);
         let mut corrupted = 0;
@@ -92,7 +81,7 @@ fn every_scheme_corrupts_under_wrong_keys() {
         }
         assert!(
             corrupted >= trials * 7 / 10,
-            "{scheme}: only {corrupted}/{trials} wrong keys corrupted outputs"
+            "{scheme:?}: only {corrupted}/{trials} wrong keys corrupted outputs"
         );
     }
 }
@@ -103,7 +92,7 @@ fn locked_designs_round_trip_through_verilog() {
         let spec = benchmark_by_name(bench).expect("paper benchmark");
         let mut locked = generate(&spec, 17);
         let total = visit::binary_ops(&locked).len();
-        let _key = lock_with("era", &mut locked, total / 2, 19);
+        let _key = lock_with(LockScheme::Era, &mut locked, total / 2, 19);
         let text = emit::emit_verilog(&locked).expect("emit");
         let reparsed = parser::parse_verilog(&text).expect("parse back");
         assert_eq!(
@@ -163,11 +152,11 @@ fn era_exceeds_budget_only_when_needed_and_stays_balanced() {
 #[test]
 fn key_width_tracks_key_length_for_all_schemes() {
     let spec = benchmark_by_name("USB_PHY").expect("paper benchmark");
-    for (scheme, seed) in [("assure", 1u64), ("hra", 2), ("era", 3)] {
+    for (scheme, seed) in SCHEMES.into_iter().zip(1u64..) {
         let mut locked = generate(&spec, 37);
         let total = visit::binary_ops(&locked).len();
         let key = lock_with(scheme, &mut locked, total / 2, seed);
-        assert_eq!(locked.key_width() as usize, key.len(), "{scheme}");
-        assert_eq!(visit::key_mux_count(&locked), key.len(), "{scheme}");
+        assert_eq!(locked.key_width() as usize, key.len(), "{scheme:?}");
+        assert_eq!(visit::key_mux_count(&locked), key.len(), "{scheme:?}");
     }
 }

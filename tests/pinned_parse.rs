@@ -17,21 +17,19 @@
 use std::fmt::Write as _;
 
 use mlrl::engine::fnv::Fnv64;
-use mlrl::locking::assure::{lock_operations, AssureConfig};
-use mlrl::locking::era::{era_lock, EraConfig};
-use mlrl::locking::hra::{hra_lock, HraConfig};
+use mlrl::locking::{key_budget, lock, LockScheme};
 use mlrl::rtl::ast::{Expr, NetKind, PortDir, SeqStmt};
 use mlrl::rtl::bench_designs::{benchmark_by_name, generate};
 use mlrl::rtl::emit::emit_verilog;
 use mlrl::rtl::lexer::tokenize;
 use mlrl::rtl::parser::{parse_design, parse_verilog};
-use mlrl::rtl::{visit, Module};
+use mlrl::rtl::Module;
 
 const DESIGNS: [&str; 13] = [
     "DES3", "DFT", "FIR", "IDFT", "IIR", "MD5", "RSA", "SHA256", "SASC", "SIM_SPI", "USB_PHY",
     "I2C_SL", "N_1023",
 ];
-const SCHEMES: [&str; 3] = ["assure", "hra", "era"];
+const SCHEMES: [LockScheme; 3] = [LockScheme::Assure, LockScheme::Hra, LockScheme::Era];
 const BUDGETS: [f64; 3] = [0.25, 0.5, 0.75];
 const SEEDS: [u64; 2] = [1, 2];
 
@@ -150,23 +148,10 @@ fn module_digest(h: &mut Fnv64, m: &Module) {
     }
 }
 
-fn locked_source(design: &str, scheme: &str, budget: f64, seed: u64) -> String {
+fn locked_source(design: &str, scheme: LockScheme, budget: f64, seed: u64) -> String {
     let mut m = generate(&benchmark_by_name(design).expect("benchmark"), seed);
-    let lockable = visit::binary_ops(&m).len();
-    let bits = ((lockable as f64) * budget).round().max(1.0) as usize;
-    let lock_seed = seed * 1_000 + 17;
-    match scheme {
-        "assure" => {
-            lock_operations(&mut m, &AssureConfig::serial(bits, lock_seed)).expect("assure");
-        }
-        "hra" => {
-            hra_lock(&mut m, &HraConfig::new(bits, lock_seed)).expect("hra");
-        }
-        "era" => {
-            era_lock(&mut m, &EraConfig::new(bits, lock_seed)).expect("era");
-        }
-        other => unreachable!("scheme {other}"),
-    }
+    let bits = key_budget(&m, budget).expect("lockable");
+    lock(&mut m, scheme, bits, seed * 1_000 + 17).expect("lock");
     emit_verilog(&m).expect("emit")
 }
 

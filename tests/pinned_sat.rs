@@ -11,15 +11,14 @@
 //! cells: RTL schemes lock the module and lower the locked module to its
 //! scan view; gate schemes lower the base module and lock the netlist.
 
-use mlrl::locking::assure::{lock_operations, AssureConfig};
-use mlrl::locking::era::{era_lock, EraConfig};
-use mlrl::locking::hra::{hra_lock, HraConfig};
+use mlrl::engine::spec::SchemeKind;
 use mlrl::locking::key::Key;
-use mlrl::netlist::lock::{lock_netlist, GateLockScheme};
+use mlrl::locking::{key_budget, lock};
+use mlrl::netlist::lock::lock_netlist;
 use mlrl::netlist::lower::lower_module;
 use mlrl::netlist::Netlist;
 use mlrl::rtl::bench_designs::{benchmark_by_name, generate_with_width};
-use mlrl::rtl::{visit, Module};
+use mlrl::rtl::Module;
 use mlrl::sat::attack::{sat_attack, Oracle, PortValues, SatAttackConfig, SimOracle};
 
 const NETLISTS: [&str; 3] = ["SIM_SPI", "USB_PHY", "I2C_SL"];
@@ -129,36 +128,19 @@ fn scan_view(module: &Module) -> Netlist {
 /// The locked gate-level netlist of one cell and its correct key.
 fn locked_cell(design: &str, scheme: &str, seed: u64) -> (Netlist, Vec<bool>) {
     let base = generate_with_width(&benchmark_by_name(design).expect("benchmark"), seed, WIDTH);
-    let lockable = visit::binary_ops(&base).len();
-    let bits = ((lockable as f64) * BUDGET).round().max(1.0) as usize;
+    let bits = key_budget(&base, BUDGET).expect("lockable");
     let lock_seed = seed * 1_000 + 17;
-    let gate_scheme = match scheme {
-        "xor-xnor" => Some(GateLockScheme::XorXnor),
-        "mux" => Some(GateLockScheme::Mux),
-        _ => None,
-    };
-    if let Some(gate_scheme) = gate_scheme {
+    let scheme = SchemeKind::parse(scheme).expect("scheme");
+    if let Some(gate_scheme) = scheme.gate_scheme() {
         let mut netlist = scan_view(&base);
         let key = lock_netlist(&mut netlist, gate_scheme, bits, lock_seed).expect("gate lock");
         return (netlist, key.bits().to_vec());
     }
     let mut module = base;
-    let key = match scheme {
-        "assure" => {
-            lock_operations(&mut module, &AssureConfig::serial(bits, lock_seed)).expect("assure")
-        }
-        "hra" => {
-            hra_lock(&mut module, &HraConfig::new(bits, lock_seed))
-                .expect("hra")
-                .key
-        }
-        "era" => {
-            era_lock(&mut module, &EraConfig::new(bits, lock_seed))
-                .expect("era")
-                .key
-        }
-        other => unreachable!("scheme {other}"),
-    };
+    let rtl_scheme = scheme.lock_scheme().expect("RTL scheme");
+    let key = lock(&mut module, rtl_scheme, bits, lock_seed)
+        .expect("lock")
+        .key;
     let correct = key_bits(&module, &key);
     (scan_view(&module), correct)
 }
