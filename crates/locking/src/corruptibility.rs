@@ -246,11 +246,13 @@ fn measure_rtl<const V: usize>(
         while done < cfg.patterns {
             let lanes = (cfg.patterns - done).min(V);
             for (i, (name, _)) in inputs.iter().enumerate() {
-                let vals: Vec<u64> = (0..lanes)
-                    .map(|l| stim[(done + l) * inputs.len() + i])
-                    .collect();
-                ref_sim.set_input_batch(name, &vals).map_err(sim_err)?;
-                bad_sim.set_input_batch(name, &vals).map_err(sim_err)?;
+                let mut lane_vals = [0u64; V];
+                let vals = &mut lane_vals[..lanes];
+                for (l, v) in vals.iter_mut().enumerate() {
+                    *v = stim[(done + l) * inputs.len() + i];
+                }
+                ref_sim.set_input_batch(name, vals).map_err(sim_err)?;
+                bad_sim.set_input_batch(name, vals).map_err(sim_err)?;
             }
             if cfg.ticks == 0 {
                 ref_sim.settle().map_err(sim_err)?;
