@@ -675,19 +675,19 @@ mod tests {
     #[test]
     fn rtl_corruptibility_values_are_pinned() {
         // Pins the exact values of the batched settle path (`ticks: 0`)
-        // and the one-lane clocked path (`ticks: 2`, on a controller with
-        // a state register), and so the RNG draw order both share: the
-        // key, then patterns × ports.
-        let pin = |design: &str, ticks: usize| {
-            let original = generate(&benchmark_by_name(design).unwrap(), 4);
+        // and the one-lane clocked path (`ticks: 2`, on an accumulator
+        // whose output reads its register), and so the RNG draw order
+        // both share: the key, then patterns × ports. Captured before the
+        // two paths were one loop.
+        let pin = |original: Module, bits: usize, ticks: usize, flips: usize| {
             let mut locked = original.clone();
-            let key = lock_operations(&mut locked, &AssureConfig::serial(12, 3)).unwrap();
+            let key = lock_operations(&mut locked, &AssureConfig::serial(bits, 3)).unwrap();
             let bits = key_bits(&key, locked.key_width());
             let cfg = CorruptibilityConfig {
                 wrong_keys: 10,
                 patterns: 11,
                 ticks,
-                flips: 2,
+                flips,
                 seed: 5,
             };
             let r = measure_corruptibility(&original, &locked, &bits, &cfg).unwrap();
@@ -697,13 +697,20 @@ mod tests {
                 r.hamming_fraction.to_bits(),
             ]
         };
+        let iir = generate(&benchmark_by_name("IIR").unwrap(), 4);
         assert_eq!(
-            pin("IIR", 0),
+            pin(iir, 12, 0, 2),
             [0x3feccccccccccccd, 0x3fe47ae147ae147a, 0x3fd12ad262ad262a]
         );
+        let acc = mlrl_rtl::parser::parse_verilog(
+            "module acc(clk, a, b, y);\n input clk;\n input [7:0] a, b;\n output [7:0] y;\n \
+             reg [7:0] r;\n assign y = r ^ (a + b);\n always @(posedge clk) begin\n \
+             r <= r + (a * b) - b;\n end\nendmodule",
+        )
+        .unwrap();
         assert_eq!(
-            pin("SASC", 2),
-            [0x3feccccccccccccd, 0x3fc7a91d7a91d7a9, 0x3fa2b7142b7142b8]
+            pin(acc, 3, 2, 1),
+            [0x3ff0000000000000, 0x3fefb586fb586fb6, 0x3fe46fb586fb5870]
         );
     }
 
