@@ -2,17 +2,41 @@
 //! "Extraction" on the training side).
 //!
 //! SnapShot has no oracle; it manufactures labelled data by *relocking* the
-//! target design with fresh keys it chooses itself (§2.2, §5). Every relock
-//! round clones the locked target, applies one round of random-selection
-//! ASSURE operation locking ("so that all parts of the design were used for
-//! learning"), extracts the localities of the *new* key bits — whose values
-//! the attacker knows — and adds them to the training set.
+//! target design with fresh keys it chooses itself (§2.2, §5). Each relock
+//! round applies one round of random-selection ASSURE operation locking to
+//! the target ("so that all parts of the design were used for learning"),
+//! extracts the localities of the *new* key bits — whose values the
+//! attacker knows — and adds them to the training set.
+//!
+//! # Planned rounds
+//!
+//! A round's rows follow from the target's site list alone, so no round
+//! clones, mutates or walks the target:
+//!
+//! - Under the fixed pair table every binary operation is lockable, and the
+//!   budget is at most the site list (`budget_fraction <= 1`), so
+//!   [`lock_operations`](mlrl_locking::assure::lock_operations) would make
+//!   exactly one pass over [`lockable_sites`]. [`plan_pass`] makes that
+//!   pass's draws (shuffle, then one key bit per picked site) without the
+//!   wraps.
+//! - A wrapped site becomes a key-controlled ternary at the same
+//!   `ExprId`, which the extraction walk visits where it visited the
+//!   operation: the walk order of the target's nodes does not change.
+//! - The ternary's branches are fresh binary nodes, the real operation and
+//!   its dummy, so the new locality is `[code(then), code(else)]` and its
+//!   label is the wrap's key bit.
+//! - Only the new bits are kept, so a round's rows are its picks in
+//!   site-list order.
+//!
+//! `relock_rounds_match_the_lock_then_extract_oracle` in
+//! `tests/relock_oracle.rs` checks this round by round against cloning,
+//! locking and extracting.
 
-use mlrl_locking::assure::{lock_operations, AssureConfig};
+use mlrl_locking::assure::{lockable_sites, plan_pass, AssureConfig};
 use mlrl_locking::key_budget;
 use mlrl_rtl::Module;
-
-use crate::extract::extract_localities;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Configuration of training-set generation.
 #[derive(Debug, Clone)]
@@ -23,7 +47,8 @@ pub struct RelockConfig {
     /// Training key budget as a fraction of the design's lockable
     /// operations (the paper uses 0.75).
     pub budget_fraction: f64,
-    /// Base RNG seed; round `r` uses `seed + r`.
+    /// Base RNG seed; round `r` locks with seed
+    /// `(seed + r) · 0x9e3779b97f4a7c15` (wrapping).
     pub seed: u64,
 }
 
@@ -61,41 +86,43 @@ impl TrainingSet {
 }
 
 /// Builds the SnapShot training set for `target` (a locked design whose key
-/// the attacker does not know).
+/// the attacker does not know): `cfg.rounds` planned relock rounds (see the
+/// module docs), each spending `key_budget(target, cfg.budget_fraction)`
+/// bits.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.budget_fraction` is not positive.
+/// Panics if `cfg.budget_fraction` is not in `(0, 1]`. Above 1 a round
+/// would need a second pass over the relocked design.
 pub fn build_training_set(target: &Module, cfg: &RelockConfig) -> TrainingSet {
     assert!(
-        cfg.budget_fraction > 0.0,
-        "budget_fraction must be positive"
+        cfg.budget_fraction > 0.0 && cfg.budget_fraction <= 1.0,
+        "budget_fraction must be in (0, 1]"
     );
-    let base_bits = target.key_width();
     let mut features = Vec::new();
     let mut labels = Vec::new();
     let Some(budget) = key_budget(target, cfg.budget_fraction) else {
         return TrainingSet { features, labels }; // nothing lockable
     };
+    let mut assure = AssureConfig::random(budget, 0);
+    let sites = lockable_sites(target, &assure.pair_table);
     for round in 0..cfg.rounds {
-        let mut clone = target.clone();
-        let round_seed = cfg
+        assure.seed = cfg
             .seed
             .wrapping_add(round as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let key = match lock_operations(&mut clone, &AssureConfig::random(budget, round_seed)) {
-            Ok(k) => k,
-            Err(_) => continue, // nothing the pair table can lock: skip round
-        };
-        for loc in extract_localities(&clone) {
-            // Only the bits added this round have known values.
-            if loc.key_bit >= base_bits {
-                let value = key
-                    .bit(loc.key_bit - base_bits)
-                    .expect("relock key covers its own bits");
-                features.push(loc.features());
-                labels.push(usize::from(value));
-            }
+        let mut rng = StdRng::seed_from_u64(assure.seed);
+        let mut wraps = plan_pass(&sites, &assure, budget, &mut rng)
+            .expect("the fixed pair table locks every operation");
+        wraps.sort_unstable_by_key(|w| w.site);
+        for w in wraps {
+            let (real, dummy) = (sites[w.site].op.code(), w.dummy.code());
+            features.push(if w.key_value {
+                vec![real, dummy]
+            } else {
+                vec![dummy, real]
+            });
+            labels.push(usize::from(w.key_value));
         }
     }
     TrainingSet { features, labels }
@@ -104,6 +131,7 @@ pub fn build_training_set(target: &Module, cfg: &RelockConfig) -> TrainingSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlrl_locking::assure::lock_operations;
     use mlrl_rtl::bench_designs::{benchmark_by_name, generate};
     use mlrl_rtl::visit;
 
@@ -129,6 +157,18 @@ mod tests {
         let per_round = (lockable as f64 * 0.5).round() as usize;
         assert_eq!(ts.len(), 3 * per_round);
         assert!(ts.labels.iter().all(|&l| l <= 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "budget_fraction must be in (0, 1]")]
+    fn budget_fraction_above_one_is_rejected() {
+        let target = locked_target("FIR", 1);
+        let cfg = RelockConfig {
+            rounds: 1,
+            budget_fraction: 1.01,
+            seed: 0,
+        };
+        let _ = build_training_set(&target, &cfg);
     }
 
     #[test]

@@ -78,10 +78,12 @@ impl AssureConfig {
 /// already locked, bit `i` of the returned key drives `K[w + i]` where `w`
 /// was the module's key width before the call.
 ///
-/// If the budget exceeds the number of currently lockable operations the
-/// locker runs additional passes over the (now nested) design, relocking
-/// operations inside multiplexer branches — exactly ASSURE's behaviour when
-/// a long key is requested.
+/// Each pass plans its wraps with [`plan_pass`] over the module's
+/// [`lockable_sites`], then wraps them in plan order. If the budget exceeds
+/// the number of currently lockable operations the locker runs additional
+/// passes over the (now nested) design, relocking operations inside
+/// multiplexer branches — exactly ASSURE's behaviour when a long key is
+/// requested.
 ///
 /// # Errors
 ///
@@ -90,33 +92,76 @@ impl AssureConfig {
 pub fn lock_operations(module: &mut Module, cfg: &AssureConfig) -> Result<Key> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut key = Key::new();
-    let mut bits = 0usize;
-    while bits < cfg.budget {
-        let mut sites: Vec<visit::OpSite> = visit::binary_ops(module)
-            .into_iter()
-            .filter(|s| cfg.pair_table.is_lockable(s.op))
-            .collect();
-        if sites.is_empty() {
-            return Err(LockError::NothingToLock);
-        }
-        if cfg.selection == Selection::Random {
-            sites.shuffle(&mut rng);
-        }
-        for site in sites {
-            if bits == cfg.budget {
-                break;
-            }
-            let dummy = cfg
-                .pair_table
-                .dummy_for(site.op)
-                .ok_or(LockError::UnlockableType(site.op))?;
-            let key_value: bool = rng.gen();
-            module.wrap_in_key_mux(site.id, key_value, dummy)?;
-            key.push(key_value, KeyBitKind::Operation);
-            bits += 1;
+    while key.len() < cfg.budget {
+        let sites = lockable_sites(module, &cfg.pair_table);
+        for wrap in plan_pass(&sites, cfg, cfg.budget - key.len(), &mut rng)? {
+            module.wrap_in_key_mux(sites[wrap.site].id, wrap.key_value, wrap.dummy)?;
+            key.push(wrap.key_value, KeyBitKind::Operation);
         }
     }
     Ok(key)
+}
+
+/// The reachable binary operations of `module` that `table` can lock, in
+/// walk order: the site list one [`lock_operations`] pass selects from.
+pub fn lockable_sites(module: &Module, table: &PairTable) -> Vec<visit::OpSite> {
+    let mut sites = visit::binary_ops(module);
+    sites.retain(|s| table.is_lockable(s.op));
+    sites
+}
+
+/// One wrap planned by [`plan_pass`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedWrap {
+    /// Position of the wrapped operation in the site list of the pass.
+    pub site: usize,
+    /// The dummy operation paired with it.
+    pub dummy: BinaryOp,
+    /// The key bit: `true` puts the real operation on the then branch.
+    pub key_value: bool,
+}
+
+/// Plans one pass of [`lock_operations`] over `sites` without touching the
+/// module: orders the sites by `cfg.selection` (shuffling them under
+/// [`Selection::Random`]), then, for the first `min(bits, sites.len())`
+/// of them, looks up the dummy and draws one key bit from `rng`. These are
+/// the draws the wrap loop makes, in the same order, so a caller that
+/// seeds `rng` with `cfg.seed` learns what a one-pass lock would do.
+///
+/// # Errors
+///
+/// Returns [`LockError::NothingToLock`] if `sites` is empty, and
+/// [`LockError::UnlockableType`] if `cfg.pair_table` has no dummy for a
+/// planned site.
+pub fn plan_pass(
+    sites: &[visit::OpSite],
+    cfg: &AssureConfig,
+    bits: usize,
+    rng: &mut StdRng,
+) -> Result<Vec<PlannedWrap>> {
+    if sites.is_empty() {
+        return Err(LockError::NothingToLock);
+    }
+    let mut order: Vec<usize> = (0..sites.len()).collect();
+    if cfg.selection == Selection::Random {
+        order.shuffle(rng);
+    }
+    order.truncate(bits);
+    order
+        .into_iter()
+        .map(|site| {
+            let op = sites[site].op;
+            let dummy = cfg
+                .pair_table
+                .dummy_for(op)
+                .ok_or(LockError::UnlockableType(op))?;
+            Ok(PlannedWrap {
+                site,
+                dummy,
+                key_value: rng.gen(),
+            })
+        })
+        .collect()
 }
 
 /// Applies ASSURE branch obfuscation to every `if` condition in the
