@@ -5,6 +5,8 @@
 //! [`AttackReport`], the ML core that both SnapShot levels run
 //! ([`crate::gate_snapshot`] for the netlist side), and the scorer.
 
+use std::collections::HashMap;
+
 use mlrl_locking::key::Key;
 use mlrl_ml::automl::{auto_fit, AutoMlConfig};
 use mlrl_ml::dataset::{Dataset, OneHotEncoder};
@@ -85,11 +87,7 @@ pub(crate) fn ml_attack(
     automl: &AutoMlConfig,
     truth: impl Fn(u32) -> Option<bool>,
 ) -> AttackReport {
-    let mut vocab = training.features.clone();
-    vocab.extend(targets.iter().map(|(_, f)| f.clone()));
-    let encoder = OneHotEncoder::fit(&vocab);
-    let x = encoder.transform_all(&training.features);
-    let train = Dataset::from_rows(x, training.labels.clone()).expect("training set is consistent");
+    let (encoder, train) = encode(targets, training);
 
     // Training: auto-ml model search (auto-sklearn stand-in).
     let outcome = auto_fit(&train, automl);
@@ -106,6 +104,35 @@ pub(crate) fn ml_attack(
         outcome.winner,
         Some(outcome.cv_accuracy),
     )
+}
+
+/// Interns the training rows in order of first appearance and one-hot
+/// encodes only the distinct ones. The encoder is fitted on the distinct
+/// rows plus the target rows, the same vocabulary as all rows plus the
+/// targets.
+fn encode(targets: &[(u32, Vec<u32>)], training: &TrainingSet) -> (OneHotEncoder, Dataset) {
+    let mut distinct: Vec<Vec<u32>> = Vec::new();
+    let mut seen: HashMap<&[u32], usize> = HashMap::new();
+    let index: Vec<usize> = training
+        .features
+        .iter()
+        .map(|row| {
+            *seen.entry(row).or_insert_with(|| {
+                distinct.push(row.clone());
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let mut vocab = distinct.clone();
+    vocab.extend(targets.iter().map(|(_, f)| f.clone()));
+    let encoder = OneHotEncoder::fit(&vocab);
+    let train = Dataset::from_interned(
+        encoder.transform_all(&distinct),
+        index,
+        training.labels.clone(),
+    )
+    .expect("training set is consistent");
+    (encoder, train)
 }
 
 /// Runs SnapShot-RTL against `target`, trained on `training` (the
@@ -247,6 +274,69 @@ mod tests {
         assert_eq!(report.predictions.len(), 4);
         let none = AttackReport::score(vec![(5, true)], truth, 0, "m".to_owned(), None);
         assert_eq!((none.attacked_bits, none.kpa), (0, 0.0));
+    }
+
+    /// The encoding `ml_attack` made before interning: every training row
+    /// encoded and stored on its own.
+    fn encode_every_row(
+        targets: &[(u32, Vec<u32>)],
+        training: &TrainingSet,
+    ) -> (OneHotEncoder, Dataset) {
+        let mut vocab = training.features.clone();
+        vocab.extend(targets.iter().map(|(_, f)| f.clone()));
+        let encoder = OneHotEncoder::fit(&vocab);
+        let x = encoder.transform_all(&training.features);
+        let train = Dataset::from_rows(x, training.labels.clone()).unwrap();
+        (encoder, train)
+    }
+
+    #[test]
+    fn interned_encoding_leaves_the_auto_ml_outcome_unchanged() {
+        use mlrl_locking::{key_budget, lock, LockScheme};
+        for scheme in [LockScheme::Assure, LockScheme::Hra, LockScheme::Era] {
+            for (name, seed) in [("FIR", 2), ("SASC", 5)] {
+                let label = format!("{name}/{scheme:?}");
+                let mut m = generate(&benchmark_by_name(name).unwrap(), seed);
+                let bits = key_budget(&m, 0.75).unwrap();
+                lock(&mut m, scheme, bits, seed).unwrap();
+                let relock = RelockConfig {
+                    rounds: 10,
+                    budget_fraction: 0.75,
+                    seed,
+                };
+                let training = build_training_set(&m, &relock);
+                let targets: Vec<(u32, Vec<u32>)> = extract_localities(&m)
+                    .into_iter()
+                    .map(|l| (l.key_bit, l.features()))
+                    .collect();
+                let (old_encoder, old) = encode_every_row(&targets, &training);
+                let (new_encoder, new) = encode(&targets, &training);
+                assert_eq!(old_encoder, new_encoder, "{label}");
+                assert_eq!(old, new, "{label}");
+                let automl = AutoMlConfig {
+                    max_train_samples: 3000,
+                    seed,
+                    ..Default::default()
+                };
+                let (a, b) = (auto_fit(&old, &automl), auto_fit(&new, &automl));
+                assert_eq!(a.winner, b.winner, "{label}");
+                assert_eq!(a.cv_accuracy.to_bits(), b.cv_accuracy.to_bits(), "{label}");
+                let board = |o: &mlrl_ml::AutoMlOutcome| -> Vec<(String, u64)> {
+                    o.leaderboard
+                        .iter()
+                        .map(|(n, s)| (n.clone(), s.to_bits()))
+                        .collect()
+                };
+                assert_eq!(board(&a), board(&b), "{label}");
+                assert_eq!(a.bayes_bound.to_bits(), b.bayes_bound.to_bits(), "{label}");
+                assert_eq!(a.distinct_rows, b.distinct_rows, "{label}");
+                assert_eq!(a.pruned, b.pruned, "{label}");
+                for (_, f) in &targets {
+                    let row = old_encoder.transform(f);
+                    assert_eq!(a.model.predict(&row), b.model.predict(&row), "{label}");
+                }
+            }
+        }
     }
 
     #[test]

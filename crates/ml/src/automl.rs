@@ -614,7 +614,6 @@ mod tests {
                 // different groups but must still score the same.
                 let x = train
                     .rows()
-                    .iter()
                     .enumerate()
                     .map(|(i, row)| {
                         row.iter()

@@ -2,13 +2,23 @@
 //!
 //! The SnapShot-RTL attack produces *localities*: small categorical feature
 //! vectors (`[C1, C2]` operator codes) labelled with key-bit values. This
-//! module stores such data densely and provides the categorical one-hot
-//! encoding the models consume.
+//! module stores such data and provides the categorical one-hot encoding
+//! the models consume.
+//!
+//! A SnapShot training set holds a hundred thousand rows but only a few
+//! dozen distinct ones, so a [`Dataset`] keeps a table of rows and, per
+//! sample, the index of its row in that table plus its label
+//! ([`Dataset::from_interned`]). Subsets, folds and thinned copies share
+//! the table and copy indices only.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
-/// A dense, labelled classification dataset.
+/// A labelled classification dataset over a shared table of rows.
+///
+/// Equality compares the samples (rows and labels in order) and the class
+/// count, not how the rows are stored.
 ///
 /// # Examples
 ///
@@ -22,11 +32,23 @@ use std::fmt;
 /// assert_eq!(ds.len(), 2);
 /// assert_eq!(ds.n_features(), 2);
 /// assert_eq!(ds.n_classes(), 2);
+///
+/// // The same samples, each distinct row stored once.
+/// let interned = Dataset::from_interned(
+///     vec![vec![0.0, 1.0], vec![1.0, 0.0]],
+///     vec![0, 1, 1, 0],
+///     vec![0, 1, 1, 0],
+/// )?;
+/// assert_eq!(interned.len(), 4);
+/// assert_eq!(interned.row(2), &[1.0, 0.0]);
 /// # Ok::<(), mlrl_ml::dataset::DatasetError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
-    x: Vec<Vec<f64>>,
+    /// The rows the samples point into.
+    table: Arc<Vec<Vec<f64>>>,
+    /// Per sample, its row in `table`.
+    index: Vec<usize>,
     y: Vec<usize>,
     n_classes: usize,
 }
@@ -45,6 +67,13 @@ pub enum DatasetError {
     RaggedRows,
     /// The dataset holds no samples.
     Empty,
+    /// A sample points past the end of the row table.
+    UnknownRow {
+        /// The sample's row index.
+        index: usize,
+        /// Number of rows in the table.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for DatasetError {
@@ -55,50 +84,87 @@ impl fmt::Display for DatasetError {
             }
             DatasetError::RaggedRows => write!(f, "feature rows have inconsistent widths"),
             DatasetError::Empty => write!(f, "dataset holds no samples"),
+            DatasetError::UnknownRow { index, rows } => {
+                write!(f, "sample row {index} is outside a table of {rows} rows")
+            }
         }
     }
 }
 
 impl std::error::Error for DatasetError {}
 
+impl PartialEq for Dataset {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_classes == other.n_classes && self.y == other.y && self.rows().eq(other.rows())
+    }
+}
+
 impl Dataset {
-    /// Builds a dataset from feature rows and labels.
+    /// Builds a dataset from feature rows and labels, one row per sample.
     ///
     /// # Errors
     ///
     /// Returns [`DatasetError`] on empty input, ragged rows, or mismatched
     /// lengths.
     pub fn from_rows(x: Vec<Vec<f64>>, y: Vec<usize>) -> Result<Self, DatasetError> {
-        if x.len() != y.len() {
+        let index = (0..x.len()).collect();
+        Self::from_interned(x, index, y)
+    }
+
+    /// Builds a dataset whose sample `i` has features `rows[index[i]]` and
+    /// label `y[i]`. The rows are stored once, however many samples share
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DatasetError`] if `index` is empty, `index` and `y` differ
+    /// in length, `rows` are ragged, or an index is not a row of `rows`.
+    pub fn from_interned(
+        rows: Vec<Vec<f64>>,
+        index: Vec<usize>,
+        y: Vec<usize>,
+    ) -> Result<Self, DatasetError> {
+        if index.len() != y.len() {
             return Err(DatasetError::LengthMismatch {
-                rows: x.len(),
+                rows: index.len(),
                 labels: y.len(),
             });
         }
-        if x.is_empty() {
+        if index.is_empty() {
             return Err(DatasetError::Empty);
         }
-        let width = x[0].len();
-        if x.iter().any(|r| r.len() != width) {
+        let width = rows.first().map_or(0, Vec::len);
+        if rows.iter().any(|r| r.len() != width) {
             return Err(DatasetError::RaggedRows);
         }
+        if let Some(&bad) = index.iter().find(|&&r| r >= rows.len()) {
+            return Err(DatasetError::UnknownRow {
+                index: bad,
+                rows: rows.len(),
+            });
+        }
         let n_classes = y.iter().copied().max().unwrap_or(0) + 1;
-        Ok(Self { x, y, n_classes })
+        Ok(Self {
+            table: Arc::new(rows),
+            index,
+            y,
+            n_classes,
+        })
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.x.len()
+        self.index.len()
     }
 
     /// Whether the dataset is empty (never true for a constructed dataset).
     pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
+        self.index.is_empty()
     }
 
     /// Number of features per sample.
     pub fn n_features(&self) -> usize {
-        self.x.first().map(|r| r.len()).unwrap_or(0)
+        self.table.first().map(|r| r.len()).unwrap_or(0)
     }
 
     /// Number of classes (`max(label) + 1`).
@@ -106,9 +172,9 @@ impl Dataset {
         self.n_classes
     }
 
-    /// Feature row `i`.
+    /// Feature row of sample `i`.
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.x[i]
+        &self.table[self.index[i]]
     }
 
     /// Label of sample `i`.
@@ -116,9 +182,12 @@ impl Dataset {
         self.y[i]
     }
 
-    /// All feature rows.
-    pub fn rows(&self) -> &[Vec<f64>] {
-        &self.x
+    /// The feature rows of all samples, in order.
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            table: &self.table,
+            index: self.index.iter(),
+        }
     }
 
     /// All labels.
@@ -126,38 +195,44 @@ impl Dataset {
         &self.y
     }
 
-    /// A new dataset containing the samples at `indices` (in order).
+    /// A new dataset containing the samples at `indices` (in order). It
+    /// shares this dataset's row table.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
     pub fn subset(&self, indices: &[usize]) -> Self {
         Self {
-            x: indices.iter().map(|&i| self.x[i].clone()).collect(),
+            table: Arc::clone(&self.table),
+            index: indices.iter().map(|&i| self.index[i]).collect(),
             y: indices.iter().map(|&i| self.y[i]).collect(),
             n_classes: self.n_classes,
         }
     }
 
-    /// Groups the rows by the exact bit patterns of their features.
+    /// Groups the samples by the exact bit patterns of their features.
     ///
-    /// Returns the group of every row and, per group, the index of its
-    /// first row. Groups are numbered in order of first appearance. Rows
-    /// that differ only in the sign of a zero fall into different groups.
+    /// Returns the group of every sample and, per group, the index of its
+    /// first sample. Groups are numbered in order of first appearance.
+    /// Rows that differ only in the sign of a zero fall into different
+    /// groups. Each table row is hashed at most once.
     pub(crate) fn distinct_rows(&self) -> (Vec<usize>, Vec<usize>) {
         let mut groups: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut group_of_row = vec![usize::MAX; self.table.len()];
         let mut first = Vec::new();
         let group_of = self
-            .x
+            .index
             .iter()
             .enumerate()
-            .map(|(i, row)| {
-                *groups
-                    .entry(row.iter().map(|v| v.to_bits()).collect())
-                    .or_insert_with(|| {
+            .map(|(i, &r)| {
+                if group_of_row[r] == usize::MAX {
+                    let bits = self.table[r].iter().map(|v| v.to_bits()).collect();
+                    group_of_row[r] = *groups.entry(bits).or_insert_with(|| {
                         first.push(i);
                         first.len() - 1
-                    })
+                    });
+                }
+                group_of_row[r]
             })
             .collect();
         (group_of, first)
@@ -183,6 +258,35 @@ impl Dataset {
             .unwrap_or(0)
     }
 }
+
+/// The feature rows of a [`Dataset`], in sample order
+/// ([`Dataset::rows`]).
+#[derive(Debug, Clone)]
+pub struct Rows<'a> {
+    table: &'a [Vec<f64>],
+    index: std::slice::Iter<'a, usize>,
+}
+
+impl Rows<'_> {
+    /// Copies the remaining rows out, one `Vec` per sample.
+    pub fn to_vec(&self) -> Vec<Vec<f64>> {
+        self.clone().map(<[f64]>::to_vec).collect()
+    }
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a [f64];
+
+    fn next(&mut self) -> Option<&'a [f64]> {
+        self.index.next().map(|&r| self.table[r].as_slice())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.index.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
 
 /// One-hot encoder for categorical integer feature columns.
 ///
@@ -253,6 +357,101 @@ impl OneHotEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::split::StratifiedKFold;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random interned dataset: `table` rows drawn from a small value set
+    /// (so the table repeats rows, and holds `0.0` next to `-0.0`), and
+    /// `len` samples pointing into it.
+    fn interned(seed: u64, table: usize, len: usize, classes: usize) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values = [0.0, -0.0, 1.0, 0.5];
+        let rows: Vec<Vec<f64>> = (0..table)
+            .map(|_| (0..3).map(|_| values[rng.gen_range(0..4usize)]).collect())
+            .collect();
+        let index = (0..len).map(|_| rng.gen_range(0..table)).collect();
+        let y = (0..len).map(|_| rng.gen_range(0..classes)).collect();
+        Dataset::from_interned(rows, index, y).unwrap()
+    }
+
+    /// The same samples, one stored row each.
+    fn materialised(ds: &Dataset) -> Dataset {
+        Dataset::from_rows(ds.rows().to_vec(), ds.labels().to_vec()).unwrap()
+    }
+
+    fn assert_same_samples(a: &Dataset, b: &Dataset) {
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.n_features(), b.n_features());
+        assert_eq!(a.n_classes(), b.n_classes());
+        for i in 0..a.len() {
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.row(i)), bits(b.row(i)), "row {i}");
+            assert_eq!(a.label(i), b.label(i), "label {i}");
+        }
+        assert_eq!(a.class_counts(), b.class_counts());
+        assert_eq!(a.majority_class(), b.majority_class());
+        assert_eq!(a.distinct_rows(), b.distinct_rows());
+        assert_eq!(a, b);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn interned_rows_behave_like_materialised_rows(
+            seed in any::<u64>(),
+            table in 1usize..9,
+            len in 2usize..80,
+            classes in 1usize..4,
+        ) {
+            let ds = interned(seed, table, len, classes);
+            let flat = materialised(&ds);
+            assert_same_samples(&ds, &flat);
+            let mut rng = StdRng::seed_from_u64(seed ^ 1);
+            let picks: Vec<usize> = (0..len / 2 + 1).map(|_| rng.gen_range(0..len)).collect();
+            assert_same_samples(&ds.subset(&picks), &flat.subset(&picks));
+            let k = 2 + (seed % 3) as usize;
+            let k = k.min(len);
+            let (a, b) = (
+                StratifiedKFold::new(&ds, k, seed),
+                StratifiedKFold::new(&flat, k, seed),
+            );
+            for fold in 0..k {
+                prop_assert_eq!(a.validation(fold), b.validation(fold));
+                assert_same_samples(&a.train(&ds, fold), &b.train(&flat, fold));
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_rows_number_groups_by_first_sample() {
+        // Table rows 0 and 2 are equal; row 1 differs from 0 by a signed zero.
+        let ds = Dataset::from_interned(
+            vec![vec![0.0, 1.0], vec![-0.0, 1.0], vec![0.0, 1.0]],
+            vec![1, 2, 0, 1, 2],
+            vec![0, 1, 0, 1, 1],
+        )
+        .unwrap();
+        assert_eq!(ds.distinct_rows(), (vec![0, 1, 1, 0, 1], vec![0, 1]));
+    }
+
+    #[test]
+    fn interned_construction_validates() {
+        assert_eq!(
+            Dataset::from_interned(vec![vec![1.0]], vec![0, 1], vec![0, 0]).unwrap_err(),
+            DatasetError::UnknownRow { index: 1, rows: 1 }
+        );
+        assert_eq!(
+            Dataset::from_interned(vec![vec![1.0]], vec![0], vec![0, 0]).unwrap_err(),
+            DatasetError::LengthMismatch { rows: 1, labels: 2 }
+        );
+        assert_eq!(
+            Dataset::from_interned(vec![vec![1.0]], vec![], vec![]).unwrap_err(),
+            DatasetError::Empty
+        );
+    }
 
     #[test]
     fn construction_validates() {
@@ -286,7 +485,7 @@ mod tests {
     fn subset_selects_in_order() {
         let ds = Dataset::from_rows(vec![vec![0.0], vec![1.0], vec![2.0]], vec![0, 1, 0]).unwrap();
         let sub = ds.subset(&[2, 0]);
-        assert_eq!(sub.rows(), &[vec![2.0], vec![0.0]]);
+        assert_eq!(sub.rows().to_vec(), vec![vec![2.0], vec![0.0]]);
         assert_eq!(sub.labels(), &[0, 0]);
         assert_eq!(sub.n_classes(), 2, "subset keeps the parent class count");
     }

@@ -145,7 +145,7 @@ impl Classifier for AdaBoost {
         self.n_classes = data.n_classes().max(2);
         let n = data.len();
         let columns: Vec<Vec<f64>> = (0..data.n_features())
-            .map(|f| data.rows().iter().map(|row| row[f]).collect())
+            .map(|f| data.rows().map(|row| row[f]).collect())
             .collect();
         let thresholds: Vec<Vec<f64>> = columns.iter().map(|c| thresholds(c)).collect();
         let mut weights = vec![1.0 / n as f64; n];
