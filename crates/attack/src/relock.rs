@@ -32,8 +32,8 @@
 //! `tests/relock_oracle.rs` checks this round by round against cloning,
 //! locking and extracting.
 
-use mlrl_locking::assure::{lockable_sites, plan_pass, AssureConfig};
-use mlrl_locking::key_budget;
+use mlrl_locking::assure::{lockable_sites, plan_pass, Selection};
+use mlrl_locking::{key_budget, PairTable};
 use mlrl_rtl::Module;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,15 +104,15 @@ pub fn build_training_set(target: &Module, cfg: &RelockConfig) -> TrainingSet {
     let Some(budget) = key_budget(target, cfg.budget_fraction) else {
         return TrainingSet { features, labels }; // nothing lockable
     };
-    let mut assure = AssureConfig::random(budget, 0);
-    let sites = lockable_sites(target, &assure.pair_table);
+    let table = PairTable::fixed();
+    let sites = lockable_sites(target, &table);
     for round in 0..cfg.rounds {
-        assure.seed = cfg
+        let seed = cfg
             .seed
             .wrapping_add(round as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut rng = StdRng::seed_from_u64(assure.seed);
-        let mut wraps = plan_pass(&sites, &assure, budget, &mut rng)
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wraps = plan_pass(&sites, Selection::Random, &table, budget, &mut rng)
             .expect("the fixed pair table locks every operation");
         wraps.sort_unstable_by_key(|w| w.site);
         for w in wraps {
@@ -131,7 +131,7 @@ pub fn build_training_set(target: &Module, cfg: &RelockConfig) -> TrainingSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlrl_locking::assure::lock_operations;
+    use mlrl_locking::assure::{lock_operations, AssureConfig};
     use mlrl_rtl::bench_designs::{benchmark_by_name, generate};
     use mlrl_rtl::visit;
 

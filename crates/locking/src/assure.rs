@@ -94,7 +94,8 @@ pub fn lock_operations(module: &mut Module, cfg: &AssureConfig) -> Result<Key> {
     let mut key = Key::new();
     while key.len() < cfg.budget {
         let sites = lockable_sites(module, &cfg.pair_table);
-        for wrap in plan_pass(&sites, cfg, cfg.budget - key.len(), &mut rng)? {
+        let bits = cfg.budget - key.len();
+        for wrap in plan_pass(&sites, cfg.selection, &cfg.pair_table, bits, &mut rng)? {
             module.wrap_in_key_mux(sites[wrap.site].id, wrap.key_value, wrap.dummy)?;
             key.push(wrap.key_value, KeyBitKind::Operation);
         }
@@ -122,20 +123,22 @@ pub struct PlannedWrap {
 }
 
 /// Plans one pass of [`lock_operations`] over `sites` without touching the
-/// module: orders the sites by `cfg.selection` (shuffling them under
+/// module: orders the sites by `selection` (shuffling them under
 /// [`Selection::Random`]), then, for the first `min(bits, sites.len())`
-/// of them, looks up the dummy and draws one key bit from `rng`. These are
-/// the draws the wrap loop makes, in the same order, so a caller that
-/// seeds `rng` with `cfg.seed` learns what a one-pass lock would do.
+/// of them, looks up the dummy in `table` and draws one key bit from
+/// `rng`. These are the draws the wrap loop makes, in the same order, so a
+/// caller that seeds `rng` with [`AssureConfig::seed`] learns what a
+/// one-pass lock would do.
 ///
 /// # Errors
 ///
 /// Returns [`LockError::NothingToLock`] if `sites` is empty, and
-/// [`LockError::UnlockableType`] if `cfg.pair_table` has no dummy for a
-/// planned site.
+/// [`LockError::UnlockableType`] if `table` has no dummy for a planned
+/// site.
 pub fn plan_pass(
     sites: &[visit::OpSite],
-    cfg: &AssureConfig,
+    selection: Selection,
+    table: &PairTable,
     bits: usize,
     rng: &mut StdRng,
 ) -> Result<Vec<PlannedWrap>> {
@@ -143,7 +146,7 @@ pub fn plan_pass(
         return Err(LockError::NothingToLock);
     }
     let mut order: Vec<usize> = (0..sites.len()).collect();
-    if cfg.selection == Selection::Random {
+    if selection == Selection::Random {
         order.shuffle(rng);
     }
     order.truncate(bits);
@@ -151,10 +154,7 @@ pub fn plan_pass(
         .into_iter()
         .map(|site| {
             let op = sites[site].op;
-            let dummy = cfg
-                .pair_table
-                .dummy_for(op)
-                .ok_or(LockError::UnlockableType(op))?;
+            let dummy = table.dummy_for(op).ok_or(LockError::UnlockableType(op))?;
             Ok(PlannedWrap {
                 site,
                 dummy,
