@@ -8,14 +8,13 @@
 //! A SnapShot training set holds a hundred thousand rows but only a few
 //! dozen distinct ones, so a [`Dataset`] keeps a table of rows and, per
 //! sample, the index of its row in that table plus its label
-//! ([`Dataset::from_interned`]). Subsets, folds and thinned copies share
-//! the table and copy indices only.
+//! ([`Dataset::from_interned`]). Subsets, folds and thinned copies copy
+//! each row they use once, not once per sample.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
-/// A labelled classification dataset over a shared table of rows.
+/// A labelled classification dataset over a table of rows.
 ///
 /// Equality compares the samples (rows and labels in order) and the class
 /// count, not how the rows are stored.
@@ -46,7 +45,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// The rows the samples point into.
-    table: Arc<Vec<Vec<f64>>>,
+    table: Vec<Vec<f64>>,
     /// Per sample, its row in `table`.
     index: Vec<usize>,
     y: Vec<usize>,
@@ -145,7 +144,7 @@ impl Dataset {
         }
         let n_classes = y.iter().copied().max().unwrap_or(0) + 1;
         Ok(Self {
-            table: Arc::new(rows),
+            table: rows,
             index,
             y,
             n_classes,
@@ -195,16 +194,33 @@ impl Dataset {
         &self.y
     }
 
-    /// A new dataset containing the samples at `indices` (in order). It
-    /// shares this dataset's row table.
+    /// A new dataset containing the samples at `indices` (in order).
+    ///
+    /// Its table holds the rows those samples use, once each, in order of
+    /// first use. Sharing this dataset's table instead would make a
+    /// shuffled subset of distinct rows read its rows out of order, which
+    /// slows every model pass over it.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
     pub fn subset(&self, indices: &[usize]) -> Self {
+        let mut slot = vec![usize::MAX; self.table.len()];
+        let mut table = Vec::new();
+        let index = indices
+            .iter()
+            .map(|&i| {
+                let r = self.index[i];
+                if slot[r] == usize::MAX {
+                    slot[r] = table.len();
+                    table.push(self.table[r].clone());
+                }
+                slot[r]
+            })
+            .collect();
         Self {
-            table: Arc::clone(&self.table),
-            index: indices.iter().map(|&i| self.index[i]).collect(),
+            table,
+            index,
             y: indices.iter().map(|&i| self.y[i]).collect(),
             n_classes: self.n_classes,
         }
@@ -435,6 +451,20 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ds.distinct_rows(), (vec![0, 1, 1, 0, 1], vec![0, 1]));
+    }
+
+    #[test]
+    fn subset_stores_each_used_row_once_in_order_of_first_use() {
+        let ds = Dataset::from_interned(
+            vec![vec![0.0], vec![1.0], vec![2.0]],
+            vec![2, 0, 2, 1],
+            vec![0, 1, 0, 1],
+        )
+        .unwrap();
+        let sub = ds.subset(&[3, 0, 2, 0]);
+        assert_eq!(sub.table, vec![vec![1.0], vec![2.0]]);
+        assert_eq!(sub.index, vec![0, 1, 1, 1]);
+        assert_eq!(sub.labels(), &[1, 0, 0, 0]);
     }
 
     #[test]
