@@ -25,15 +25,22 @@
 //! validation side is never materialised; the train side is built for
 //! each candidate and fold.
 //!
-//! # Exact early exit at the Bayes bound
+//! # Exact early exit
 //!
-//! The same counts give the best CV score any candidate could reach. For
+//! The same counts bound the CV score any candidate could reach. For
 //! each fold, sum the largest per-class count of every group; divided by
 //! the fold size, that is the fold's bound. The *Bayes bound* is the mean
 //! of the fold bounds, taken with the same f64 operations (and in the same
-//! fold order) as a candidate's CV mean. Before scoring each candidate, the search stops
-//! if `best + selection_margin >= bayes_bound`; the skipped candidates are
-//! counted in [`AutoMlOutcome::pruned`].
+//! fold order) as a candidate's CV mean.
+//!
+//! Before it scores fold `f` of a candidate, the search takes the
+//! candidate's *reachable mean*: the same mean over its scores on folds
+//! `0..f` followed by the bounds of folds `f..`. If that is at most
+//! `best + selection_margin`, the candidate is stopped and counted in
+//! [`AutoMlOutcome::pruned`] instead of the leaderboard. At `f = 0` the
+//! reachable mean is the Bayes bound for every candidate, so once the
+//! incumbent comes within the margin of it, no further candidate is fit;
+//! at `f > 0` only the current candidate is dropped.
 //!
 //! The exit never changes the result. A classifier's `predict` is a pure
 //! function of the row, so on each group it is right at most as often as
@@ -41,12 +48,14 @@
 //! bound count, both are integers exact in f64, and dividing by the same
 //! fold size preserves `<=` because IEEE rounding is monotone. Summing
 //! fold by fold is a left fold of monotone `+` over the same number of
-//! terms, and the final division is again by the same count, so every
-//! candidate's `mean <= bayes_bound`. A candidate takes the lead only if
+//! terms, and the final division is again by the same count, so a
+//! candidate's final mean is at most each of its reachable means (and at
+//! most the Bayes bound). A candidate takes the lead only if
 //! `mean > best + selection_margin`, which is then impossible, and `best`
 //! cannot move while nothing takes the lead. The winner, its CV accuracy,
 //! its refit model and every prediction are bit-identical to scoring all
-//! candidates. Grouping by bit patterns is at least as fine as grouping by
+//! candidates, and every listed candidate's score is the one full scoring
+//! gives it. Grouping by bit patterns is at least as fine as grouping by
 //! what `predict` can tell apart, and a finer grouping only loosens the
 //! bound.
 
@@ -125,16 +134,18 @@ pub struct AutoMlOutcome {
     pub winner: String,
     /// Mean CV accuracy of the winner.
     pub cv_accuracy: f64,
-    /// `(candidate name, mean CV accuracy)` of the *scored* candidates,
-    /// best first. Candidates skipped at the Bayes bound are not listed.
+    /// `(candidate name, mean CV accuracy)` of the *fully scored*
+    /// candidates, best first. Candidates the exact exit stopped (see the
+    /// module docs) are not listed.
     pub leaderboard: Vec<(String, f64)>,
     /// Mean CV accuracy no classifier can exceed on these folds (see the
     /// module docs).
     pub bayes_bound: f64,
     /// Distinct feature rows in the (possibly thinned) training set.
     pub distinct_rows: usize,
-    /// Candidates skipped because the incumbent could no longer be
-    /// overtaken; `leaderboard.len() + pruned` is the candidate count.
+    /// Candidates skipped before or during CV because they could no
+    /// longer overtake the incumbent; `leaderboard.len() + pruned` is the
+    /// candidate count.
     pub pruned: usize,
 }
 
@@ -319,13 +330,14 @@ impl FoldCounts {
     }
 }
 
-/// Runs the search: CV-scores the candidates until the incumbent provably
-/// cannot be overtaken (see the module docs), refits the winner on the full
-/// training data and returns it.
+/// Runs the search: CV-scores each candidate until it provably cannot
+/// overtake the incumbent (see the module docs), refits the winner on the
+/// full training data and returns it.
 ///
 /// # Panics
 ///
-/// Panics if `train` has fewer samples than `cfg.folds`.
+/// Panics if `train`, once thinned to `cfg.max_train_samples`, has fewer
+/// than two samples. A fold count above the sample count is lowered to it.
 ///
 /// # Examples
 ///
@@ -357,21 +369,22 @@ fn search(train: &Dataset, cfg: &AutoMlConfig, prune: bool) -> AutoMlOutcome {
     let mut leaderboard: Vec<(String, f64)> = Vec::new();
     let mut best: Option<(usize, f64)> = None;
     let mut pruned = 0;
+    // The candidate's fold scores so far, then the bounds of the folds it
+    // has still to score: its mean is its reachable mean.
+    let mut reach = bounds.clone();
     let mut models = candidates(cfg);
-    let n_candidates = models.len();
-    for (idx, (name, model)) in models.iter_mut().enumerate() {
-        if prune && best.is_some_and(|(_, b)| b + cfg.selection_margin >= bayes_bound) {
-            pruned = n_candidates - idx;
-            break;
+    'candidates: for (idx, (name, model)) in models.iter_mut().enumerate() {
+        reach.copy_from_slice(&bounds);
+        for (f, fold) in fold_counts.iter().enumerate() {
+            if prune && best.is_some_and(|(_, b)| mean_accuracy(&reach) <= b + cfg.selection_margin)
+            {
+                pruned += 1;
+                continue 'candidates;
+            }
+            model.fit(&kfold.train(&train, fold.fold));
+            reach[f] = fold.accuracy(model.as_ref(), &train);
         }
-        let scores: Vec<f64> = fold_counts
-            .iter()
-            .map(|fold| {
-                model.fit(&kfold.train(&train, fold.fold));
-                fold.accuracy(model.as_ref(), &train)
-            })
-            .collect();
-        let mean = mean_accuracy(&scores);
+        let mean = mean_accuracy(&reach);
         leaderboard.push((name.clone(), mean));
         // One-standard-error-style rule: the earliest (simplest) candidate
         // keeps the lead unless a challenger clearly beats it — majority
@@ -525,6 +538,36 @@ mod tests {
     }
 
     #[test]
+    fn a_candidate_that_cannot_take_the_lead_stops_mid_cv() {
+        // Balanced labels on four distinct rows: the incumbent stays more
+        // than the margin below the Bayes bound, so the search never ends
+        // early, but challengers whose first folds fall short are dropped.
+        let cfg = AutoMlConfig::default();
+        let outcome = exact_search(&random_categorical(0, 4, 2, 0, 300), &cfg).unwrap();
+        assert!(outcome.cv_accuracy + cfg.selection_margin < outcome.bayes_bound);
+        assert!(outcome.pruned > 0, "leaderboard: {:?}", outcome.leaderboard);
+    }
+
+    #[test]
+    fn more_folds_than_samples_are_lowered_to_the_sample_count() {
+        let train = Dataset::from_rows(vec![vec![0.0], vec![1.0]], vec![0, 0]).unwrap();
+        let cfg = AutoMlConfig {
+            folds: 3,
+            ..Default::default()
+        };
+        let outcome = auto_fit(&train, &cfg);
+        assert_eq!(outcome.model.predict(&[1.0]), 0);
+        assert_eq!(outcome.cv_accuracy, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 2")]
+    fn a_single_sample_panics() {
+        let train = Dataset::from_rows(vec![vec![0.0]], vec![0]).unwrap();
+        auto_fit(&train, &AutoMlConfig::default());
+    }
+
+    #[test]
     fn family_restriction_is_honoured() {
         let train = categorical(300, 0.05, 6);
         let cfg = AutoMlConfig {
@@ -565,8 +608,9 @@ mod tests {
     }
 
     /// A random categorical training set: `distinct` one-hot rows (1–12),
-    /// 2–3 classes, labels balanced, globally skewed, or mostly set by the
-    /// row, and as few samples as the fold count.
+    /// 2–3 classes, labels (by `labels`) balanced, globally skewed, mostly
+    /// set by the row, or set by the row under heavy noise, and as few
+    /// samples as the fold count.
     fn random_categorical(
         seed: u64,
         distinct: usize,
@@ -586,7 +630,8 @@ mod tests {
                 0 => rng.gen_range(0..classes),
                 1 if rng.gen_bool(0.85) => 0,
                 1 => rng.gen_range(0..classes),
-                _ if rng.gen_bool(0.9) => favourite[code],
+                2 if rng.gen_bool(0.9) => favourite[code],
+                3 if rng.gen_bool(0.3) => favourite[code],
                 _ => rng.gen_range(0..classes),
             };
             x.push(row);
@@ -663,20 +708,60 @@ mod tests {
                 },
                 ..Default::default()
             };
-            let full = search(&train, &cfg, false);
-            let pruned = search(&train, &cfg, true);
-            prop_assert_eq!(full.pruned, 0);
-            prop_assert_eq!(pruned.leaderboard.len() + pruned.pruned, full.leaderboard.len());
-            prop_assert_eq!(&pruned.winner, &full.winner);
-            prop_assert_eq!(pruned.cv_accuracy.to_bits(), full.cv_accuracy.to_bits());
-            prop_assert!(full.leaderboard.iter().all(|(_, score)| *score <= full.bayes_bound));
-            for (name, score) in &pruned.leaderboard {
-                let unpruned = full.leaderboard.iter().find(|(n, _)| n == name).map(|(_, s)| *s);
-                prop_assert_eq!(Some(score.to_bits()), unpruned.map(f64::to_bits), "{}", name);
-            }
-            for row in train.rows() {
-                prop_assert_eq!(pruned.model.predict(row), full.model.predict(row));
-            }
+            exact_search(&train, &cfg)?;
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The balanced and noisy cells where the per-fold exit does the
+        /// work: the incumbent stays clear of the Bayes bound.
+        #[test]
+        fn pruning_never_changes_the_outcome_on_large_noisy_sets(
+            seed in any::<u64>(),
+            distinct in 2usize..13,
+            classes in 2usize..4,
+            noisy in any::<bool>(),
+            len in 200usize..2001,
+        ) {
+            let train = random_categorical(seed, distinct, classes, if noisy { 3 } else { 0 }, len);
+            exact_search(&train, &AutoMlConfig { seed, ..Default::default() })?;
+        }
+    }
+
+    /// Runs `search` with and without the exit and checks that the exit
+    /// changes nothing but which candidates are listed.
+    fn exact_search(train: &Dataset, cfg: &AutoMlConfig) -> Result<AutoMlOutcome, TestCaseError> {
+        let full = search(train, cfg, false);
+        let pruned = search(train, cfg, true);
+        prop_assert_eq!(full.pruned, 0);
+        prop_assert_eq!(
+            pruned.leaderboard.len() + pruned.pruned,
+            full.leaderboard.len()
+        );
+        prop_assert_eq!(&pruned.winner, &full.winner);
+        prop_assert_eq!(pruned.cv_accuracy.to_bits(), full.cv_accuracy.to_bits());
+        prop_assert!(full
+            .leaderboard
+            .iter()
+            .all(|(_, score)| *score <= full.bayes_bound));
+        for (name, score) in &pruned.leaderboard {
+            let unpruned = full
+                .leaderboard
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, s)| *s);
+            prop_assert_eq!(
+                Some(score.to_bits()),
+                unpruned.map(f64::to_bits),
+                "{}",
+                name
+            );
+        }
+        for row in train.rows() {
+            prop_assert_eq!(pruned.model.predict(row), full.model.predict(row));
+        }
+        Ok(pruned)
     }
 }

@@ -1,12 +1,16 @@
 //! Pinned auto-ML outputs: FNV-1a digests over a fixed grid of training
 //! sets. Per candidate, the digest covers its cross-validation score bits
 //! (materialised folds scored with `models::accuracy`) and the predictions
-//! of the model refit on the whole set. Per search, it covers the whole
-//! `AutoMlOutcome`: winner, CV accuracy bits, leaderboard, Bayes bound,
-//! distinct-row count, pruned count and the refit predictions. The
-//! digests were captured with the per-row CV scoring and the dense
-//! allocating model kernels that preceded the duplicate-aware ones; any
-//! change to a kernel's arithmetic, RNG use or tie-breaking moves them.
+//! of the model refit on the whole set. Per search, two digests split the
+//! `AutoMlOutcome`. The result digest covers what the search returns:
+//! winner, CV accuracy bits, Bayes bound, distinct-row count and the refit
+//! predictions. The trace digest covers how it got there: the leaderboard
+//! of fully scored candidates and the pruned count. The candidate digests
+//! were captured with the per-row CV scoring and the dense allocating
+//! model kernels that preceded the duplicate-aware ones; any change to a
+//! kernel's arithmetic, RNG use or tie-breaking moves them. The result
+//! digests were captured with the search-wide Bayes-bound exit, before the
+//! per-fold exit; an exact exit leaves them alone and moves only traces.
 
 use mlrl_ml::automl::{auto_fit, AutoMlConfig, AutoMlOutcome, ModelFamily};
 use mlrl_ml::dataset::Dataset;
@@ -235,18 +239,27 @@ fn candidate_digest(model: &mut dyn Classifier, data: &Dataset, seed: u64) -> u6
     h.0
 }
 
-fn outcome_digest(outcome: &AutoMlOutcome, data: &Dataset) -> u64 {
+/// What the search returns: winner, CV accuracy bits, Bayes bound,
+/// distinct-row count and the refit model's predictions.
+fn result_digest(outcome: &AutoMlOutcome, data: &Dataset) -> u64 {
     let mut h = Fnv::new();
     h.write(outcome.winner.as_bytes());
     h.f64(outcome.cv_accuracy);
+    h.f64(outcome.bayes_bound);
+    h.usize(outcome.distinct_rows);
+    digest_predictions(&mut h, outcome.model.as_ref(), data);
+    h.0
+}
+
+/// How the search got there: the fully scored candidates (leaderboard)
+/// and the pruned count.
+fn trace_digest(outcome: &AutoMlOutcome) -> u64 {
+    let mut h = Fnv::new();
     for (name, score) in &outcome.leaderboard {
         h.write(name.as_bytes());
         h.f64(*score);
     }
-    h.f64(outcome.bayes_bound);
-    h.usize(outcome.distinct_rows);
     h.usize(outcome.pruned);
-    digest_predictions(&mut h, outcome.model.as_ref(), data);
     h.0
 }
 
@@ -272,7 +285,7 @@ fn searches(seed: u64) -> Vec<(&'static str, AutoMlConfig)> {
     ]
 }
 
-/// `(fixture, candidate or search, digest)`.
+/// `(fixture, candidate, digest)`.
 const PINNED: &[(&str, &str, u64)] = &[
     ("pairs-2x2", "majority", 0x72670a2eaace2598),
     ("pairs-2x2", "tree(depth=6)", 0x77db9ec2d450ec5d),
@@ -293,12 +306,6 @@ const PINNED: &[(&str, &str, u64)] = &[
         "logistic(lr=0.1,epochs=120)",
         0x77db9ec2d450ec5d,
     ),
-    ("pairs-2x2", "search", 0x11409d000c33924a),
-    (
-        "pairs-2x2",
-        "search-5fold-knn-mlp-logistic",
-        0x705788838b9699b8,
-    ),
     ("pairs-4x5", "majority", 0x0c41ad507e55aeb0),
     ("pairs-4x5", "tree(depth=6)", 0x68a49c000ae7b2ae),
     ("pairs-4x5", "tree(depth=12)", 0x74ef682727cdf9a3),
@@ -317,12 +324,6 @@ const PINNED: &[(&str, &str, u64)] = &[
         "pairs-4x5",
         "logistic(lr=0.1,epochs=120)",
         0x4bd6ae3b0783b811,
-    ),
-    ("pairs-4x5", "search", 0x97e7540e41963917),
-    (
-        "pairs-4x5",
-        "search-5fold-knn-mlp-logistic",
-        0x267153f517c85ad5,
     ),
     ("pairs-4x5-3c", "majority", 0xda898c13317ed986),
     ("pairs-4x5-3c", "tree(depth=6)", 0x47eefba5300337b7),
@@ -347,12 +348,6 @@ const PINNED: &[(&str, &str, u64)] = &[
         "logistic(lr=0.1,epochs=120)",
         0x2d2fe07f2d794d8b,
     ),
-    ("pairs-4x5-3c", "search", 0x98fc5b26c6a3da82),
-    (
-        "pairs-4x5-3c",
-        "search-5fold-knn-mlp-logistic",
-        0x5346291e1adecbdf,
-    ),
     ("pairs-7x8", "majority", 0xebc77c865fe91c34),
     ("pairs-7x8", "tree(depth=6)", 0xb6d4fb364797cb24),
     ("pairs-7x8", "tree(depth=12)", 0xe0568ff5925aa1c0),
@@ -371,12 +366,6 @@ const PINNED: &[(&str, &str, u64)] = &[
         "pairs-7x8",
         "logistic(lr=0.1,epochs=120)",
         0xcb816a837aa410d6,
-    ),
-    ("pairs-7x8", "search", 0xe09ba4a99e8b3636),
-    (
-        "pairs-7x8",
-        "search-5fold-knn-mlp-logistic",
-        0xf6701e037f1ef9d1,
     ),
     ("pairs-11x11", "majority", 0x1406349f9c4da0a2),
     ("pairs-11x11", "tree(depth=6)", 0xe6763edc1c5f0c6e),
@@ -400,12 +389,6 @@ const PINNED: &[(&str, &str, u64)] = &[
         "pairs-11x11",
         "logistic(lr=0.1,epochs=120)",
         0x275dce596cf2ab71,
-    ),
-    ("pairs-11x11", "search", 0x11d521237f9c8bc7),
-    (
-        "pairs-11x11",
-        "search-5fold-knn-mlp-logistic",
-        0x8b61d34e248f9cda,
     ),
     ("pairs-3x3-signed", "majority", 0x34e6ad6c97c38fd6),
     ("pairs-3x3-signed", "tree(depth=6)", 0xb1f5fce6613f9b83),
@@ -434,12 +417,6 @@ const PINNED: &[(&str, &str, u64)] = &[
         "logistic(lr=0.1,epochs=120)",
         0x58fd2c9b14a2d3bb,
     ),
-    ("pairs-3x3-signed", "search", 0xc77f0a34a7e4358d),
-    (
-        "pairs-3x3-signed",
-        "search-5fold-knn-mlp-logistic",
-        0x799e48afe2f4f9ea,
-    ),
     ("multi-hot-8", "majority", 0x3dd85f9b59f64fee),
     ("multi-hot-8", "tree(depth=6)", 0x2e58b41fa139cecf),
     ("multi-hot-8", "tree(depth=12)", 0xd6934ee74a7a1ef8),
@@ -462,12 +439,6 @@ const PINNED: &[(&str, &str, u64)] = &[
         "multi-hot-8",
         "logistic(lr=0.1,epochs=120)",
         0x046641a4a156e29b,
-    ),
-    ("multi-hot-8", "search", 0x832de6fca3d851ed),
-    (
-        "multi-hot-8",
-        "search-5fold-knn-mlp-logistic",
-        0x7c39176c2c9680f3,
     ),
     ("multi-hot-12-3c", "majority", 0x5d755adaf7496c63),
     ("multi-hot-12-3c", "tree(depth=6)", 0xcac4113db67e61ff),
@@ -492,12 +463,6 @@ const PINNED: &[(&str, &str, u64)] = &[
         "logistic(lr=0.1,epochs=120)",
         0x958359e92818ddc0,
     ),
-    ("multi-hot-12-3c", "search", 0x5f4fd10a2d4194cb),
-    (
-        "multi-hot-12-3c",
-        "search-5fold-knn-mlp-logistic",
-        0x2556ebb4a9187066,
-    ),
     ("xor", "majority", 0xe287970b9c420c88),
     ("xor", "tree(depth=6)", 0x838fda3a4b035c51),
     ("xor", "tree(depth=12)", 0x278aa8d9de20b865),
@@ -509,8 +474,6 @@ const PINNED: &[(&str, &str, u64)] = &[
     ("xor", "mlp(hidden=16)", 0x2af471e8d5a585a8),
     ("xor", "logistic(lr=0.3,epochs=60)", 0x154b00833387c632),
     ("xor", "logistic(lr=0.1,epochs=120)", 0xad9a2fc3bd9698d2),
-    ("xor", "search", 0xe48c0f86daed8065),
-    ("xor", "search-5fold-knn-mlp-logistic", 0x6005535d5be168c2),
     ("blobs-3c", "majority", 0xec722383d4858fcf),
     ("blobs-3c", "tree(depth=6)", 0x55a880a8977eda56),
     ("blobs-3c", "tree(depth=12)", 0x177930899b735be9),
@@ -526,26 +489,137 @@ const PINNED: &[(&str, &str, u64)] = &[
         "logistic(lr=0.1,epochs=120)",
         0x98641cd448b2d764,
     ),
-    ("blobs-3c", "search", 0xac137a6c309d1936),
+];
+
+/// `(fixture, search, result digest, trace digest)`.
+const PINNED_SEARCHES: &[(&str, &str, u64, u64)] = &[
+    (
+        "pairs-2x2",
+        "search",
+        0xc7f9c817cdd8b53a,
+        0x28f403d833fb5801,
+    ),
+    (
+        "pairs-2x2",
+        "search-5fold-knn-mlp-logistic",
+        0xa4aace780fbdc5e3,
+        0xca0db0e1db312136,
+    ),
+    (
+        "pairs-4x5",
+        "search",
+        0xf95a6bcc7ff3a895,
+        0x7eb2b5267abf9c48,
+    ),
+    (
+        "pairs-4x5",
+        "search-5fold-knn-mlp-logistic",
+        0xfa1514a152ef34f0,
+        0x864e7cd070df2692,
+    ),
+    (
+        "pairs-4x5-3c",
+        "search",
+        0x6723687f46793068,
+        0x1aca577a8e6804d3,
+    ),
+    (
+        "pairs-4x5-3c",
+        "search-5fold-knn-mlp-logistic",
+        0x68b496dd2d5a0e7a,
+        0x4432996312f54590,
+    ),
+    (
+        "pairs-7x8",
+        "search",
+        0x7c0fcd6091dcfc01,
+        0x9cb13be00e4b738d,
+    ),
+    (
+        "pairs-7x8",
+        "search-5fold-knn-mlp-logistic",
+        0xd15993c4dd1d434b,
+        0x195d5ec426230aa7,
+    ),
+    (
+        "pairs-11x11",
+        "search",
+        0xcf07062060dda4f8,
+        0x097ef8d5a80b9a2a,
+    ),
+    (
+        "pairs-11x11",
+        "search-5fold-knn-mlp-logistic",
+        0xd725f535d2d29f17,
+        0x135f2d8995701a68,
+    ),
+    (
+        "pairs-3x3-signed",
+        "search",
+        0x5f824d7ede6e461c,
+        0xf8641b647b4d11b1,
+    ),
+    (
+        "pairs-3x3-signed",
+        "search-5fold-knn-mlp-logistic",
+        0x64cb067eb7660f6c,
+        0xf846c3c46d82799b,
+    ),
+    (
+        "multi-hot-8",
+        "search",
+        0x0e9bd2aabb9c8f21,
+        0x8d6ff26db9d37dc8,
+    ),
+    (
+        "multi-hot-8",
+        "search-5fold-knn-mlp-logistic",
+        0xbc12284c3734e119,
+        0xf8326ef939c7b84f,
+    ),
+    (
+        "multi-hot-12-3c",
+        "search",
+        0x88dbb92910bdaad5,
+        0xfd4dc1bf2ad1bbc7,
+    ),
+    (
+        "multi-hot-12-3c",
+        "search-5fold-knn-mlp-logistic",
+        0x0f2ba654728d0ce0,
+        0xc401b2117433bb4f,
+    ),
+    ("xor", "search", 0x1ed4331168696fbe, 0x5b08f2b14bbde5e3),
+    (
+        "xor",
+        "search-5fold-knn-mlp-logistic",
+        0xe193ae5b0c6f450a,
+        0x7d54611bf188091e,
+    ),
+    ("blobs-3c", "search", 0x4479a9b4131eaca0, 0xd4f42a24ebf38e70),
     (
         "blobs-3c",
         "search-5fold-knn-mlp-logistic",
-        0xcecdfe70e2547c76,
+        0x3dec88d171d7e839,
+        0x00c7afaad44b326b,
     ),
 ];
 
 #[test]
 fn candidates_and_searches_match_the_pinned_digests() {
     let mut got: Vec<(&str, &str, u64)> = Vec::new();
+    let mut searched: Vec<(&str, &str, u64, u64)> = Vec::new();
     for (fixture, data, seed) in fixtures() {
         for (name, mut model) in candidates(seed) {
             got.push((fixture, name, candidate_digest(model.as_mut(), &data, seed)));
         }
         for (label, cfg) in searches(seed) {
-            got.push((
+            let outcome = auto_fit(&data, &cfg);
+            searched.push((
                 fixture,
                 label,
-                outcome_digest(&auto_fit(&data, &cfg), &data),
+                result_digest(&outcome, &data),
+                trace_digest(&outcome),
             ));
         }
     }
@@ -554,4 +628,21 @@ fn candidates_and_searches_match_the_pinned_digests() {
         .map(|(f, c, h)| format!("    (\"{f}\", \"{c}\", 0x{h:016x}),\n"))
         .collect();
     assert_eq!(got, PINNED, "pinned digests moved; current table:\n{table}");
+    let table: String = searched
+        .iter()
+        .map(|(f, c, r, t)| format!("    (\"{f}\", \"{c}\", 0x{r:016x}, 0x{t:016x}),\n"))
+        .collect();
+    let results: Vec<_> = searched.iter().map(|&(f, c, r, _)| (f, c, r)).collect();
+    let pinned: Vec<_> = PINNED_SEARCHES
+        .iter()
+        .map(|&(f, c, r, _)| (f, c, r))
+        .collect();
+    assert_eq!(
+        results, pinned,
+        "search results moved; current table:\n{table}"
+    );
+    assert_eq!(
+        searched, PINNED_SEARCHES,
+        "search traces moved; current table:\n{table}"
+    );
 }
