@@ -844,7 +844,6 @@ fn run_gate_attack(
                 } else {
                     spec.sat_max_clauses
                 },
-                ..Default::default()
             };
             let mut oracle =
                 SimOracle::new(&lowered.netlist, &lowered.key).map_err(|e| e.to_string())?;

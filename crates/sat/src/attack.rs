@@ -20,16 +20,14 @@
 //! consistent with the accumulated I/O constraints is functionally correct;
 //! solve the constraint system once more to extract one.
 
-use std::collections::HashMap;
-
 use mlrl_netlist::equiv::check_netlists;
-use mlrl_netlist::ir::{NetId, Netlist};
+use mlrl_netlist::ir::Netlist;
 use mlrl_netlist::sim::{NetlistSimulator, LANES};
 use mlrl_netlist::NetlistError;
 
 use crate::cnf::{CnfBuilder, Lit};
 use crate::solver::{SolveResult, Solver};
-use crate::tseitin::{bind_input_const, encode};
+use crate::tseitin::CircuitEncoder;
 
 /// A named port-value assignment, as exchanged with an [`Oracle`].
 pub type PortValues = Vec<(String, u64)>;
@@ -51,41 +49,25 @@ pub trait Oracle {
 /// Oracle backed by a netlist simulator holding the correct key — the
 /// reproduction's stand-in for a functional chip bought on the market.
 ///
-/// `W` is the simulator word width: a `SimOracle<'_, 8>` answers up to 512
-/// assignments per topological walk through [`Oracle::query_batch`]. The
-/// default `W = 1` (64 lanes) matches the DIP loop's single-assignment
-/// queries and the ≤ 64-candidate validation sweep, which cannot fill
-/// wider words.
+/// [`Oracle::query_batch`] answers up to 64 assignments per topological
+/// walk, which covers the DIP loop's single-assignment queries and the
+/// ≤ 64-candidate validation sweep.
 #[derive(Debug)]
-pub struct SimOracle<'n, const W: usize = 1> {
-    sim: NetlistSimulator<'n, W>,
+pub struct SimOracle<'n> {
+    sim: NetlistSimulator<'n>,
     output_names: Vec<String>,
     /// Number of queries served (the attack's main cost metric).
     pub queries: usize,
 }
 
 impl<'n> SimOracle<'n> {
-    /// Wraps `netlist` with the correct `key` installed at the default
-    /// width. Wider oracles come from [`SimOracle::with_width`].
+    /// Wraps `netlist` with the correct `key` installed.
     ///
     /// # Errors
     ///
     /// Propagates simulator construction / key installation errors.
     pub fn new(netlist: &'n Netlist, key: &[bool]) -> Result<Self, NetlistError> {
-        Self::with_width(netlist, key)
-    }
-}
-
-impl<'n, const W: usize> SimOracle<'n, W> {
-    /// Wraps `netlist` with the correct `key` installed over a `W`-word
-    /// (`64 * W`-lane) simulator: `SimOracle::<8>::with_width(&n, key)`
-    /// answers 512-assignment batches in one walk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction / key installation errors.
-    pub fn with_width(netlist: &'n Netlist, key: &[bool]) -> Result<Self, NetlistError> {
-        let mut sim = NetlistSimulator::<W>::with_width(netlist)?;
+        let mut sim = NetlistSimulator::new(netlist)?;
         sim.set_key(key)?;
         let output_names = netlist.outputs().iter().map(|p| p.name.clone()).collect();
         Ok(Self {
@@ -96,7 +78,7 @@ impl<'n, const W: usize> SimOracle<'n, W> {
     }
 }
 
-impl<const W: usize> Oracle for SimOracle<'_, W> {
+impl Oracle for SimOracle<'_> {
     fn query(&mut self, inputs: &[(String, u64)]) -> PortValues {
         self.queries += 1;
         mlrl_obs::counter_add("oracle.queries", 1);
@@ -113,17 +95,16 @@ impl<const W: usize> Oracle for SimOracle<'_, W> {
             .collect()
     }
 
-    /// One levelized walk answers up to `64 * W` assignments: assignment
-    /// `i` rides lane `i` of the word simulator. Larger batches are
-    /// chunked, preserving the trait default's any-size contract.
+    /// One levelized walk answers up to 64 assignments: assignment `i`
+    /// rides lane `i` of the word simulator. Larger batches are chunked,
+    /// preserving the trait default's any-size contract.
     fn query_batch(&mut self, batch: &[&[(String, u64)]]) -> Vec<PortValues> {
         if batch.is_empty() {
             return Vec::new();
         }
-        let cap = NetlistSimulator::<W>::LANES;
-        if batch.len() > cap {
+        if batch.len() > LANES {
             return batch
-                .chunks(cap)
+                .chunks(LANES)
                 .flat_map(|chunk| self.query_batch(chunk))
                 .collect();
         }
@@ -189,8 +170,8 @@ pub struct SatAttackReport {
     /// constraint system admits a single key).
     pub candidates: usize,
     /// Fraction of validation probes the returned key agreed with the
-    /// oracle on; `None` when no validation sweep ran (proof reached,
-    /// single candidate, or `validation_probes = 0`).
+    /// oracle on; `None` when no validation sweep ran (proof reached or
+    /// single candidate).
     pub validation_agreement: Option<f64>,
     /// Conflicts the miter solver met over the whole attack.
     pub conflicts: u64,
@@ -212,14 +193,6 @@ pub struct SatAttackConfig {
     /// cap; campaign specs use this to bound worst-case solver memory per
     /// cell.
     pub max_clauses: usize,
-    /// Random probe vectors used by the post-budget validation sweep:
-    /// when a budget exhausts before a proof, up to 64 DIP-consistent
-    /// candidate keys ride the lanes of *one* key-sweep simulation per
-    /// probe and the best-agreeing key is returned (see
-    /// [`SatAttackReport::validation_agreement`]). `0` disables the
-    /// sweep and returns the solver's first candidate, the historical
-    /// behaviour.
-    pub validation_probes: usize,
 }
 
 impl Default for SatAttackConfig {
@@ -227,10 +200,16 @@ impl Default for SatAttackConfig {
         Self {
             max_dips: 256,
             max_clauses: usize::MAX,
-            validation_probes: 16,
         }
     }
 }
+
+/// Random probe vectors used by the post-budget validation sweep: when a
+/// budget exhausts before a proof, up to 64 DIP-consistent candidate keys
+/// ride the lanes of *one* key-sweep simulation per probe and the
+/// best-agreeing key is returned (see
+/// [`SatAttackReport::validation_agreement`]).
+const VALIDATION_PROBES: usize = 16;
 
 /// Runs the oracle-guided SAT attack against a locked combinational netlist.
 ///
@@ -242,7 +221,8 @@ impl Default for SatAttackConfig {
 /// # Errors
 ///
 /// - [`NetlistError::Sequential`] if the netlist has flip-flops (unrolling
-///   is out of scope for this reproduction).
+///   is out of scope for this reproduction), and the validation and cycle
+///   errors of [`CircuitEncoder::new`].
 /// - [`NetlistError::Lock`] if the netlist consumes no key bits or if the
 ///   final key-extraction solve fails (which would indicate an
 ///   inconsistent oracle).
@@ -280,9 +260,7 @@ pub fn sat_attack(
     oracle: &mut dyn Oracle,
     cfg: &SatAttackConfig,
 ) -> Result<SatAttackReport, NetlistError> {
-    if !locked.is_combinational() {
-        return Err(NetlistError::Sequential);
-    }
+    let encoder = CircuitEncoder::new(locked)?;
     if locked.key_width() == 0 {
         return Err(NetlistError::Lock(
             "netlist consumes no key bits".to_owned(),
@@ -291,50 +269,30 @@ pub fn sat_attack(
 
     let mut cnf = CnfBuilder::new();
 
-    // Shared input variables.
-    let mut shared_inputs: HashMap<NetId, Lit> = HashMap::new();
-    for p in locked.inputs() {
-        for &bit in &p.bits {
-            shared_inputs.insert(bit, cnf.new_var().pos());
-        }
+    // Shared input variables, then independent key variables for the two
+    // copies, interleaved per key bit.
+    let input_width: usize = locked.inputs().iter().map(|p| p.width()).sum();
+    let inputs: Vec<Lit> = (0..input_width).map(|_| cnf.new_var().pos()).collect();
+    let (mut key1, mut key2) = (Vec::new(), Vec::new());
+    for _ in locked.key_bits() {
+        key1.push(cnf.new_var().pos());
+        key2.push(cnf.new_var().pos());
     }
-    // Independent key variables for the two copies.
-    let mut key1: HashMap<NetId, Lit> = HashMap::new();
-    let mut key2: HashMap<NetId, Lit> = HashMap::new();
-    for &k in locked.key_bits() {
-        key1.insert(k, cnf.new_var().pos());
-        key2.insert(k, cnf.new_var().pos());
-    }
-
-    let mut bound1 = shared_inputs.clone();
-    bound1.extend(key1.iter().map(|(&n, &l)| (n, l)));
-    let enc1 = encode(locked, &mut cnf, &bound1)?;
-    let mut bound2 = shared_inputs.clone();
-    bound2.extend(key2.iter().map(|(&n, &l)| (n, l)));
-    let enc2 = encode(locked, &mut cnf, &bound2)?;
+    let copy1 = encoder.copy(&mut cnf, &inputs, &key1);
+    let copy2 = encoder.copy(&mut cnf, &inputs, &key2);
 
     // Miter: at least one output bit differs between the two copies.
     let mut diff_lits = Vec::new();
     for p in locked.outputs() {
         for &bit in &p.bits {
             let d = cnf.new_var().pos();
-            cnf.define_xor(d, enc1.lit(bit), enc2.lit(bit));
+            cnf.define_xor(d, copy1[bit.index()], copy2[bit.index()]);
             diff_lits.push(d);
         }
     }
     cnf.add_clause(&diff_lits);
 
     let mut solver = Solver::from_builder(&cnf);
-    let input_ports: Vec<(String, Vec<Lit>)> = locked
-        .inputs()
-        .iter()
-        .map(|p| {
-            (
-                p.name.clone(),
-                p.bits.iter().map(|b| shared_inputs[b]).collect(),
-            )
-        })
-        .collect();
 
     // Collected (DIP, oracle response) pairs for the final key extraction.
     let mut io_pairs: Vec<(PortValues, PortValues)> = Vec::new();
@@ -365,24 +323,33 @@ pub fn sat_attack(
                 dips += 1;
                 mlrl_obs::counter_add("sat.dips", 1);
                 // Decode the DIP from the shared input variables.
-                let stimulus: Vec<(String, u64)> = input_ports
+                let mut bits = inputs.iter();
+                let stimulus: Vec<(String, u64)> = locked
+                    .inputs()
                     .iter()
-                    .map(|(name, lits)| {
+                    .map(|p| {
                         let mut v = 0u64;
-                        for (i, lit) in lits.iter().enumerate() {
+                        for (i, lit) in bits.by_ref().take(p.width()).enumerate() {
                             if lit.value_under(model[lit.var().index()]) {
                                 v |= 1 << i;
                             }
                         }
-                        (name.clone(), v)
+                        (p.name.clone(), v)
                     })
                     .collect();
                 let response = oracle.query(&stimulus);
 
                 // Constrain both key copies to agree with the oracle on
                 // this DIP by appending fresh constrained circuit copies.
-                for key_map in [&key1, &key2] {
-                    add_io_constraint(locked, &mut solver, key_map, &stimulus, &response)?;
+                // Each copy numbers its variables from the solver's count;
+                // the scratch builder holds only its new clauses.
+                for keys in [&key1, &key2] {
+                    let mut cc = CnfBuilder::starting_at(solver.num_vars());
+                    encoder.constrain(&mut cc, keys, &stimulus, &response);
+                    solver.ensure_vars(cc.num_vars());
+                    for clause in cc.clauses() {
+                        solver.add_clause(clause);
+                    }
                 }
                 io_pairs.push((stimulus, response));
             }
@@ -392,35 +359,17 @@ pub fn sat_attack(
     // Reached both on proof (UNSAT miter) and on budget exhaustion; in the
     // latter case the key is the attacker's best unproven candidate.
     let mut kb = CnfBuilder::new();
-    let mut key_vars: HashMap<NetId, Lit> = HashMap::new();
-    for &k in locked.key_bits() {
-        key_vars.insert(k, kb.new_var().pos());
-    }
+    let key_vars: Vec<Lit> = (0..locked.key_width())
+        .map(|_| kb.new_var().pos())
+        .collect();
     for (stimulus, response) in &io_pairs {
-        let mut bound: HashMap<NetId, Lit> = key_vars.clone();
-        for (name, v) in stimulus {
-            bind_input_const(locked, &mut kb, &mut bound, name, *v);
-        }
-        let enc = encode(locked, &mut kb, &bound)?;
-        for (name, v) in response {
-            for (i, lit) in enc.port_lits(locked, name).iter().enumerate() {
-                kb.add_clause(&[if v >> i & 1 == 1 {
-                    *lit
-                } else {
-                    lit.inverted()
-                }]);
-            }
-        }
+        encoder.constrain(&mut kb, &key_vars, stimulus, response);
     }
     let mut key_solver = Solver::from_builder(&kb);
-    let key_nets: Vec<NetId> = locked.key_bits().to_vec();
     let extract_key = |model: &[bool]| -> Vec<bool> {
-        key_nets
+        key_vars
             .iter()
-            .map(|k| {
-                let l = key_vars[k];
-                l.value_under(model[l.var().index()])
-            })
+            .map(|l| l.value_under(model[l.var().index()]))
             .collect()
     };
     let first = match key_solver.solve() {
@@ -440,20 +389,13 @@ pub fn sat_attack(
     // each probe costs a single topological walk (`key_sweep_digests`).
     let mut candidates = vec![first];
     let mut validation_agreement = None;
-    if !proved && cfg.validation_probes > 0 {
+    if !proved {
         while candidates.len() < LANES {
             let last = candidates.last().expect("at least the first key");
-            let block: Vec<Lit> = key_nets
+            let block: Vec<Lit> = key_vars
                 .iter()
                 .zip(last)
-                .map(|(k, &bit)| {
-                    let l = key_vars[k];
-                    if bit {
-                        l.inverted()
-                    } else {
-                        l
-                    }
-                })
+                .map(|(&l, &bit)| if bit { l.inverted() } else { l })
                 .collect();
             key_solver.add_clause(&block);
             match key_solver.solve() {
@@ -462,8 +404,7 @@ pub fn sat_attack(
             }
         }
         if candidates.len() > 1 {
-            let (best, agreement) =
-                rank_candidates(locked, oracle, &candidates, cfg.validation_probes)?;
+            let (best, agreement) = rank_candidates(locked, oracle, &candidates)?;
             validation_agreement = Some(agreement);
             candidates.swap(0, best);
         }
@@ -494,7 +435,6 @@ fn rank_candidates(
     locked: &Netlist,
     oracle: &mut dyn Oracle,
     candidates: &[Vec<bool>],
-    probes: usize,
 ) -> Result<(usize, f64), NetlistError> {
     // splitmix64 over a fixed constant: deterministic probes with no RNG
     // dependency (the attack's only randomness requirement is coverage).
@@ -506,7 +446,7 @@ fn rank_candidates(
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     };
-    let stimuli: Vec<Vec<(String, u64)>> = (0..probes)
+    let stimuli: Vec<Vec<(String, u64)>> = (0..VALIDATION_PROBES)
         .map(|_| {
             locked
                 .inputs()
@@ -543,7 +483,7 @@ fn rank_candidates(
     let best = (0..candidates.len())
         .max_by_key(|&i| (scores[i], std::cmp::Reverse(i)))
         .expect("at least one candidate");
-    Ok((best, scores[best] as f64 / probes.max(1) as f64))
+    Ok((best, scores[best] as f64 / VALIDATION_PROBES as f64))
 }
 
 /// The oracle response's output digest, computed exactly as
@@ -561,40 +501,6 @@ fn digest_response(locked: &Netlist, response: &[(String, u64)]) -> u64 {
         digest = digest.wrapping_mul(0x100_0000_01b3);
     }
     digest
-}
-
-/// Appends one I/O constraint to the incremental solver: a fresh copy of the
-/// locked circuit with inputs fixed to `stimulus`, key literals shared with
-/// `key_map`, constrained to produce `response`.
-fn add_io_constraint(
-    locked: &Netlist,
-    solver: &mut Solver,
-    key_map: &HashMap<NetId, Lit>,
-    stimulus: &[(String, u64)],
-    response: &[(String, u64)],
-) -> Result<(), NetlistError> {
-    // Fresh variables continue the solver's numbering; the scratch builder
-    // holds only the new clauses, which are then merged.
-    let mut cc = CnfBuilder::starting_at(solver.num_vars());
-    let mut bound: HashMap<NetId, Lit> = key_map.clone();
-    for (name, v) in stimulus {
-        bind_input_const(locked, &mut cc, &mut bound, name, *v);
-    }
-    let enc = encode(locked, &mut cc, &bound)?;
-    for (name, v) in response {
-        for (i, lit) in enc.port_lits(locked, name).iter().enumerate() {
-            cc.add_clause(&[if v >> i & 1 == 1 {
-                *lit
-            } else {
-                lit.inverted()
-            }]);
-        }
-    }
-    solver.ensure_vars(cc.num_vars());
-    for clause in cc.clauses() {
-        solver.add_clause(clause);
-    }
-    Ok(())
 }
 
 /// Convenience wrapper: attack a locked netlist whose correct key is known
@@ -730,7 +636,6 @@ mod tests {
         let cfg = SatAttackConfig {
             max_dips: 256,
             max_clauses: 1,
-            ..Default::default()
         };
         let report = sat_attack(&locked, &mut oracle, &cfg).unwrap();
         assert!(!report.proved, "1-clause budget cannot prove anything");
@@ -755,7 +660,6 @@ mod tests {
 
         let cfg = SatAttackConfig {
             max_dips: 0,
-            validation_probes: 24,
             ..Default::default()
         };
         let (report, correct) = sat_attack_with_sim_oracle(&locked, key.bits(), &cfg).unwrap();
@@ -766,24 +670,13 @@ mod tests {
         );
         let agreement = report
             .validation_agreement
-            .expect("sweep ran: budget exhausted with probes configured");
+            .expect("sweep ran: budget exhausted before a proof");
         assert!(
             (agreement - 1.0).abs() < 1e-9,
             "best candidate must match the oracle on every probe (got {agreement})"
         );
         assert!(correct, "validated key must unlock the design");
         assert_eq!(report.key, key.bits());
-
-        // Disabling the sweep restores the historical first-model pick.
-        let cfg = SatAttackConfig {
-            max_dips: 0,
-            validation_probes: 0,
-            ..Default::default()
-        };
-        let mut oracle = SimOracle::new(&locked, key.bits()).unwrap();
-        let report = sat_attack(&locked, &mut oracle, &cfg).unwrap();
-        assert_eq!(report.candidates, 1);
-        assert!(report.validation_agreement.is_none());
     }
 
     #[test]
@@ -802,7 +695,7 @@ mod tests {
     fn batched_oracle_queries_match_scalar_queries() {
         let mut locked = sample_netlist();
         let key = xor_xnor_lock(&mut locked, 6, 17).unwrap();
-        // 70 assignments also exercises the >64-lane chunking path.
+        // 70 assignments span two 64-lane walks of the one oracle.
         let assignments: Vec<Vec<(String, u64)>> = (0..70u64)
             .map(|i| {
                 vec![
@@ -840,28 +733,6 @@ mod tests {
         let refs: Vec<&[(String, u64)]> = reordered.iter().map(|a| a.as_slice()).collect();
         let mut shuffled = SimOracle::new(&locked, key.bits()).unwrap();
         assert_eq!(shuffled.query_batch(&refs), batch_answers);
-    }
-
-    #[test]
-    fn wide_oracle_answers_past_64_in_one_walk() {
-        // A width-4 oracle carries 256 lanes: 70 assignments fit one
-        // settle and must answer exactly like the width-1 chunked path.
-        let mut locked = sample_netlist();
-        let key = xor_xnor_lock(&mut locked, 6, 17).unwrap();
-        let assignments: Vec<Vec<(String, u64)>> = (0..70u64)
-            .map(|i| {
-                vec![
-                    ("a".to_owned(), i.wrapping_mul(37) & 0xff),
-                    ("b".to_owned(), i.wrapping_mul(91) & 0xff),
-                ]
-            })
-            .collect();
-        let refs: Vec<&[(String, u64)]> = assignments.iter().map(|a| a.as_slice()).collect();
-
-        let mut narrow = SimOracle::new(&locked, key.bits()).unwrap();
-        let mut wide = SimOracle::<4>::with_width(&locked, key.bits()).unwrap();
-        assert_eq!(wide.query_batch(&refs), narrow.query_batch(&refs));
-        assert_eq!(wide.queries, 70);
     }
 
     #[test]

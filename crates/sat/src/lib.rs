@@ -9,8 +9,8 @@
 //! - [`solver`] — a from-scratch CDCL SAT solver (two-watched literals
 //!   over a flat clause arena, first-UIP learning, a VSIDS decision heap,
 //!   phase saving, restarts),
-//! - [`tseitin`] — Tseitin encoding of `mlrl-netlist` circuits with
-//!   pre-binding support for multi-copy constructions,
+//! - [`tseitin`] — Tseitin encoding of `mlrl-netlist` circuits: one
+//!   levelized encoder stamps out every circuit copy the attack needs,
 //! - [`attack`] — the classic SAT attack: iterate distinguishing input
 //!   patterns against an oracle until the miter is UNSAT, then extract a
 //!   functionally correct key.

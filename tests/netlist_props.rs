@@ -18,7 +18,7 @@ use mlrl::netlist::Netlist;
 use mlrl::rtl::parser::parse_verilog;
 use mlrl::sat::cnf::CnfBuilder;
 use mlrl::sat::solver::Solver;
-use mlrl::sat::tseitin::{bind_input_const, encode};
+use mlrl::sat::tseitin::CircuitEncoder;
 
 /// A random binary-operator expression tree over inputs `a`, `b`, `c`,
 /// rendered as Verilog.
@@ -258,14 +258,22 @@ proptest! {
         let want = sim.output("y").expect("y");
 
         let mut cnf = CnfBuilder::new();
-        let mut bound = std::collections::HashMap::new();
-        bind_input_const(&netlist, &mut cnf, &mut bound, "a", av);
-        bind_input_const(&netlist, &mut cnf, &mut bound, "b", bv);
-        let enc = encode(&netlist, &mut cnf, &bound).expect("encodes");
+        let t = cnf.true_lit();
+        let inputs: Vec<_> = netlist
+            .inputs()
+            .iter()
+            .flat_map(|p| {
+                let v = if p.name == "a" { av } else { bv };
+                (0..p.width()).map(move |i| if v >> i & 1 == 1 { t } else { t.inverted() })
+            })
+            .collect();
+        let encoder = CircuitEncoder::new(&netlist).expect("encodes");
+        let lits = encoder.copy(&mut cnf, &inputs, &[]);
         let result = Solver::from_builder(&cnf).solve();
         let model = result.model().expect("sat");
         let mut got = 0u64;
-        for (i, lit) in enc.port_lits(&netlist, "y").iter().enumerate() {
+        for (i, bit) in netlist.port("y").expect("y").bits.iter().enumerate() {
+            let lit = lits[bit.index()];
             if lit.value_under(model[lit.var().index()]) {
                 got |= 1 << i;
             }
