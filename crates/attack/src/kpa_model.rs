@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 
 use mlrl_locking::key::{Key, KeyBitKind};
+use mlrl_locking::odt::Odt;
 use mlrl_locking::pairs::PairTable;
 use mlrl_rtl::ast::Expr;
 use mlrl_rtl::op::BinaryOp;
@@ -40,10 +41,20 @@ pub struct KpaPrediction {
 ///
 /// The prediction assumes the attacker's training converges to the true
 /// post-locking type frequencies (which a few dozen relock rounds achieve).
+///
+/// # Panics
+///
+/// Panics if `table` is not involutive, as [`Odt::load`] does; use
+/// [`PairTable::fixed`].
 pub fn predict_kpa(locked: &Module, key: &Key, table: &PairTable) -> KpaPrediction {
-    // Post-locking census: the label distribution the training set samples.
-    let census = visit::op_census(locked);
+    predict_kpa_with(locked, key, &Odt::load(locked, table.clone()))
+}
 
+/// [`predict_kpa`] over the locked design's already-loaded ODT, which is
+/// the post-locking label distribution the training set samples: a pair
+/// `(a, b)`'s majority type is the sign of `odt.get(a)`, i.e. of
+/// `count(a) − count(b)`.
+pub fn predict_kpa_with(locked: &Module, key: &Key, odt: &Odt) -> KpaPrediction {
     // Attribute each operation key bit to the real operation type it locks.
     let mut real_type_of_bit: HashMap<u32, BinaryOp> = HashMap::new();
     visit::walk_exprs(locked, |_, expr| {
@@ -72,30 +83,32 @@ pub fn predict_kpa(locked: &Module, key: &Key, table: &PairTable) -> KpaPredicti
         if key.kind(*bit) != Some(KeyBitKind::Operation) {
             continue;
         }
-        if let Some(pair) = table.canonical_pair_of(*real) {
+        if let Some(pair) = odt.table().canonical_pair_of(*real) {
             bits_per_pair.entry(pair).or_default().push(*real);
         }
     }
 
-    let mut per_pair = Vec::new();
-    let mut weighted = 0.0;
-    let mut total_bits = 0usize;
-    for (pair, reals) in bits_per_pair {
-        let (a, b) = pair;
-        let ca = census.get(&a).copied().unwrap_or(0);
-        let cb = census.get(&b).copied().unwrap_or(0);
-        let accuracy = if ca == cb {
-            0.5
-        } else {
-            let majority = if ca > cb { a } else { b };
-            // Bits whose real op is the majority type are predicted right.
-            reals.iter().filter(|r| **r == majority).count() as f64 / reals.len() as f64
-        };
-        weighted += accuracy * reals.len() as f64;
-        total_bits += reals.len();
-        per_pair.push((pair, reals.len(), accuracy));
-    }
+    let mut per_pair: Vec<_> = bits_per_pair
+        .into_iter()
+        .map(|(pair, reals)| {
+            let (a, b) = pair;
+            let accuracy = match odt.get(a).signum() {
+                0 => 0.5,
+                sign => {
+                    let majority = if sign > 0 { a } else { b };
+                    // Bits whose real op is the majority type are predicted right.
+                    let right = reals.iter().filter(|r| **r == majority).count();
+                    right as f64 / reals.len() as f64
+                }
+            };
+            (pair, reals.len(), accuracy)
+        })
+        .collect();
+    // Sorted before summing: the map's order is per-process random, and
+    // a float sum in that order could differ in its last bits.
     per_pair.sort_by_key(|(p, _, _)| (p.0.code(), p.1.code()));
+    let weighted: f64 = per_pair.iter().map(|&(_, n, acc)| acc * n as f64).sum();
+    let total_bits: usize = per_pair.iter().map(|&(_, n, _)| n).sum();
     let expected_kpa = if total_bits == 0 {
         0.0
     } else {
@@ -156,6 +169,23 @@ mod tests {
             pred.expected_kpa > 60.0 && pred.expected_kpa < 100.0,
             "{pred:?}"
         );
+    }
+
+    #[test]
+    fn expected_kpa_is_summed_in_per_pair_order() {
+        let mut m = generate(&benchmark_by_name("DES3").unwrap(), 1);
+        let total = visit::binary_ops(&m).len();
+        let key = lock_operations(&mut m, &AssureConfig::serial(total * 3 / 4, 1)).unwrap();
+        let pred = predict_kpa(&m, &key, &PairTable::fixed());
+        assert!(pred.per_pair.len() >= 3, "{pred:?}");
+        let mut weighted = 0.0;
+        let mut bits = 0;
+        for &(_, n, accuracy) in &pred.per_pair {
+            weighted += accuracy * n as f64;
+            bits += n;
+        }
+        let in_order = 100.0 * weighted / bits as f64;
+        assert_eq!(pred.expected_kpa.to_bits(), in_order.to_bits());
     }
 
     #[test]

@@ -63,6 +63,14 @@ pub struct PairAnalysisReport {
     pub coverage: f64,
 }
 
+impl PairAnalysisReport {
+    /// Number of localities analyzed: every key-controlled multiplexer of
+    /// the target, whatever its verdict.
+    pub fn localities(&self) -> usize {
+        self.inferred.len() + self.ambiguous + self.unanalyzable
+    }
+}
+
 /// Runs pair analysis against `target`, scoring against `true_key`.
 ///
 /// With [`PairTable::original_assure`] and a design containing the leaky
@@ -148,6 +156,27 @@ mod tests {
         let report = pair_analysis_attack(&m, &key, &table);
         assert!(report.inferred.is_empty(), "fixed table must not leak");
         assert_eq!(report.coverage, 0.0);
+    }
+
+    #[test]
+    fn the_report_counts_every_extracted_locality() {
+        use mlrl_locking::era::{era_lock, EraConfig};
+        use mlrl_locking::hra::{hra_lock, HraConfig};
+        let table = PairTable::fixed();
+        for name in ["FIR", "SHA256", "SASC"] {
+            let base = generate(&benchmark_by_name(name).unwrap(), 3);
+            let bits = visit::binary_ops(&base).len() * 3 / 4;
+            let (assure, assure_key) = lock_with(table.clone(), name, 3);
+            let mut hra = base.clone();
+            let hra_key = hra_lock(&mut hra, &HraConfig::new(bits, 4)).unwrap().key;
+            let mut era = base;
+            let era_key = era_lock(&mut era, &EraConfig::new(bits, 5)).unwrap().key;
+            for (m, key) in [(assure, assure_key), (hra, hra_key), (era, era_key)] {
+                let report = pair_analysis_attack(&m, &key, &table);
+                assert_eq!(report.localities(), extract_localities(&m).len(), "{name}");
+                assert!(report.localities() > 0, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! recipe ([`crate::fnv`]) so repeated cells hit instead of recompute:
 //!
 //! - **base designs** — keyed by generator config,
-//! - **locked modules** (+ key + metric trace) — keyed by the emitted
-//!   Verilog of the base design plus the locking config,
+//! - **locked modules** (+ key + metric trace + ODT) — keyed by the
+//!   emitted Verilog of the base design plus the locking config,
 //! - **relock training sets** — keyed by the emitted Verilog of the
 //!   locked design plus the relock config,
 //! - **lowered netlists** (+ gate key, when gate-locked) — keyed by the
@@ -39,13 +39,17 @@ use std::time::SystemTime;
 use mlrl_attack::relock::TrainingSet;
 use mlrl_locking::key::Key;
 use mlrl_locking::key::KeyBitKind::{self, Branch, Constant, Operation};
+use mlrl_locking::metric::SecurityMetric;
+use mlrl_locking::odt::Odt;
+use mlrl_locking::pairs::PairTable;
 use mlrl_netlist::serdes::{emit_netlist, parse_netlist};
 use mlrl_netlist::Netlist;
 use mlrl_rtl::parser::parse_verilog;
 use mlrl_rtl::Module;
 
-/// A locked instance: the module, its correct key, and (for metric-traced
-/// schemes) the per-bit metric evolution.
+/// A locked instance: the module, its correct key, (for metric-traced
+/// schemes) the per-bit metric evolution, and the module's ODT, loaded
+/// once so that every cell on the instance reuses it.
 #[derive(Debug, Clone)]
 pub struct LockedArtifact {
     /// The locked module.
@@ -55,6 +59,33 @@ pub struct LockedArtifact {
     /// `(key bits, M_g_sec)` after each lock step, when the scheme
     /// reports it (ERA/HRA).
     pub trace: Option<Vec<(usize, f64)>>,
+    odt: Odt,
+}
+
+impl LockedArtifact {
+    /// The artifact of a freshly locked or freshly decoded module; loads
+    /// its ODT.
+    pub fn new(module: Module, key: Key, trace: Option<Vec<(usize, f64)>>) -> Self {
+        let odt = load_odt(&module);
+        Self {
+            module,
+            key,
+            trace,
+            odt,
+        }
+    }
+
+    /// The locked module's ODT over [`PairTable::fixed`].
+    pub fn odt(&self) -> &Odt {
+        &self.odt
+    }
+}
+
+/// A module's ODT over [`PairTable::fixed`], the table of every engine
+/// metric; each load is one module walk, counted as `engine.odt_loads`.
+pub(crate) fn load_odt(module: &Module) -> Odt {
+    mlrl_obs::counter_add("engine.odt_loads", 1);
+    Odt::load(module, PairTable::fixed())
 }
 
 /// A lowered (synthesized) netlist, optionally gate-locked.
@@ -298,6 +329,9 @@ pub struct ArtifactCache {
     /// Emitted-Verilog memo (internal: content-address inputs, not
     /// artifacts; excluded from hit/miss stats).
     texts: Shard<String>,
+    /// Base-design metric memo, under the design key (bookkeeping like
+    /// `texts`).
+    metrics: Shard<SecurityMetric>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     lowered_hits: AtomicUsize,
@@ -398,6 +432,20 @@ impl ArtifactCache {
         build: impl FnOnce() -> Result<String, String>,
     ) -> Result<Arc<String>, String> {
         Ok(self.texts.get_or_build(content_key, build)?.0)
+    }
+
+    /// Memoizes a base design's [`SecurityMetric`] under the design's
+    /// key. Like [`ArtifactCache::text`], bookkeeping: counted in neither
+    /// [`CacheStats`] nor [`ArtifactCache::len`].
+    pub fn metric(
+        &self,
+        design_key: u64,
+        build: impl FnOnce() -> SecurityMetric,
+    ) -> Arc<SecurityMetric> {
+        self.metrics
+            .get_or_build(design_key, || Ok(build()))
+            .expect("metric build is infallible")
+            .0
     }
 
     /// Fetches or builds a locked instance, consulting the spill
@@ -641,7 +689,7 @@ impl Spilled for LockedArtifact {
         }
         let module = parse_verilog(verilog).ok()?;
         let trace = (!trace.is_empty()).then_some(trace);
-        Some(LockedArtifact { module, key, trace })
+        Some(LockedArtifact::new(module, key, trace))
     }
 }
 
@@ -783,11 +831,11 @@ mod tests {
             &mlrl_locking::assure::AssureConfig::serial(10, 7),
         )
         .map_err(|e| e.to_string())?;
-        Ok(LockedArtifact {
+        Ok(LockedArtifact::new(
             module,
             key,
-            trace: Some(vec![(1, 12.5), (2, 25.0)]),
-        })
+            Some(vec![(1, 12.5), (2, 25.0)]),
+        ))
     }
 
     /// A SIM_SPI lowering at `width`, gate-locked with 5 key bits.
@@ -834,6 +882,7 @@ mod tests {
         );
         assert_eq!(a.key, b.key);
         assert_eq!(a.trace, b.trace);
+        assert_eq!(b.odt(), &Odt::load(&b.module, PairTable::fixed()));
         let emitted = mlrl_rtl::emit::emit_verilog(&a.module).expect("emit a");
         assert_eq!(
             emitted,

@@ -18,7 +18,7 @@ use mlrl_attack::freq_table::freq_table_attack;
 use mlrl_attack::gate_snapshot::{
     build_gate_training_set, gate_freq_table_attack, gate_snapshot_attack, GateAttackConfig,
 };
-use mlrl_attack::kpa_model::predict_kpa;
+use mlrl_attack::kpa_model::predict_kpa_with;
 use mlrl_attack::observations::{run_scenario, Scenario};
 use mlrl_attack::oracle_guided::{oracle_guided_attack, OracleAttackConfig};
 use mlrl_attack::pair_analysis::pair_analysis_attack;
@@ -28,7 +28,6 @@ use mlrl_locking::corruptibility::{
     measure_corruptibility, measure_gate_corruptibility, CorruptibilityConfig,
 };
 use mlrl_locking::metric::SecurityMetric;
-use mlrl_locking::odt::Odt;
 use mlrl_locking::pairs::PairTable;
 use mlrl_locking::{key_budget, lock};
 use mlrl_ml::automl::AutoMlConfig;
@@ -40,7 +39,7 @@ use mlrl_rtl::emit::emit_verilog;
 use mlrl_rtl::{visit, Module};
 use mlrl_sat::attack::{sat_attack, SatAttackConfig, SimOracle};
 
-use crate::cache::{ArtifactCache, LockedArtifact, LoweredArtifact};
+use crate::cache::{load_odt, ArtifactCache, LockedArtifact, LoweredArtifact};
 use crate::fnv::Fnv64;
 use crate::job::{budget_bps, Job, ShardSpec};
 use crate::pool::{partition_by_cost, run_jobs_weighted};
@@ -374,8 +373,11 @@ fn execute(
         })
     };
 
+    // Memoized per distinct design: jobs sharing a base load its ODT once.
+    let base_metric = || cache.metric(design_key, || SecurityMetric::new(&load_odt(&base)));
+
     if job.scheme == SchemeKind::None {
-        return execute_profile(&base, record);
+        return execute_profile(&base, &base_metric(), record);
     }
     if job.attack == AttackKind::Observations {
         return execute_observations(spec, job, design_spec.total_ops(), record);
@@ -410,11 +412,8 @@ fn execute(
     record.key_bits = Some(locked.key.len());
 
     // Security metric of the final design, against the base ODT.
-    let initial_odt = Odt::load(&base, PairTable::fixed());
-    let metric = SecurityMetric::new(&initial_odt);
-    let final_odt = Odt::load(&locked.module, PairTable::fixed());
-    record.metric = Some(metric.global(&final_odt));
-    record.balanced = Some(final_odt.is_balanced());
+    record.metric = Some(base_metric().global(locked.odt()));
+    record.balanced = Some(locked.odt().is_balanced());
     record.bits_to_balance = locked
         .trace
         .as_ref()
@@ -455,14 +454,18 @@ fn execute(
 /// Profile cell (`schemes = none`): no locking, no attack — reports the
 /// base design's operation count, total pair imbalance (the minimum
 /// balancing key bits), and the metric denominator `d_e(v_i, v_o)`; the
-/// §5 "is there a global bias among designs?" analysis.
-fn execute_profile(base: &Module, record: &mut JobRecord) -> Result<(), String> {
-    let odt = Odt::load(base, PairTable::fixed());
-    let v = odt.abs_vector();
+/// §5 "is there a global bias among designs?" analysis. All but the
+/// operation count read the base ODT's `|ODT|` vector, `v_i`.
+fn execute_profile(
+    base: &Module,
+    metric: &SecurityMetric,
+    record: &mut JobRecord,
+) -> Result<(), String> {
+    let v = metric.initial_vector();
     record.ops = Some(visit::binary_ops(base).len());
-    record.imbalance = Some(odt.total_imbalance());
+    record.imbalance = Some(v.iter().map(|&x| x as u64).sum());
     record.initial_distance = Some(v.iter().map(|x| x * x).sum::<f64>().sqrt());
-    record.balanced = Some(odt.is_balanced());
+    record.balanced = Some(v.iter().all(|&x| x == 0.0));
     Ok(())
 }
 
@@ -644,11 +647,11 @@ fn lock_design(base: &Module, job: &Job) -> Result<LockedArtifact, String> {
     let mut module = base.clone();
     let outcome = lock(&mut module, scheme, bits, job.lock_seed()).map_err(|e| e.to_string())?;
     let trace: Vec<(usize, f64)> = outcome.trace.iter().map(|&(n, g, _)| (n, g)).collect();
-    Ok(LockedArtifact {
+    Ok(LockedArtifact::new(
         module,
-        key: outcome.key,
-        trace: (!trace.is_empty()).then_some(trace),
-    })
+        outcome.key,
+        (!trace.is_empty()).then_some(trace),
+    ))
 }
 
 fn run_attack(
@@ -704,7 +707,7 @@ fn run_attack(
             record.training_samples = Some(report.training_samples);
         }
         AttackKind::KpaModel => {
-            let prediction = predict_kpa(&locked.module, &locked.key, &PairTable::fixed());
+            let prediction = predict_kpa_with(&locked.module, &locked.key, locked.odt());
             record.kpa = Some(prediction.expected_kpa);
             record.attacked_bits = Some(locked.key.len());
         }
@@ -732,7 +735,7 @@ fn run_attack(
             record.kpa = Some(report.kpa_on_inferred);
             record.attacked_bits = Some(report.inferred.len());
             record.coverage = Some(report.coverage);
-            record.localities = Some(mlrl_attack::extract_localities(&locked.module).len());
+            record.localities = Some(report.localities());
         }
         AttackKind::Corruptibility => {
             let report = measure_corruptibility(

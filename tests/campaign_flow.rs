@@ -84,6 +84,83 @@ fn canonical_reports_match_pre_refactor_golden_snapshot() {
     );
 }
 
+/// The analytic grid: FIR, SHA256, SASC × assure, hra, era × budgets
+/// 0.25, 0.75 × the cells scored from the locked module alone (the KPA
+/// model, pair analysis, and metric-only `none`) = 54 cells. Together
+/// they pin `metric`, `balanced`, `kpa`, `localities` and `coverage`.
+fn analytic_spec(threads: usize) -> CampaignSpec {
+    let mut spec = CampaignSpec::grid(
+        &["FIR", "SHA256", "SASC"],
+        &[SchemeKind::Assure, SchemeKind::Hra, SchemeKind::Era],
+        &[0.25, 0.75],
+    );
+    spec.name = "analytic-golden".into();
+    spec.seeds = vec![5];
+    spec.attacks = vec![
+        AttackKind::KpaModel,
+        AttackKind::PairAnalysis,
+        AttackKind::None,
+    ];
+    spec.threads = threads;
+    spec
+}
+
+/// Analytic cells match a golden captured before their ODTs were cached,
+/// on a cold run, a warm run whose locked modules are decoded from a
+/// spill dir, and a 2-thread run.
+///
+/// Regenerate (only for a change that legitimately alters campaign
+/// *science*) with `MLRL_BLESS=1 cargo test -q --test campaign_flow golden`.
+#[test]
+fn analytic_cells_match_their_golden_cold_warm_and_parallel() {
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/golden_analytic.jsonl"
+    );
+    let dir = std::env::temp_dir().join(format!(
+        "mlrl-analytic-cache-{}-{}",
+        std::process::id(),
+        line!()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cold = Engine::new()
+        .with_cache_dir(dir.clone())
+        .run(&analytic_spec(1));
+    assert_eq!(cold.records.len(), 54);
+    assert_eq!(cold.failed_count(), 0, "{:?}", cold.records);
+    let canonical = cold.canonical_jsonl();
+    if std::env::var_os("MLRL_BLESS").is_some() {
+        std::fs::write(golden_path, &canonical).expect("write golden snapshot");
+        std::fs::remove_dir_all(&dir).ok();
+        return;
+    }
+    let golden = std::fs::read_to_string(golden_path)
+        .expect("golden snapshot exists (MLRL_BLESS=1 to regenerate)");
+    assert_eq!(canonical, golden, "cold analytic cells diverged");
+
+    // A fresh engine over the filled dir: every locked module is parsed
+    // back from its spill, none is relocked. The three misses are the
+    // base designs, which never spill.
+    let warm = Engine::new()
+        .with_cache_dir(dir.clone())
+        .run(&analytic_spec(1));
+    assert_eq!(warm.cache.misses, 3, "warm run relocked: {:?}", warm.cache);
+    assert_eq!(
+        warm.canonical_jsonl(),
+        golden,
+        "warm analytic cells diverged"
+    );
+
+    let parallel = Engine::new().run(&analytic_spec(2));
+    assert_eq!(parallel.threads, 2);
+    assert_eq!(
+        parallel.canonical_jsonl(),
+        golden,
+        "2-thread analytic cells diverged"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The acceptance grid: 2 benchmarks × 2 schemes × 3 budgets = 12 cells.
 fn twelve_cell_spec(threads: usize) -> CampaignSpec {
     let mut spec = CampaignSpec::grid(
