@@ -16,6 +16,12 @@
 //!   config, so one synthesis serves every gate-level cell that shares
 //!   the source.
 //!
+//! The content keys that hash emitted Verilog are memoized under their
+//! *recipe* ([`ArtifactCache::content_key`]): the design key plus every
+//! other input of the content key. A cell whose recipe was seen before
+//! neither emits nor hashes any text, and the content key (so the spill
+//! file name) is the one the text would give.
+//!
 //! With a spill directory configured, locked modules, training sets, and
 //! lowered netlists also persist as files named by their content hash, so
 //! separate CLI invocations of the same spec warm-start from disk. Each
@@ -332,6 +338,9 @@ pub struct ArtifactCache {
     /// Base-design metric memo, under the design key (bookkeeping like
     /// `texts`).
     metrics: Shard<SecurityMetric>,
+    /// Text-hashed content keys, under their recipe keys (bookkeeping
+    /// like `texts`).
+    content_keys: Shard<u64>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     lowered_hits: AtomicUsize,
@@ -446,6 +455,24 @@ impl ArtifactCache {
             .get_or_build(design_key, || Ok(build()))
             .expect("metric build is infallible")
             .0
+    }
+
+    /// Memoizes a content key that is a hash of a text under `recipe`: a
+    /// cheap key of the text's source (a design or locked key) plus the
+    /// content key's other inputs. `hash` fetches or emits the text and
+    /// hashes it; it runs once per recipe. Like [`ArtifactCache::text`],
+    /// bookkeeping: counted in neither [`CacheStats`] nor
+    /// [`ArtifactCache::len`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates `hash` errors.
+    pub fn content_key(
+        &self,
+        recipe: u64,
+        hash: impl FnOnce() -> Result<u64, String>,
+    ) -> Result<u64, String> {
+        Ok(*self.content_keys.get_or_build(recipe, hash)?.0)
     }
 
     /// Fetches or builds a locked instance, consulting the spill

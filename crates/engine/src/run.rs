@@ -383,28 +383,31 @@ fn execute(
         return execute_observations(spec, job, design_spec.total_ops(), record);
     }
 
-    // Memoized per distinct design: jobs sharing a base pay for one emit.
-    let base_verilog = {
+    // Memoized per distinct design: jobs sharing a base pay for one emit,
+    // and only the content-key memo misses below ask for it.
+    let base_verilog = || {
         let _s = mlrl_obs::span("phase.emit");
         cache.text(design_key, || {
             emit_verilog(&base).map_err(|e| e.to_string())
-        })?
+        })
     };
 
     if job.level == Level::Gate && job.scheme.is_gate_scheme() {
-        return execute_gate_locked(cache, spec, job, &base, &base_verilog, record);
+        return execute_gate_locked(cache, spec, job, &base, design_key, &base_verilog, record);
     }
 
     // Locked instance: content-addressed by base Verilog + lock config.
     // Shared between a scheme's RTL cell and its gate (lowered) cell.
-    let locked_key = Fnv64::new()
+    let locked_recipe = Fnv64::new()
         .write_str("lock|")
+        .write_u64(design_key)
         .write_str(job.scheme.name())
         .write_u64(budget_bps(job.budget))
         .write_u64(job.lock_seed())
-        .write_str("|")
-        .write_str(&base_verilog)
         .finish();
+    let locked_key = cache.content_key(locked_recipe, || {
+        Ok(locked_content_key(job, &base_verilog()?))
+    })?;
     let locked = {
         let _s = mlrl_obs::span("phase.lock");
         cache.locked(locked_key, || lock_design(&base, job))?
@@ -427,14 +430,10 @@ fn execute(
         // paper's Fig. 1 flow — lock at RTL, synthesize, hand the netlist
         // to the attacker).
         let lower_span = mlrl_obs::span("phase.lower");
-        let locked_verilog = cache.text(
-            Fnv64::new()
-                .write_str("ltext|")
-                .write_u64(locked_key)
-                .finish(),
-            || emit_verilog(&locked.module).map_err(|e| e.to_string()),
-        )?;
-        let lowered_key = lowered_content_key(&locked_verilog, spec.opt_level);
+        let lowered_key = cache.content_key(lowered_recipe(locked_key, spec.opt_level), || {
+            let locked_verilog = emit_verilog(&locked.module).map_err(|e| e.to_string())?;
+            Ok(lowered_content_key(&locked_verilog, spec.opt_level))
+        })?;
         let lowered = cache.lowered(lowered_key, || {
             let netlist = synthesize(&locked.module, spec.opt_level)?;
             Ok(LoweredArtifact {
@@ -442,7 +441,8 @@ fn execute(
                 key: key_bits(&locked),
             })
         })?;
-        let base_lowered = lowered_base(cache, &base, &base_verilog, spec.opt_level)?;
+        let (_, base_lowered) =
+            lowered_base(cache, &base, design_key, &base_verilog, spec.opt_level)?;
         drop(lower_span);
         record_gate_shape(record, &lowered, &base_lowered);
         return run_gate_attack(cache, spec, job, &lowered, lowered_key, record);
@@ -516,11 +516,12 @@ fn execute_gate_locked(
     spec: &CampaignSpec,
     job: &Job,
     base: &Module,
-    base_verilog: &str,
+    design_key: u64,
+    base_verilog: &impl Fn() -> Result<Arc<String>, String>,
     record: &mut JobRecord,
 ) -> Result<(), String> {
-    let base_lowered_key = lowered_content_key(base_verilog, spec.opt_level);
-    let base_lowered = lowered_base(cache, base, base_verilog, spec.opt_level)?;
+    let (base_lowered_key, base_lowered) =
+        lowered_base(cache, base, design_key, base_verilog, spec.opt_level)?;
 
     let key_len = cell_key_budget(base, job)?;
     let gate_scheme = job
@@ -575,19 +576,52 @@ fn synthesize(module: &Module, opt_level: OptLevel) -> Result<mlrl_netlist::Netl
 }
 
 /// Cached synthesis of the unlocked base module (shared by every
-/// gate-level cell on the same base, whatever its scheme).
+/// gate-level cell on the same base, whatever its scheme) and its content
+/// key, which is memoized under the design key and the optimizer level.
 fn lowered_base(
     cache: &ArtifactCache,
     base: &Module,
-    base_verilog: &str,
+    design_key: u64,
+    base_verilog: &impl Fn() -> Result<Arc<String>, String>,
     opt_level: OptLevel,
-) -> Result<Arc<LoweredArtifact>, String> {
-    cache.lowered(lowered_content_key(base_verilog, opt_level), || {
+) -> Result<(u64, Arc<LoweredArtifact>), String> {
+    let key = cache.content_key(lowered_recipe(design_key, opt_level), || {
+        Ok(lowered_content_key(&base_verilog()?, opt_level))
+    })?;
+    let lowered = cache.lowered(key, || {
         Ok(LoweredArtifact {
             netlist: synthesize(base, opt_level)?,
             key: Vec::new(),
         })
-    })
+    })?;
+    Ok((key, lowered))
+}
+
+/// Recipe of a lowered content key: the key of the source module (its
+/// design key, or its locked key) and the optimizer level.
+fn lowered_recipe(source_key: u64, opt_level: OptLevel) -> u64 {
+    Fnv64::new()
+        .write_str("lower|")
+        .write_u64(source_key)
+        .write_str(opt_level.name())
+        .finish()
+}
+
+/// Content key of a locked instance: the base Verilog plus the lock
+/// configuration. `campaign_bench`'s traced walk recomputes it to find
+/// locked spills. Each call hashes the text once, counted as
+/// `engine.key_hashes`; callers memoize it with
+/// [`ArtifactCache::content_key`].
+fn locked_content_key(job: &Job, base_verilog: &str) -> u64 {
+    mlrl_obs::counter_add("engine.key_hashes", 1);
+    Fnv64::new()
+        .write_str("lock|")
+        .write_str(job.scheme.name())
+        .write_u64(budget_bps(job.budget))
+        .write_u64(job.lock_seed())
+        .write_str("|")
+        .write_str(base_verilog)
+        .finish()
 }
 
 /// Content key of a lowered netlist: source Verilog plus the lowering
@@ -595,8 +629,10 @@ fn lowered_base(
 /// is active). `O0` keys are byte-identical to the historical ones, so
 /// warm caches stay warm across the optimizer's introduction; locked
 /// keys chain off this one, so the level propagates to every derived
-/// artifact automatically.
+/// artifact automatically. Counted and memoized like
+/// [`locked_content_key`].
 fn lowered_content_key(source_verilog: &str, opt_level: OptLevel) -> u64 {
+    mlrl_obs::counter_add("engine.key_hashes", 1);
     let opt_tag = match opt_level {
         OptLevel::O0 => "",
         OptLevel::O1 => "opt-o1|",

@@ -51,6 +51,7 @@
 //! tooling.
 
 use std::fs;
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -436,7 +437,6 @@ fn cmd_merge(args: &Parsed) -> Result<(), String> {
 /// supervisor (and the crash journal behind it) sees every completion
 /// the instant it happens.
 fn emit_protocol_line(line: &str) {
-    use std::io::Write;
     let mut out = std::io::stdout().lock();
     let _ = writeln!(out, "{line}");
     let _ = out.flush();
@@ -451,8 +451,11 @@ fn emit_protocol_line(line: &str) {
 /// `i`. When `MLRL_FAULT_FLAG=<path>` is also set, the abort is
 /// one-shot — the flag file is created first, and a worker that finds
 /// it existing runs normally (so the restarted/resumed worker gets
-/// through). `MLRL_FAULT_TRACE=1` turns a telemetry worker hostile for
-/// protocol-compat tests: after every completion it interleaves an
+/// through). `MLRL_FAULT_HALF_DONE=1` moves the abort to after cell `i`
+/// ran: the worker writes the first half of its `done` line, with no
+/// newline, and aborts — a torn protocol line the supervisor must reject
+/// (the cell is re-run). `MLRL_FAULT_TRACE=1` turns a telemetry worker
+/// hostile for protocol-compat tests: after every completion it interleaves an
 /// unknown verb, a truncated trace chunk, a non-JSON trace payload and a
 /// metrics payload with a negative counter with the real stream — none
 /// of which may corrupt canonical output, the fleet rollup or the
@@ -523,31 +526,43 @@ fn cmd_worker(args: &Parsed) -> Result<(), String> {
         .ok()
         .and_then(|v| v.parse().ok());
     let fault_flag: Option<PathBuf> = std::env::var("MLRL_FAULT_FLAG").ok().map(PathBuf::from);
+    let fault_half_done = std::env::var("MLRL_FAULT_HALF_DONE").is_ok();
     let fault_trace = telemetry && std::env::var("MLRL_FAULT_TRACE").is_ok();
+    // Whether the fault fires at cell `index` (once only, with a flag).
+    let fault_fires = move |index: usize| {
+        Some(index) == fault_cell
+            && match &fault_flag {
+                Some(flag) if flag.exists() => false, // already fired once
+                Some(flag) => {
+                    let _ = fs::write(flag, "fault");
+                    true
+                }
+                None => true,
+            }
+    };
 
     let emitted = Arc::new(Mutex::new(std::collections::HashSet::new()));
     let emitted_by_observer = Arc::clone(&emitted);
     let engine = engine.with_observer(Arc::new(move |event| {
         match event {
             JobEvent::Started { index } => {
-                if Some(index) == fault_cell {
-                    let fire = match &fault_flag {
-                        Some(flag) if flag.exists() => false, // already fired once
-                        Some(flag) => {
-                            let _ = fs::write(flag, "fault");
-                            true
-                        }
-                        None => true,
-                    };
-                    if fire {
-                        // Simulated hard crash: no unwinding, no events.
-                        std::process::abort();
-                    }
+                if !fault_half_done && fault_fires(index) {
+                    // Simulated hard crash: no unwinding, no events.
+                    std::process::abort();
                 }
                 emit_protocol_line(&protocol::started_line(index));
             }
             JobEvent::Finished { record } => {
-                emit_protocol_line(&protocol::done_line(record.index, &record.canonical_line()));
+                let done = protocol::done_line(record.index, &record.canonical_line());
+                if fault_half_done && fault_fires(record.index) {
+                    // A crash mid-write: the stdout lock is held to the
+                    // abort, so no heartbeat completes the torn line.
+                    let mut out = std::io::stdout().lock();
+                    let _ = out.write_all(&done.as_bytes()[..done.len() / 2]);
+                    let _ = out.flush();
+                    std::process::abort();
+                }
+                emit_protocol_line(&done);
                 // Stream the cumulative rollup and the buffered trace
                 // events after every completion so a crash loses at
                 // most the in-flight cell's telemetry.

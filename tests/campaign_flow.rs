@@ -10,10 +10,19 @@
 //!    cache temperature (so a campaign partitions across processes or
 //!    machines without changing its science).
 
-use mlrl::engine::job::ShardSpec;
+use std::collections::{BTreeSet, HashSet};
+use std::path::Path;
+
+use mlrl::engine::fnv::Fnv64;
+use mlrl::engine::job::{budget_bps, Job, ShardSpec};
 use mlrl::engine::report::merge_canonical_streams;
-use mlrl::engine::run::Engine;
-use mlrl::engine::spec::{AttackKind, CampaignSpec, Level, OptLevel, SchemeKind};
+use mlrl::engine::run::{scheduled_jobs, Engine};
+use mlrl::engine::spec::{
+    resolve_benchmark, AttackKind, CampaignSpec, Level, OptLevel, SchemeKind,
+};
+use mlrl::netlist::lock::GateLockScheme;
+use mlrl::rtl::bench_designs::generate_with_width;
+use mlrl::rtl::emit::emit_verilog;
 
 /// Two grids pinning every simulator-derived number the canonical report
 /// can carry. The first drives the RTL simulator hard (corruptibility
@@ -159,6 +168,214 @@ fn analytic_cells_match_their_golden_cold_warm_and_parallel() {
         "2-thread analytic cells diverged"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Set in the child process that
+/// `warm_replays_hash_each_locked_instance_once` re-runs itself in.
+const KEY_HASH_CHILD: &str = "MLRL_TEST_KEY_HASH_CHILD";
+
+/// A warm replay of the analytic (`lock-replay`-shaped) grid hashes each
+/// locked instance's base Verilog once (`engine.key_hashes`), and a
+/// second run on the same engine hashes nothing. Telemetry counters are process-global and this binary's other
+/// tests run engines concurrently, so the test re-runs itself alone in a
+/// child process, where the count is exact.
+#[test]
+fn warm_replays_hash_each_locked_instance_once() {
+    if std::env::var_os(KEY_HASH_CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args([
+                "--exact",
+                "warm_replays_hash_each_locked_instance_once",
+                "--test-threads",
+                "1",
+            ])
+            .env(KEY_HASH_CHILD, "1")
+            .output()
+            .expect("re-run the test alone");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child run failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let spec = analytic_spec(1);
+    let instances: HashSet<u64> = scheduled_jobs(&spec)
+        .iter()
+        .map(|j| j.derived_seed)
+        .collect();
+    assert_eq!(instances.len(), 18);
+    let dir = std::env::temp_dir().join(format!("mlrl-key-hashes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cold = Engine::new().with_cache_dir(dir.clone()).run(&spec);
+    assert_eq!(cold.failed_count(), 0, "{:?}", cold.records);
+
+    let hashes = || {
+        mlrl::obs::snapshot()
+            .counters
+            .get("engine.key_hashes")
+            .copied()
+            .unwrap_or(0)
+    };
+    mlrl::obs::enable();
+    let engine = Engine::new().with_cache_dir(dir.clone());
+    let warm = engine.run(&spec);
+    let after_warm = hashes();
+    let again = engine.run(&spec);
+    let after_again = hashes();
+    mlrl::obs::disable();
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(warm.cache.misses, 3, "warm run relocked: {:?}", warm.cache);
+    assert_eq!(after_warm, instances.len() as u64);
+    assert_eq!(after_again, after_warm, "a second run re-hashed text");
+    assert_eq!(warm.canonical_jsonl(), cold.canonical_jsonl());
+    assert_eq!(again.canonical_jsonl(), cold.canonical_jsonl());
+}
+
+/// The content keys as `execute` hashed them from emitted Verilog before
+/// they were memoized under their recipes. Spill files are named by these
+/// keys, and `campaign_bench`'s traced walk recomputes the locked one.
+fn locked_key_from_text(job: &Job, base_verilog: &str) -> u64 {
+    Fnv64::new()
+        .write_str("lock|")
+        .write_str(job.scheme.name())
+        .write_u64(budget_bps(job.budget))
+        .write_u64(job.lock_seed())
+        .write_str("|")
+        .write_str(base_verilog)
+        .finish()
+}
+
+fn lowered_key_from_text(source_verilog: &str, opt_level: OptLevel) -> u64 {
+    let opt_tag = match opt_level {
+        OptLevel::O0 => "",
+        OptLevel::O1 => "opt-o1|",
+        OptLevel::O2 => "opt-o2|",
+    };
+    Fnv64::new()
+        .write_str("lower|scan-sweep|")
+        .write_str(opt_tag)
+        .write_str(source_verilog)
+        .finish()
+}
+
+/// Every content key one cell of `spec` spills under, recomputed from the
+/// emitted text (the locked Verilog is read back from its spill).
+fn expected_spill_keys(spec: &CampaignSpec, job: &Job, key_bits: usize, dir: &Path) -> Vec<u64> {
+    let design = resolve_benchmark(&job.benchmark).expect("known benchmark");
+    let base = generate_with_width(&design, job.generate_seed(), spec.width);
+    let base_verilog = emit_verilog(&base).expect("base emits");
+    let trains = matches!(job.attack, AttackKind::FreqTable | AttackKind::Snapshot);
+    let gate_train = |relock: GateLockScheme, lowered_key: u64| {
+        Fnv64::new()
+            .write_str("gtrain|")
+            .write_u64(spec.relock_rounds as u64)
+            .write_u64(key_bits.clamp(1, 64) as u64)
+            .write_u64(job.relock_seed())
+            .write_u64(relock as u64)
+            .write_u64(lowered_key)
+            .finish()
+    };
+    let base_lowered = lowered_key_from_text(&base_verilog, spec.opt_level);
+    let mut keys = Vec::new();
+    if let Some(scheme) = job
+        .scheme
+        .gate_scheme()
+        .filter(|_| job.level == Level::Gate)
+    {
+        let gate_locked = Fnv64::new()
+            .write_str("gatelock|")
+            .write_str(job.scheme.name())
+            .write_u64(key_bits as u64)
+            .write_u64(job.lock_seed())
+            .write_u64(base_lowered)
+            .finish();
+        keys.extend([base_lowered, gate_locked]);
+        if trains {
+            keys.push(gate_train(scheme, gate_locked));
+        }
+        return keys;
+    }
+    let locked = locked_key_from_text(job, &base_verilog);
+    keys.push(locked);
+    if job.level == Level::Gate {
+        let spilled = std::fs::read_to_string(dir.join(format!("{locked:016x}.v")))
+            .expect("locked module spilled");
+        let (_header, locked_verilog) = spilled.split_once('\n').expect("spill header line");
+        let lowered = lowered_key_from_text(locked_verilog, spec.opt_level);
+        keys.extend([lowered, base_lowered]);
+        if trains {
+            keys.push(gate_train(GateLockScheme::Mux, lowered));
+        }
+    } else if trains {
+        keys.push(
+            Fnv64::new()
+                .write_str("train|")
+                .write_u64(spec.relock_rounds as u64)
+                .write_u64(budget_bps(0.75))
+                .write_u64(job.relock_seed())
+                .write_u64(locked)
+                .finish(),
+        );
+    }
+    keys
+}
+
+/// Memoizing the text-hashed content keys under their recipes leaves
+/// them, and so every spill file name, bit-identical: a cold run of a
+/// mixed grid (RTL locks lowered at O0 and O2, gate schemes, RTL and gate
+/// training sets) spills exactly under the keys recomputed from the text.
+#[test]
+fn spill_names_are_the_text_hashed_content_keys() {
+    let mut gate = CampaignSpec::grid(
+        &["SIM_SPI"],
+        &[SchemeKind::Era, SchemeKind::XorXnor, SchemeKind::Mux],
+        &[0.5],
+    );
+    gate.name = "content-keys".into();
+    gate.levels = vec![Level::Rtl, Level::Gate];
+    gate.seeds = vec![7];
+    gate.attacks = vec![AttackKind::None, AttackKind::FreqTable];
+    gate.relock_rounds = 6;
+    gate.width = 6;
+    gate.threads = 2;
+    let mut o2 = gate.clone();
+    o2.opt_level = OptLevel::O2;
+    o2.attacks = vec![AttackKind::None];
+    let mut snapshot = CampaignSpec::grid(&["SIM_SPI"], &[SchemeKind::Hra], &[0.5]);
+    snapshot.seeds = vec![7];
+    snapshot.attacks = vec![AttackKind::Snapshot];
+    snapshot.relock_rounds = 6;
+    snapshot.width = 6;
+
+    let dir = std::env::temp_dir().join(format!("mlrl-content-keys-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // One engine for all three grids, so that their recipes share one memo.
+    let engine = Engine::new().with_cache_dir(dir.clone());
+    let mut expected = BTreeSet::new();
+    for spec in [&gate, &o2, &snapshot] {
+        let report = engine.run(spec);
+        assert_eq!(report.failed_count(), 0, "{:?}", report.records);
+        for job in scheduled_jobs(spec) {
+            let record = &report.records[job.index];
+            let key_bits = record.key_bits.expect("locked cell");
+            let keys = expected_spill_keys(spec, &job, key_bits, &dir);
+            expected.extend(keys.into_iter().map(|key| format!("{key:016x}")));
+        }
+    }
+    let stems: BTreeSet<String> = std::fs::read_dir(&dir)
+        .expect("spill dir")
+        .map(|entry| {
+            let name = entry.expect("dir entry").file_name().into_string();
+            let name = name.expect("utf-8 name");
+            let (stem, _ext) = name.split_once('.').expect("`<key>.<ext>` name");
+            stem.to_owned()
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(stems, expected);
 }
 
 /// The acceptance grid: 2 benchmarks × 2 schemes × 3 budgets = 12 cells.

@@ -6,7 +6,8 @@
 //! Worker crashes are injected with the `MLRL_FAULT_CELL` env var (the
 //! worker aborts right before executing that grid cell); adding
 //! `MLRL_FAULT_FLAG=<path>` makes the fault one-shot so restarted or
-//! resumed workers get through.
+//! resumed workers get through; `MLRL_FAULT_HALF_DONE=1` makes the worker
+//! run the cell and die halfway through writing its `done` line.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -162,6 +163,57 @@ fn crashed_workers_are_restarted_without_perturbing_the_bytes() {
         orchestrated, full,
         "a crash-restarted orchestration must still emit the exact unsharded bytes"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker that dies mid-write leaves half a `done` line with no
+/// newline. The supervisor must not journal that torn record: it restarts
+/// the worker, the cell runs again, and the merged bytes are exact.
+#[test]
+fn torn_done_lines_are_rejected_and_the_cell_is_rerun() {
+    let dir = tmpdir("torn-done");
+    let spec = write_spec(&dir);
+    let full = unsharded_reference(&spec);
+
+    let run_dir = dir.join("run");
+    let flag = dir.join("fault-fired");
+    let out = mlrl()
+        .args([
+            "orchestrate",
+            spec.to_str().unwrap(),
+            "--workers",
+            "2",
+            "--quick",
+            "--run-dir",
+            run_dir.to_str().unwrap(),
+            "--canonical",
+        ])
+        .env("MLRL_FAULT_CELL", "2")
+        .env("MLRL_FAULT_FLAG", &flag)
+        .env("MLRL_FAULT_HALF_DONE", "1")
+        .output()
+        .expect("run orchestrate");
+    let orchestrated = stdout_of(&out, "orchestrate with a torn done line");
+    assert!(flag.exists(), "the injected fault must actually fire");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("restarting"),
+        "supervisor must report the restart: {stderr}"
+    );
+    assert_eq!(
+        orchestrated, full,
+        "a torn done line must not reach the merged bytes"
+    );
+    // The journal holds the header and each cell's whole record once.
+    let journal = std::fs::read_to_string(run_dir.join("journal.jsonl")).expect("journal kept");
+    let records: Vec<&str> = journal.lines().skip(1).collect();
+    assert_eq!(records.len(), 4, "{journal}");
+    for line in records {
+        assert!(
+            full.lines().any(|l| l == line),
+            "journaled record is not a whole canonical line: {line}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
