@@ -123,7 +123,7 @@ fn bench_gate_settle_scalar(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rtl_settle_batched(c: &mut Criterion) {
+fn bench_rtl_settle_v8(c: &mut Criterion) {
     let n = vector_count();
     let vectors = stimulus(n);
     let mut group = c.benchmark_group("sim_throughput/rtl_v8");
@@ -197,7 +197,7 @@ fn bench_gate_settle_wide<const W: usize>(c: &mut Criterion) {
                             sim.set_input_batch(name, &stim[done..done + lanes])
                                 .expect("input");
                         }
-                        sim.settle_batch().expect("settles");
+                        sim.settle().expect("settles");
                         for d in sim.outputs_digest_batch(lanes).expect("digest") {
                             acc ^= d;
                         }
@@ -226,7 +226,7 @@ fn bench_gate_settle_w8(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_rtl_settle,
-    bench_rtl_settle_batched,
+    bench_rtl_settle_v8,
     bench_gate_settle_scalar,
     bench_gate_settle_w1,
     bench_gate_settle_w4,

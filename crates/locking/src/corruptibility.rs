@@ -287,8 +287,9 @@ fn measure_rtl<const V: usize>(
 /// keys ride the lanes of a wide word simulator — a single levelized walk
 /// per stimulus pattern evaluates up to `64 * W` of them, instead of one
 /// full netlist walk per key per pattern. The width is picked by
-/// [`mlrl_netlist::sim::pick_width`] (widest configured width the key
-/// sample can fill), and every width produces bit-identical tallies: keys
+/// [`mlrl_netlist::sim::pick_width`] from the wrong-key count (4 words
+/// for more than 192 keys, else 1), and every width produces
+/// bit-identical tallies: keys
 /// and stimulus are drawn per 64-key chunk in the exact order the
 /// chunk-at-a-time walk consumed them, and each chunk keeps its own random
 /// patterns (lanes `64g..64g+63` carry chunk `g`'s stimulus). Unlike the
@@ -321,17 +322,13 @@ pub fn measure_gate_corruptibility(
         }));
     }
     match mlrl_netlist::sim::pick_width(cfg.wrong_keys) {
-        8 => measure_gate_corruptibility_w::<8>(original, locked, correct_key, cfg),
         4 => measure_gate_corruptibility_w::<4>(original, locked, correct_key, cfg),
         _ => measure_gate_corruptibility_w::<1>(original, locked, correct_key, cfg),
     }
 }
 
-/// Width-pinned body of [`measure_gate_corruptibility`]; public so tests
-/// can prove tallies are width-invariant without touching the process-wide
-/// configured width.
-#[doc(hidden)]
-pub fn measure_gate_corruptibility_w<const W: usize>(
+/// Width-pinned body of [`measure_gate_corruptibility`].
+fn measure_gate_corruptibility_w<const W: usize>(
     original: &mlrl_netlist::Netlist,
     locked: &mlrl_netlist::Netlist,
     correct_key: &[bool],
@@ -405,8 +402,8 @@ pub fn measure_gate_corruptibility_w<const W: usize>(
                 bad_sim.set_input_batch(name, &vals)?;
             }
             if cfg.ticks == 0 {
-                ref_sim.settle_batch()?;
-                bad_sim.settle_batch()?;
+                ref_sim.settle()?;
+                bad_sim.settle()?;
             } else {
                 for _ in 0..cfg.ticks {
                     ref_sim.tick()?;
@@ -631,7 +628,8 @@ mod tests {
     #[test]
     fn gate_corruptibility_is_width_invariant() {
         // 520 wrong keys = 8 full 64-key chunks + one partial chunk of 8:
-        // exercises full packing at W=8 plus a ragged trailing super-chunk.
+        // exercises full packing at W=8 plus a ragged trailing super-chunk,
+        // and makes the public entry point pick W=4.
         let (original, locked, key) = gate_pair();
         let cfg = CorruptibilityConfig {
             wrong_keys: 520,
@@ -645,6 +643,11 @@ mod tests {
         let w8 = measure_gate_corruptibility_w::<8>(&original, &locked, &key, &cfg).unwrap();
         assert_eq!(w1, w4, "W=4 must be bit-identical to W=1");
         assert_eq!(w1, w8, "W=8 must be bit-identical to W=1");
+        assert_eq!(mlrl_netlist::sim::pick_width(cfg.wrong_keys), 4);
+        assert_eq!(
+            w1,
+            measure_gate_corruptibility(&original, &locked, &key, &cfg).unwrap()
+        );
     }
 
     #[test]

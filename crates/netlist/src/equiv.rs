@@ -9,9 +9,9 @@
 //! complete decision procedure.
 //!
 //! The gate side batches vectors onto simulator lanes. The simulator width
-//! is picked per call from [`configured_width`](crate::sim::configured_width) clamped to the sample
-//! count (a walk costs `W` word-ops per gate whether or not the lanes are
-//! full, so small probes stay narrow). The stimulus stream is drawn
+//! is picked per call by [`pick_width`] from the sample count (a walk costs
+//! `W` word-ops per gate whether or not the lanes are full, so small
+//! probes stay narrow). The stimulus stream is drawn
 //! sample-major — all ports of a sample before the next sample — so the
 //! RNG sequence, and therefore every canonical result, is identical at
 //! every width.
@@ -62,16 +62,14 @@ pub fn check_module_vs_netlist(
     seed: u64,
 ) -> Result<CrossCheck> {
     match pick_width(if ticks == 0 { samples } else { 0 }) {
-        8 => check_module_vs_netlist_w::<8>(module, netlist, key, samples, ticks, seed),
         4 => check_module_vs_netlist_w::<4>(module, netlist, key, samples, ticks, seed),
         _ => check_module_vs_netlist_w::<1>(module, netlist, key, samples, ticks, seed),
     }
 }
 
-/// Width-pinned body of [`check_module_vs_netlist`]. Public so integration
-/// tests can exercise explicit widths; results are width-independent.
-#[doc(hidden)]
-pub fn check_module_vs_netlist_w<const W: usize>(
+/// Width-pinned body of [`check_module_vs_netlist`]; results are
+/// width-independent.
+fn check_module_vs_netlist_w<const W: usize>(
     module: &Module,
     netlist: &Netlist,
     key: &[bool],
@@ -134,7 +132,7 @@ pub fn check_module_vs_netlist_w<const W: usize>(
             for (pi, (name, _)) in inputs.iter().enumerate() {
                 gate.set_input_batch(name, &vectors[pi])?;
             }
-            gate.settle_batch()?;
+            gate.settle()?;
             #[allow(clippy::needless_range_loop)] // `lane` indexes the inner dim
             for lane in 0..lanes {
                 for (pi, (name, _)) in inputs.iter().enumerate() {
@@ -224,16 +222,13 @@ pub fn check_netlists(
     seed: u64,
 ) -> Result<CrossCheck> {
     match pick_width(samples) {
-        8 => check_netlists_w::<8>(a, b, key_a, key_b, samples, seed),
         4 => check_netlists_w::<4>(a, b, key_a, key_b, samples, seed),
         _ => check_netlists_w::<1>(a, b, key_a, key_b, samples, seed),
     }
 }
 
-/// Width-pinned body of [`check_netlists`]. Public so integration tests can
-/// exercise explicit widths; results are width-independent.
-#[doc(hidden)]
-pub fn check_netlists_w<const W: usize>(
+/// Width-pinned body of [`check_netlists`]; results are width-independent.
+fn check_netlists_w<const W: usize>(
     a: &Netlist,
     b: &Netlist,
     key_a: &[bool],
@@ -281,8 +276,8 @@ pub fn check_netlists_w<const W: usize>(
             sa.set_input_batch(&p.name, &vectors[pi])?;
             sb.set_input_batch(&p.name, &vectors[pi])?;
         }
-        sa.settle_batch()?;
-        sb.settle_batch()?;
+        sa.settle()?;
+        sb.settle()?;
         for lane in 0..lanes {
             let mut bad = false;
             for p in a.outputs() {
@@ -355,7 +350,9 @@ mod tests {
     #[test]
     fn widths_agree_on_results_and_rng_stream() {
         // Same seed, same samples, every width: identical CrossCheck — the
-        // sample-major draw makes the chunk width invisible to the RNG.
+        // sample-major draw makes the chunk width invisible to the RNG. 300
+        // samples make the public dispatchers pick W=4.
+        assert_eq!(pick_width(300), 4);
         let m = parse_verilog(
             "module t(a, b, y);\n input [15:0] a, b;\n output [15:0] y;\n assign y = (a * b) ^ (a >> 3);\nendmodule",
         )
@@ -366,6 +363,7 @@ mod tests {
         let w8 = check_module_vs_netlist_w::<8>(&m, &n, &[], 300, 0, 7).unwrap();
         assert_eq!(w1, w4);
         assert_eq!(w1, w8);
+        assert_eq!(w1, check_module_vs_netlist(&m, &n, &[], 300, 0, 7).unwrap());
 
         let wrong = parse_verilog(
             "module t(a, b, y);\n input [15:0] a, b;\n output [15:0] y;\n assign y = (a * b) ^ (a >> 2);\nendmodule",
@@ -377,6 +375,7 @@ mod tests {
         let c8 = check_netlists_w::<8>(&n, &nw, &[], &[], 300, 13).unwrap();
         assert_eq!(c1, c4);
         assert_eq!(c1, c8);
+        assert_eq!(c1, check_netlists(&n, &nw, &[], &[], 300, 13).unwrap());
         assert!(!c1.is_equivalent());
     }
 }

@@ -16,6 +16,7 @@ use std::collections::HashMap;
 
 use mlrl_rtl::ast::{Expr, ExprId, Module, NetKind, PortDir, SeqStmt};
 use mlrl_rtl::op::{BinaryOp, UnaryOp};
+use mlrl_rtl::tape::levelize;
 
 use crate::build::{Lane, NetlistBuilder};
 use crate::error::{NetlistError, Result};
@@ -33,8 +34,8 @@ use crate::ir::Netlist;
 ///   (flatten first) or a signal lacks a driver.
 /// - [`NetlistError::VariableExponent`] if `**` appears with a
 ///   non-constant exponent (real synthesis rejects this too).
-/// - [`NetlistError::CombinationalCycle`] if continuous assignments form a
-///   cycle.
+/// - [`NetlistError::Lower`] naming a signal on the cycle if continuous
+///   assignments form a combinational cycle.
 ///
 /// # Examples
 ///
@@ -107,8 +108,10 @@ impl<'m> Lowering<'m> {
         // above already claimed those names. Everything else gets its lane
         // from its continuous assignment below.
 
-        // Continuous assignments in dependency order.
-        for idx in levelize_assigns(self.module)? {
+        // Continuous assignments in dependency order (the RTL simulator's
+        // own levelizer: regs are state, not combinational dependencies).
+        let order = levelize(self.module).map_err(|e| NetlistError::Lower(e.to_string()))?;
+        for idx in order {
             let assign = &self.module.assigns()[idx];
             let lane = self.lower_expr(assign.rhs)?;
             let width = self
@@ -319,73 +322,6 @@ impl<'m> Lowering<'m> {
     }
 }
 
-/// Topologically orders continuous assignments (same discipline as the RTL
-/// simulator: regs are state, not combinational dependencies).
-fn levelize_assigns(module: &Module) -> Result<Vec<usize>> {
-    let mut driver: HashMap<&str, usize> = HashMap::new();
-    for (i, a) in module.assigns().iter().enumerate() {
-        driver.insert(a.lhs.as_str(), i);
-    }
-    let regs: std::collections::HashSet<&str> = module
-        .nets()
-        .iter()
-        .filter(|n| n.kind == NetKind::Reg)
-        .map(|n| n.name.as_str())
-        .collect();
-
-    fn deps(module: &Module, id: ExprId, out: &mut Vec<String>) {
-        if let Ok(expr) = module.expr(id) {
-            match expr {
-                Expr::Ident(name) => out.push(name.clone()),
-                Expr::Index { base, .. } => out.push(base.clone()),
-                _ => {}
-            }
-            for c in expr.children() {
-                deps(module, c, out);
-            }
-        }
-    }
-
-    let n = module.assigns().len();
-    let mut order = Vec::with_capacity(n);
-    let mut state = vec![0u8; n];
-    for start in 0..n {
-        if state[start] != 0 {
-            continue;
-        }
-        let mut stack: Vec<(usize, bool)> = vec![(start, false)];
-        while let Some((i, children_done)) = stack.pop() {
-            if children_done {
-                state[i] = 2;
-                order.push(i);
-                continue;
-            }
-            if state[i] == 2 {
-                continue;
-            }
-            state[i] = 1;
-            stack.push((i, true));
-            let mut d = Vec::new();
-            deps(module, module.assigns()[i].rhs, &mut d);
-            for name in d {
-                if regs.contains(name.as_str()) {
-                    continue;
-                }
-                if let Some(&j) = driver.get(name.as_str()) {
-                    match state[j] {
-                        0 => stack.push((j, false)),
-                        1 => {
-                            return Err(NetlistError::CombinationalCycle(0));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-    Ok(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,6 +428,20 @@ mod tests {
             lower_module(&m),
             Err(NetlistError::VariableExponent)
         ));
+    }
+
+    #[test]
+    fn combinational_cycle_names_a_signal_on_it() {
+        let m = parse_verilog(
+            "module t(y);\n output y;\n wire a, b;\n assign a = b;\n assign b = a;\n assign y = a;\nendmodule",
+        )
+        .unwrap();
+        let err = lower_module(&m).unwrap_err();
+        assert!(matches!(err, NetlistError::Lower(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "lowering error: combinational cycle through `a`"
+        );
     }
 
     #[test]

@@ -15,18 +15,19 @@
 //! autovectorizes (`[u64; 4]` ops lower to AVX2, `[u64; 8]` to AVX-512
 //! where available). The scalar API is the 1-lane special case:
 //! `set_input`/`set_key` broadcast a value into every lane and
-//! `output`/`net` read lane 0, which keeps single-vector semantics
+//! `output` reads lane 0, which keeps single-vector semantics
 //! bit-identical to the old one-`bool`-per-net interpreter. The batch
-//! entry points (`set_input_batch`, `set_key_batch`, `settle_batch`,
-//! `output_lane`, `key_sweep_digests`) expose the remaining lanes to
-//! training-set generation, random-stimulus equivalence proofs, and
-//! wrong-key sweeps.
+//! entry points (`set_input_batch`, `set_key_batch`, `output_lane`,
+//! `key_sweep_digests`) expose the remaining lanes to training-set
+//! generation, random-stimulus equivalence proofs, and wrong-key sweeps;
+//! `settle` always walks every lane.
+//!
+//! Width-dispatched call sites (equivalence checks, corruptibility sweeps)
+//! size `W` to the workload with [`pick_width`]; no setting overrides it.
 //!
 //! At construction the netlist is compiled once into a flat, topologically
 //! ordered gate tape over dense net indices (no per-gate pointer chasing
 //! in the hot loop).
-
-use std::sync::OnceLock;
 
 use crate::error::{NetlistError, Result};
 use crate::ir::{GateKind, NetId, Netlist, NO_DRIVER};
@@ -36,36 +37,15 @@ use crate::ir::{GateKind, NetId, Netlist, NO_DRIVER};
 /// ([`NetlistSimulator::LANES`]).
 pub const LANES: usize = 64;
 
-/// The simulator width picked at run time for width-dispatched call sites
-/// (equivalence checks, key sweeps): reads `MLRL_SIM_WIDTH` once per
-/// process (accepted values `1`, `4`, `8`; anything else falls back to the
-/// default of 4 words = 256 lanes).
-///
-/// Callers still clamp down to the work actually available: a walk costs
-/// `W` word-ops per gate regardless of how many lanes are live, so running
-/// 25 samples at width 8 would do 8× the work of width 1 for the same
-/// answer. Dispatchers therefore pick the widest configured width that a
-/// workload can fill.
-pub fn configured_width() -> usize {
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(|| match std::env::var("MLRL_SIM_WIDTH").ok().as_deref() {
-        Some("1") => 1,
-        Some("8") => 8,
-        _ => 4,
-    })
-}
-
 /// Picks the simulator width (in words) for a workload that needs
-/// `lanes_needed` boolean lanes: the widest supported width that is both
-/// allowed by [`configured_width`] and fully fillable by the workload.
-/// Dispatchers match on the result and instantiate
-/// `NetlistSimulator::<8>`, `::<4>`, or `::<1>` accordingly.
+/// `lanes_needed` boolean lanes: 4 words (256 lanes) once the workload
+/// reaches into a fourth 64-lane word (more than 192 lanes), else 1. A
+/// walk costs `W` word-ops per gate whether or not its lanes are live, so
+/// running 25 samples at width 4 would do 4× the work of width 1 for the
+/// same answer. Dispatchers match on the result and instantiate
+/// `NetlistSimulator::<4>` or `::<1>` accordingly.
 pub fn pick_width(lanes_needed: usize) -> usize {
-    let needed = lanes_needed.div_ceil(64);
-    let configured = configured_width();
-    if configured >= 8 && needed >= 8 {
-        8
-    } else if configured >= 4 && needed >= 4 {
+    if lanes_needed.div_ceil(LANES) >= 4 {
         4
     } else {
         1
@@ -326,17 +306,6 @@ impl<'n, const W: usize> NetlistSimulator<'n, W> {
         Ok(())
     }
 
-    /// Synonym of [`NetlistSimulator::settle`] emphasizing the batch
-    /// semantics at call sites whose lanes carry independent vectors: one
-    /// topological walk evaluates all of them.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`NetlistSimulator::settle`].
-    pub fn settle_batch(&mut self) -> Result<()> {
-        self.settle()
-    }
-
     /// Applies one clock edge: settles, captures every flip-flop's data
     /// input, commits all state atomically, then settles again. Each lane's
     /// state advances independently.
@@ -353,16 +322,6 @@ impl<'n, const W: usize> NetlistSimulator<'n, W> {
             self.values[q as usize] = self.dff_next[i];
         }
         self.settle()
-    }
-
-    /// Current boolean value of a single net in lane 0.
-    pub fn net(&self, net: NetId) -> bool {
-        self.values[net.index()][0] & 1 == 1
-    }
-
-    /// Current first 64-lane word of a single net.
-    pub fn net_word(&self, net: NetId) -> u64 {
-        self.values[net.index()][0]
     }
 
     /// Current value of an output port in lane 0 as an integer (LSB-first
@@ -480,7 +439,7 @@ impl<'n, const W: usize> NetlistSimulator<'n, W> {
     /// Propagates [`NetlistSimulator::set_key_batch`] errors.
     pub fn key_sweep_digests(&mut self, keys: &[&[bool]]) -> Result<Vec<u64>> {
         self.set_key_batch(keys)?;
-        self.settle_batch()?;
+        self.settle()?;
         self.outputs_digest_batch(keys.len())
     }
 
@@ -766,7 +725,7 @@ mod tests {
         let bvs: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(91) & 0xff).collect();
         sim.set_input_batch("a", &avs).unwrap();
         sim.set_input_batch("b", &bvs).unwrap();
-        sim.settle_batch().unwrap();
+        sim.settle().unwrap();
         for lane in 0..64 {
             assert_eq!(
                 sim.output_lane("y", lane).unwrap(),
@@ -794,7 +753,7 @@ mod tests {
         let bvs: Vec<u64> = (0..256u64).map(|i| i.wrapping_mul(91) & 0xff).collect();
         sim.set_input_batch("a", &avs).unwrap();
         sim.set_input_batch("b", &bvs).unwrap();
-        sim.settle_batch().unwrap();
+        sim.settle().unwrap();
         for lane in 0..256 {
             assert_eq!(
                 sim.output_lane("y", lane).unwrap(),
@@ -870,7 +829,7 @@ mod tests {
         let bvs: Vec<u64> = (0..256u64).map(|i| i.wrapping_mul(91) & 0xff).collect();
         sim.set_input_batch("a", &avs).unwrap();
         sim.set_input_batch("b", &bvs).unwrap();
-        sim.settle_batch().unwrap();
+        sim.settle().unwrap();
         for lanes in [1, 63, 64, 65, 200, 256] {
             let batch = sim.outputs_digest_batch(lanes).unwrap();
             assert_eq!(batch.len(), lanes);
@@ -964,10 +923,5 @@ mod tests {
         assert!(wide.set_input_batch("a", &vec![0; LANES + 1]).is_ok());
         assert!(wide.set_input_batch("a", &vec![0; 4 * LANES]).is_ok());
         assert!(wide.set_input_batch("a", &vec![0; 4 * LANES + 1]).is_err());
-    }
-
-    #[test]
-    fn configured_width_is_a_supported_width() {
-        assert!(matches!(configured_width(), 1 | 4 | 8));
     }
 }

@@ -95,7 +95,8 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
 
     /// Resets every signal in every lane (and pending register values) to
     /// 0, as if freshly constructed. The installed key and the compiled
-    /// program are kept.
+    /// program are kept — the cheap way to reuse one simulator across
+    /// independent trials instead of recompiling the module each time.
     pub fn reset(&mut self) {
         self.state.fill([0; V]);
         self.shadow.fill([0; V]);
@@ -200,6 +201,16 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
         Ok(digest)
     }
 
+    /// [`outputs_digest_lane`](Self::outputs_digest_lane) of lane 0.
+    ///
+    /// # Errors
+    ///
+    /// Infallible for a compiled module; kept fallible for interface
+    /// stability.
+    pub fn outputs_digest(&self) -> Result<u64> {
+        self.outputs_digest_lane(0)
+    }
+
     /// Forces a register/state value in every lane (useful for test setup).
     ///
     /// # Errors
@@ -276,8 +287,8 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
     }
 }
 
-/// A running scalar simulation of one module — the `V = 1` instantiation
-/// of [`BatchSimulator`] behind the original single-vector interface.
+/// A running scalar simulation of one module: the `V = 1` instantiation
+/// of [`BatchSimulator`].
 ///
 /// # Examples
 ///
@@ -298,103 +309,7 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
 /// assert_eq!(sim.get("y")?, 7);
 /// # Ok::<(), mlrl_rtl::error::RtlError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct Simulator<'m> {
-    inner: BatchSimulator<'m, 1>,
-}
-
-impl<'m> Simulator<'m> {
-    /// Prepares a simulator: checks drivers, levelizes the combinational
-    /// assignments, and compiles both instruction tapes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtlError::CombinationalCycle`] if continuous assignments
-    /// form a cycle, [`RtlError::UnknownSignal`] for undeclared references.
-    pub fn new(module: &'m Module) -> Result<Self> {
-        Ok(Self {
-            inner: BatchSimulator::new(module)?,
-        })
-    }
-
-    /// Resets every signal (and pending register value) to 0, as if freshly
-    /// constructed. The installed key and the compiled program are kept —
-    /// this is the cheap way to reuse one simulator across independent
-    /// trials instead of recompiling the module each time.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    /// Sets an input port value (masked to the port width).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtlError::UnknownSignal`] if `name` is not an input port.
-    pub fn set_input(&mut self, name: &str, value: u64) -> Result<()> {
-        self.inner.set_input(name, value)
-    }
-
-    /// Installs the key bit vector (index 0 = `K[0]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtlError::KeyTooShort`] if fewer bits are provided than the
-    /// design consumes.
-    pub fn set_key(&mut self, key: &[bool]) -> Result<()> {
-        self.inner.set_key(key)
-    }
-
-    /// Current value of any signal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtlError::UnknownSignal`] for undeclared names.
-    pub fn get(&self, name: &str) -> Result<u64> {
-        self.inner.get(name)
-    }
-
-    /// Order-independent digest of every output-port value — a cheap probe
-    /// for functional equivalence and key-corruption checks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RtlError::UnknownSignal`] (cannot happen for a
-    /// well-formed module).
-    pub fn outputs_digest(&self) -> Result<u64> {
-        self.inner.outputs_digest_lane(0)
-    }
-
-    /// Forces a register/state value (useful for test setup).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtlError::UnknownSignal`] for undeclared names.
-    pub fn set_state(&mut self, name: &str, value: u64) -> Result<()> {
-        self.inner.set_state(name, value)
-    }
-
-    /// Propagates combinational logic until stable (one levelized pass over
-    /// the compiled tape).
-    ///
-    /// # Errors
-    ///
-    /// Infallible for a compiled module; kept fallible for interface
-    /// stability.
-    pub fn settle(&mut self) -> Result<()> {
-        self.inner.settle()
-    }
-
-    /// Applies one positive clock edge: evaluates every clocked process with
-    /// pre-edge values, commits all non-blocking updates atomically, then
-    /// re-settles combinational logic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Simulator::settle`] errors.
-    pub fn tick(&mut self) -> Result<()> {
-        self.inner.tick()
-    }
-}
+pub type Simulator<'m> = BatchSimulator<'m, 1>;
 
 /// Executes one compiled tape over the dense state, all `V` lanes per
 /// instruction. The per-lane loops call [`eval_binary`] and friends — the

@@ -135,7 +135,7 @@ impl Oracle for SimOracle<'_> {
                 .set_input_batch(name, &lanes)
                 .expect("oracle knows its ports");
         }
-        self.sim.settle_batch().expect("oracle settles");
+        self.sim.settle().expect("oracle settles");
         (0..batch.len())
             .map(|lane| {
                 self.output_names

@@ -170,6 +170,64 @@ fn analytic_cells_match_their_golden_cold_warm_and_parallel() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Gate-level corruptibility on SIM_SPI × {era, xor-xnor} at width 6, one
+/// grid per wrong-key count: 32 keys fill one 64-lane word (W=1), 300
+/// fill four (the W=4 sweep).
+fn gate_corruptibility_specs(threads: usize) -> [CampaignSpec; 2] {
+    [32, 300].map(|wrong_keys| {
+        let mut spec = CampaignSpec::grid(
+            &["SIM_SPI"],
+            &[SchemeKind::Era, SchemeKind::XorXnor],
+            &[0.5],
+        );
+        spec.name = format!("gate-corruptibility-{wrong_keys}");
+        spec.levels = vec![Level::Gate];
+        spec.seeds = vec![7];
+        spec.attacks = vec![AttackKind::Corruptibility];
+        spec.width = 6;
+        spec.wrong_keys = wrong_keys;
+        spec.threads = threads;
+        spec
+    })
+}
+
+fn gate_corruptibility_canonical(threads: usize) -> String {
+    let mut canonical = String::new();
+    for spec in gate_corruptibility_specs(threads) {
+        let report = Engine::new().run(&spec);
+        assert_eq!(report.records.len(), 2);
+        assert_eq!(report.failed_count(), 0, "{:?}", report.records);
+        canonical.push_str(&report.canonical_jsonl());
+    }
+    canonical
+}
+
+/// Width-dispatched gate corruptibility cells match a golden captured
+/// before the width knob was retired, cold and on 2 threads.
+///
+/// Regenerate (only for a change that legitimately alters campaign
+/// *science*) with `MLRL_BLESS=1 cargo test -q --test campaign_flow golden`.
+#[test]
+fn gate_corruptibility_cells_match_their_golden_cold_and_parallel() {
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/golden_gate_corruptibility.jsonl"
+    );
+    let cold = gate_corruptibility_canonical(1);
+    if std::env::var_os("MLRL_BLESS").is_some() {
+        std::fs::write(golden_path, &cold).expect("write golden snapshot");
+        return;
+    }
+    let golden = std::fs::read_to_string(golden_path)
+        .expect("golden snapshot exists (MLRL_BLESS=1 to regenerate)");
+    assert_eq!(cold, golden, "cold gate corruptibility cells diverged");
+    assert_eq!(
+        gate_corruptibility_canonical(2),
+        golden,
+        "2-thread gate corruptibility cells diverged"
+    );
+}
+
 /// Set in the child process that
 /// `warm_replays_hash_each_locked_instance_once` re-runs itself in.
 const KEY_HASH_CHILD: &str = "MLRL_TEST_KEY_HASH_CHILD";

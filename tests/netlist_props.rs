@@ -103,7 +103,7 @@ fn lane_matches_scalar<const W: usize>(
         word.set_input_batch(port, &lanes).expect("batch input");
     }
     word.set_key_batch(&key_refs).expect("batch key");
-    word.settle_batch().expect("settles");
+    word.settle().expect("settles");
     let batch_digests = word
         .outputs_digest_batch(vectors.len())
         .expect("batch digests");
