@@ -102,25 +102,8 @@ pub fn oracle_guided_attack(
         .filter(|p| p.dir == PortDir::Output)
         .map(|p| p.name.clone())
         .collect();
-    let mut oracle_sim = BatchSimulator::<BATCH>::new(oracle)?;
-    let mut golden: Vec<Vec<u64>> = Vec::with_capacity(patterns.len());
-    let mut done = 0usize;
-    while done < patterns.len() {
-        let lanes = (patterns.len() - done).min(BATCH);
-        for (i, name) in input_names.iter().enumerate() {
-            let vals: Vec<u64> = (0..lanes).map(|l| patterns[done + l][i]).collect();
-            oracle_sim.set_input_batch(name, &vals)?;
-        }
-        oracle_sim.settle()?;
-        for lane in 0..lanes {
-            let row: Result<Vec<u64>, RtlError> = output_names
-                .iter()
-                .map(|n| oracle_sim.get_lane(n, lane))
-                .collect();
-            golden.push(row?);
-        }
-        done += lanes;
-    }
+    let golden =
+        BatchSimulator::<BATCH>::new(oracle)?.drive(&input_names, &patterns, &output_names, 0)?;
 
     // Bit-level Hamming agreement over every output port: partial credit
     // gives hill climbing a gradient (exact-match fitness is flat until
@@ -128,28 +111,15 @@ pub fn oracle_guided_attack(
     let total_bits = (patterns.len() * output_names.len() * 64).max(1);
     let mut queries = 0usize;
     let mut locked_sim = BatchSimulator::<BATCH>::new(locked)?;
-    let agreement_of = |key: &[bool],
-                        locked_sim: &mut BatchSimulator<BATCH>,
-                        queries: &mut usize|
-     -> Result<f64, RtlError> {
-        let mut matching_bits = 0u64;
+    let mut agreement_of = |key: &[bool]| -> Result<f64, RtlError> {
         locked_sim.set_key(key)?;
-        let mut done = 0usize;
-        while done < patterns.len() {
-            let lanes = (patterns.len() - done).min(BATCH);
-            for (i, name) in input_names.iter().enumerate() {
-                let vals: Vec<u64> = (0..lanes).map(|l| patterns[done + l][i]).collect();
-                locked_sim.set_input_batch(name, &vals)?;
-            }
-            locked_sim.settle()?;
-            *queries += lanes;
-            for lane in 0..lanes {
-                for (name, g) in output_names.iter().zip(&golden[done + lane]) {
-                    matching_bits += (!(locked_sim.get_lane(name, lane)? ^ g)).count_ones() as u64;
-                }
-            }
-            done += lanes;
-        }
+        let read = locked_sim.drive(&input_names, &patterns, &output_names, 0)?;
+        queries += patterns.len();
+        let matching_bits: u64 = read
+            .iter()
+            .zip(&golden)
+            .map(|(r, g)| u64::from((!(r ^ g)).count_ones()))
+            .sum();
         Ok(matching_bits as f64 / total_bits as f64)
     };
 
@@ -157,12 +127,12 @@ pub fn oracle_guided_attack(
     let mut best_score = -1.0f64;
     for _ in 0..cfg.restarts.max(1) {
         let mut key: Vec<bool> = (0..width).map(|_| rng.gen()).collect();
-        let mut score = agreement_of(&key, &mut locked_sim, &mut queries)?;
+        let mut score = agreement_of(&key)?;
         for _ in 0..cfg.sweeps.max(1) {
             let mut improved = false;
             for bit in 0..width {
                 key[bit] = !key[bit];
-                let candidate = agreement_of(&key, &mut locked_sim, &mut queries)?;
+                let candidate = agreement_of(&key)?;
                 if candidate > score {
                     score = candidate;
                     improved = true;

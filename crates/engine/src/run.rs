@@ -78,7 +78,6 @@ pub type JobObserver = Arc<dyn Fn(JobEvent<'_>) + Send + Sync>;
 /// re-running a spec (or running an overlapping one) hits the cache.
 pub struct Engine {
     cache: Arc<ArtifactCache>,
-    threads: usize,
     observer: Option<JobObserver>,
 }
 
@@ -87,16 +86,8 @@ impl Engine {
     pub fn new() -> Self {
         Self {
             cache: Arc::new(ArtifactCache::new()),
-            threads: 0,
             observer: None,
         }
-    }
-
-    /// Overrides the worker thread count (0 = automatic; the spec's
-    /// `threads` key, when non-zero, still wins).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Uses a cache that persists locked modules and training sets under
@@ -199,8 +190,6 @@ impl Engine {
         let meta: Vec<Job> = jobs.clone();
         let threads = if spec.threads > 0 {
             spec.threads
-        } else if self.threads > 0 {
-            self.threads
         } else {
             std::thread::available_parallelism()
                 .map(|n| n.get())

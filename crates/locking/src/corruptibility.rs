@@ -7,7 +7,7 @@
 //! keys still produce (nearly) correct outputs. This module makes the
 //! third objective measurable so heuristics like HRA can trade all three.
 //!
-//! Two complementary views are reported over a sample of wrong keys:
+//! Three complementary views are reported over a sample of wrong keys:
 //!
 //! - **corruption rate** — the fraction of wrong keys that corrupt at
 //!   least one output on at least one pattern (a weak, existential
@@ -18,6 +18,10 @@
 //! - **Hamming fraction** — the mean fraction of output *bits* that flip,
 //!   ideally near 0.5 (maximal confusion, as in strong gate-level
 //!   locking literature).
+//!
+//! At either level the original design (correct key) and the locked one
+//! (wrong keys) run the same stimulus table through their simulators'
+//! `drive`, and the two output tables are compared read by read.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,7 +88,8 @@ pub struct CorruptibilityReport {
 /// # Errors
 ///
 /// Returns [`LockError`] wrapping simulator construction/stimulus failures
-/// (cyclic designs, missing ports).
+/// (cyclic designs, missing ports) or a too-short `correct_key`, and
+/// [`LockError::NothingToLock`] if `locked` consumes no key bits.
 ///
 /// # Examples
 ///
@@ -114,23 +119,13 @@ pub fn measure_corruptibility(
             provided: correct_key.len(),
         }));
     }
-    let inputs: Vec<(String, u32)> = original
-        .ports()
-        .iter()
-        .filter(|p| p.dir == PortDir::Input)
-        .map(|p| (p.name.clone(), p.width))
-        .collect();
-    let outputs: Vec<(String, u32)> = original
-        .ports()
-        .iter()
-        .filter(|p| p.dir == PortDir::Output)
-        .map(|p| (p.name.clone(), p.width))
-        .collect();
-
+    if locked.key_width() == 0 {
+        return Err(LockError::NothingToLock);
+    }
     if cfg.ticks == 0 {
-        measure_rtl::<RTL_BATCH>(original, locked, correct_key, cfg, &inputs, &outputs)
+        measure_rtl::<RTL_BATCH>(original, locked, correct_key, cfg)
     } else {
-        measure_rtl::<1>(original, locked, correct_key, cfg, &inputs, &outputs)
+        measure_rtl::<1>(original, locked, correct_key, cfg)
     }
 }
 
@@ -145,13 +140,15 @@ fn near_miss_key(correct_key: &[bool], width: usize, flips: usize, rng: &mut Std
     wrong
 }
 
-/// Masks a full random draw down to a port width (widths are ≤ 64).
-fn mask_draw(v: u64, width: u32) -> u64 {
-    if width >= 64 {
-        v
-    } else {
-        v & ((1 << width) - 1)
-    }
+/// How many reads differ between two output tables, and how many bits
+/// flip across them.
+fn diff(golden: &[u64], read: &[u64]) -> (u64, u64) {
+    let pairs = golden.iter().zip(read);
+    let errors = pairs.clone().filter(|(g, b)| g != b).count() as u64;
+    (
+        errors,
+        pairs.map(|(g, b)| u64::from((g ^ b).count_ones())).sum(),
+    )
 }
 
 /// Running totals over the wrong keys of one measurement, shared by the
@@ -212,69 +209,33 @@ fn measure_rtl<const V: usize>(
     locked: &Module,
     correct_key: &[bool],
     cfg: &CorruptibilityConfig,
-    inputs: &[(String, u32)],
-    outputs: &[(String, u32)],
 ) -> Result<CorruptibilityReport> {
-    let sim_err = LockError::Rtl;
+    let ports = |dir| original.ports().iter().filter(move |p| p.dir == dir);
+    let inputs: Vec<&str> = ports(PortDir::Input).map(|p| p.name.as_str()).collect();
+    let outputs: Vec<&str> = ports(PortDir::Output).map(|p| p.name.as_str()).collect();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let width = locked.key_width() as usize;
 
     // Compile both designs once; each trial resets state instead of
     // reconstructing (and recompiling) the simulators.
-    let mut ref_sim = BatchSimulator::<V>::new(original).map_err(sim_err)?;
-    ref_sim.set_key(correct_key).map_err(sim_err)?;
-    let mut bad_sim = BatchSimulator::<V>::new(locked).map_err(sim_err)?;
+    let mut ref_sim = BatchSimulator::<V>::new(original)?;
+    ref_sim.set_key(correct_key)?;
+    let mut bad_sim = BatchSimulator::<V>::new(locked)?;
 
-    let mut tally = Tally::new(cfg.patterns, outputs.iter().map(|(_, w)| u64::from(*w)));
+    let widths = ports(PortDir::Output).map(|p| u64::from(p.width));
+    let mut tally = Tally::new(cfg.patterns, widths);
     for _ in 0..cfg.wrong_keys {
         let wrong = near_miss_key(correct_key, width, cfg.flips, &mut rng);
         ref_sim.reset();
         bad_sim.reset();
-        bad_sim.set_key(&wrong).map_err(sim_err)?;
-
+        bad_sim.set_key(&wrong)?;
         // Pattern-major, port-minor.
-        let mut stim = Vec::with_capacity(cfg.patterns * inputs.len());
-        for _ in 0..cfg.patterns {
-            for (_, width) in inputs {
-                stim.push(mask_draw(rng.gen(), *width));
-            }
-        }
-
-        let mut errors = 0u64;
-        let mut bit_flips = 0u64;
-        let mut done = 0usize;
-        while done < cfg.patterns {
-            let lanes = (cfg.patterns - done).min(V);
-            for (i, (name, _)) in inputs.iter().enumerate() {
-                let mut lane_vals = [0u64; V];
-                let vals = &mut lane_vals[..lanes];
-                for (l, v) in vals.iter_mut().enumerate() {
-                    *v = stim[(done + l) * inputs.len() + i];
-                }
-                ref_sim.set_input_batch(name, vals).map_err(sim_err)?;
-                bad_sim.set_input_batch(name, vals).map_err(sim_err)?;
-            }
-            if cfg.ticks == 0 {
-                ref_sim.settle().map_err(sim_err)?;
-                bad_sim.settle().map_err(sim_err)?;
-            } else {
-                for _ in 0..cfg.ticks {
-                    ref_sim.tick().map_err(sim_err)?;
-                    bad_sim.tick().map_err(sim_err)?;
-                }
-            }
-            for lane in 0..lanes {
-                for (name, _) in outputs {
-                    let a = ref_sim.get_lane(name, lane).map_err(sim_err)?;
-                    let b = bad_sim.get_lane(name, lane).map_err(sim_err)?;
-                    if a != b {
-                        errors += 1;
-                    }
-                    bit_flips += (a ^ b).count_ones() as u64;
-                }
-            }
-            done += lanes;
-        }
+        let stimulus: Vec<Vec<u64>> = (0..cfg.patterns)
+            .map(|_| inputs.iter().map(|_| rng.gen()).collect())
+            .collect();
+        let golden = ref_sim.drive(&inputs, &stimulus, &outputs, cfg.ticks)?;
+        let read = bad_sim.drive(&inputs, &stimulus, &outputs, cfg.ticks)?;
+        let (errors, bit_flips) = diff(&golden, &read);
         tally.add_key(errors, bit_flips);
     }
     Ok(tally.report(cfg.wrong_keys))
@@ -338,22 +299,15 @@ fn measure_gate_corruptibility_w<const W: usize>(
 
     let width = locked.key_width();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let inputs: Vec<(String, u32)> = original
-        .inputs()
-        .iter()
-        .map(|p| (p.name.clone(), p.width() as u32))
-        .collect();
-    let outputs: Vec<(String, usize)> = original
-        .outputs()
-        .iter()
-        .map(|p| (p.name.clone(), p.width()))
-        .collect();
+    let inputs: Vec<&str> = original.inputs().iter().map(|p| p.name.as_str()).collect();
+    let outputs: Vec<&str> = original.outputs().iter().map(|p| p.name.as_str()).collect();
 
     let mut ref_sim = NetlistSimulator::<W>::with_width(original)?;
     ref_sim.set_key(correct_key)?;
     let mut bad_sim = NetlistSimulator::<W>::with_width(locked)?;
 
-    let mut tally = Tally::new(cfg.patterns, outputs.iter().map(|(_, w)| *w as u64));
+    let widths = original.outputs().iter().map(|p| p.width() as u64);
+    let mut tally = Tally::new(cfg.patterns, widths);
 
     let mut remaining = cfg.wrong_keys;
     while remaining > 0 {
@@ -361,10 +315,9 @@ fn measure_gate_corruptibility_w<const W: usize>(
         // All chunks before the last are full, so chunk g's key k lands on
         // lane 64g + k by plain concatenation. Keys first, then that
         // chunk's stimulus — the order the 64-lane walk drew them.
-        let mut chunk_sizes: Vec<usize> = Vec::new();
         let mut wrong: Vec<Vec<bool>> = Vec::new();
         let mut stimulus: Vec<Vec<u64>> = Vec::new();
-        while remaining > 0 && chunk_sizes.len() < W {
+        while remaining > 0 && stimulus.len() < W {
             let lanes = remaining.min(64);
             for _ in 0..lanes {
                 wrong.push(near_miss_key(
@@ -374,54 +327,35 @@ fn measure_gate_corruptibility_w<const W: usize>(
                     &mut rng,
                 ));
             }
-            // Pattern-major, port-minor, masked to the port width.
-            let mut stim = Vec::with_capacity(cfg.patterns * inputs.len());
-            for _ in 0..cfg.patterns {
-                for (_, width) in &inputs {
-                    stim.push(mask_draw(rng.gen(), *width));
-                }
-            }
-            stimulus.push(stim);
-            chunk_sizes.push(lanes);
+            // Pattern-major, port-minor.
+            stimulus.push(
+                (0..cfg.patterns * inputs.len())
+                    .map(|_| rng.gen())
+                    .collect(),
+            );
             remaining -= lanes;
         }
-        let total = wrong.len();
         let refs: Vec<&[bool]> = wrong.iter().map(|k| k.as_slice()).collect();
         ref_sim.reset();
         bad_sim.reset();
         bad_sim.set_key_batch(&refs)?;
 
-        let mut errors = vec![0u64; total];
-        let mut bit_flips = vec![0u64; total];
+        let mut totals = vec![(0u64, 0u64); wrong.len()];
         for p in 0..cfg.patterns {
-            for (i, (name, _)) in inputs.iter().enumerate() {
-                let vals: Vec<u64> = (0..total)
-                    .map(|lane| stimulus[lane / 64][p * inputs.len() + i])
-                    .collect();
-                ref_sim.set_input_batch(name, &vals)?;
-                bad_sim.set_input_batch(name, &vals)?;
-            }
-            if cfg.ticks == 0 {
-                ref_sim.settle()?;
-                bad_sim.settle()?;
-            } else {
-                for _ in 0..cfg.ticks {
-                    ref_sim.tick()?;
-                    bad_sim.tick()?;
-                }
-            }
-            for (name, _) in &outputs {
-                for (lane, (err, flips)) in errors.iter_mut().zip(&mut bit_flips).enumerate() {
-                    let golden = ref_sim.output_lane(name, lane)?;
-                    let b = bad_sim.output_lane(name, lane)?;
-                    if golden != b {
-                        *err += 1;
-                    }
-                    *flips += (golden ^ b).count_ones() as u64;
-                }
+            // Lane l reads its chunk's pattern p and keeps its own key.
+            let rows: Vec<&[u64]> = (0..wrong.len())
+                .map(|lane| &stimulus[lane / 64][p * inputs.len()..][..inputs.len()])
+                .collect();
+            let golden = ref_sim.drive(&inputs, &rows, &outputs, cfg.ticks)?;
+            let read = bad_sim.drive(&inputs, &rows, &outputs, cfg.ticks)?;
+            for (lane, (errors, flips)) in totals.iter_mut().enumerate() {
+                let at = lane * outputs.len()..(lane + 1) * outputs.len();
+                let (e, f) = diff(&golden[at.clone()], &read[at]);
+                *errors += e;
+                *flips += f;
             }
         }
-        for (&errors, &flips) in errors.iter().zip(&bit_flips) {
+        for (errors, flips) in totals {
             tally.add_key(errors, flips);
         }
     }
@@ -561,6 +495,23 @@ mod tests {
             &CorruptibilityConfig::default(),
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn keyless_locked_module_is_an_error() {
+        // Near-miss keys flip a bit of the key, so a design with no key
+        // bits has no wrong key to measure, settled or clocked.
+        let fir = generate(&benchmark_by_name("FIR").unwrap(), 5);
+        for ticks in [0, 2] {
+            let cfg = CorruptibilityConfig {
+                ticks,
+                ..CorruptibilityConfig::default()
+            };
+            assert_eq!(
+                measure_corruptibility(&fir, &fir, &[], &cfg),
+                Err(LockError::NothingToLock)
+            );
+        }
     }
 
     fn gate_pair() -> (mlrl_netlist::Netlist, mlrl_netlist::Netlist, Vec<bool>) {

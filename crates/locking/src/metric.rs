@@ -112,11 +112,6 @@ impl SecurityMetric {
         }
     }
 
-    /// Whether the pair containing `op` has been touched.
-    pub fn is_touched(&self, odt: &Odt, op: BinaryOp) -> bool {
-        odt.pair_index(op).map(|i| self.touched[i]).unwrap_or(false)
-    }
-
     /// Global metric `M_g_sec`: all ODT entries considered (`v_o` contains
     /// no `'x'`). Monotonic in the total imbalance.
     ///

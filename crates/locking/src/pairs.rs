@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use mlrl_rtl::op::{BinaryOp, ALL_BINARY_OPS};
+use mlrl_rtl::op::BinaryOp;
 
 /// A mapping from each operation type to its locking-pair dummy type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,15 +148,6 @@ impl PairTable {
             (other, op)
         })
     }
-
-    /// Ops that appear on either side of any pair, sorted by code.
-    pub fn lockable_ops(&self) -> Vec<BinaryOp> {
-        ALL_BINARY_OPS
-            .iter()
-            .copied()
-            .filter(|op| self.is_lockable(*op))
-            .collect()
-    }
 }
 
 impl Default for PairTable {
@@ -168,6 +159,7 @@ impl Default for PairTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlrl_rtl::op::ALL_BINARY_OPS;
     use BinaryOp::*;
 
     #[test]

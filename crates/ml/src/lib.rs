@@ -3,7 +3,7 @@
 //! The paper trains its RTL-adapted SnapShot attack with auto-sklearn \[13\],
 //! a Python auto-ml library. This crate is the from-scratch Rust
 //! substitution (DESIGN.md, substitution 2): datasets and one-hot encoding
-//! ([`dataset`]), train/test splitting and stratified k-fold CV ([`split`]),
+//! ([`dataset`]), stratified k-fold cross-validation ([`split`]),
 //! five classifier families plus a majority baseline ([`models`]), and a
 //! deterministic auto-ml model search ([`automl`]).
 //!
@@ -27,7 +27,6 @@
 
 pub mod automl;
 pub mod dataset;
-pub mod metrics;
 pub mod models;
 pub mod split;
 

@@ -1,30 +1,10 @@
-//! Train/test splitting and stratified k-fold cross-validation.
+//! Stratified k-fold cross-validation.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::dataset::Dataset;
-
-/// Splits `data` into `(train, test)` with `test_fraction` of samples held
-/// out, shuffled deterministically by `seed`.
-///
-/// # Panics
-///
-/// Panics if `test_fraction` is not in `(0, 1)` or either side would be
-/// empty.
-pub fn train_test_split(data: &Dataset, test_fraction: f64, seed: u64) -> (Dataset, Dataset) {
-    assert!(
-        test_fraction > 0.0 && test_fraction < 1.0,
-        "test_fraction must be in (0, 1)"
-    );
-    let mut indices: Vec<usize> = (0..data.len()).collect();
-    indices.shuffle(&mut StdRng::seed_from_u64(seed));
-    let n_test = ((data.len() as f64) * test_fraction).round() as usize;
-    let n_test = n_test.clamp(1, data.len() - 1);
-    let (test_idx, train_idx) = indices.split_at(n_test);
-    (data.subset(train_idx), data.subset(test_idx))
-}
 
 /// Stratified k-fold splitter: every fold approximates the full class
 /// distribution, so accuracy estimates stay unbiased on the skewed label
@@ -101,22 +81,6 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
         let y: Vec<usize> = (0..n).map(|i| usize::from(i % 4 != 0)).collect();
         Dataset::from_rows(x, y).unwrap()
-    }
-
-    #[test]
-    fn split_partitions_all_samples() {
-        let ds = skewed(100);
-        let (train, test) = train_test_split(&ds, 0.3, 1);
-        assert_eq!(train.len() + test.len(), 100);
-        assert_eq!(test.len(), 30);
-    }
-
-    #[test]
-    fn split_is_deterministic() {
-        let ds = skewed(50);
-        let (a, _) = train_test_split(&ds, 0.2, 9);
-        let (b, _) = train_test_split(&ds, 0.2, 9);
-        assert_eq!(a, b);
     }
 
     #[test]

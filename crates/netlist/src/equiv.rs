@@ -5,16 +5,15 @@
 //! gate-level locking with the correct key installed) the two views must
 //! agree on every output for every stimulus. Random vectors do not prove
 //! equivalence, but across hundreds of 64-bit samples a lowering bug has
-//! vanishing odds of hiding; the SAT substrate (`mlrl-sat`) offers the
-//! complete decision procedure.
+//! vanishing odds of hiding.
 //!
-//! The gate side batches vectors onto simulator lanes. The simulator width
-//! is picked per call by [`pick_width`] from the sample count (a walk costs
-//! `W` word-ops per gate whether or not the lanes are full, so small
-//! probes stay narrow). The stimulus stream is drawn
-//! sample-major — all ports of a sample before the next sample — so the
-//! RNG sequence, and therefore every canonical result, is identical at
-//! every width.
+//! Both sides run one stimulus table through their simulators' `drive`,
+//! and the output tables are compared row by row. The gate simulator's
+//! width is picked per call by [`pick_width`] from the sample count (a
+//! walk costs `W` word-ops per gate whether or not the lanes are full, so
+//! small probes stay narrow). The table is drawn sample-major — all ports
+//! of a sample before the next sample — so the RNG sequence, and
+//! therefore every canonical result, is identical at every width.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,123 +84,51 @@ fn check_module_vs_netlist_w<const W: usize>(
             )));
         }
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut rtl = Simulator::new(module).map_err(|e| NetlistError::Lower(e.to_string()))?;
+    let lower = |e: mlrl_rtl::RtlError| NetlistError::Lower(e.to_string());
+    let mut rtl = Simulator::new(module).map_err(lower)?;
     let mut gate = NetlistSimulator::<W>::with_width(netlist)?;
-    rtl.set_key(key)
-        .map_err(|e| NetlistError::Lower(e.to_string()))?;
+    rtl.set_key(key).map_err(lower)?;
     gate.set_key(key)?;
 
-    let inputs: Vec<(String, u32)> = module
-        .ports()
-        .iter()
-        .filter(|p| p.dir == PortDir::Input)
-        .map(|p| (p.name.clone(), p.width))
-        .collect();
-    let outputs: Vec<String> = module
-        .ports()
-        .iter()
-        .filter(|p| p.dir == PortDir::Output)
-        .map(|p| p.name.clone())
-        .collect();
-
-    let mut mismatches = 0;
-    let mut first_mismatch = None;
-    if ticks == 0 {
-        // Combinational probe: the gate side batches up to 64*W vectors per
-        // levelized walk; the RTL side replays the same vectors one by one.
-        // The RNG draw order (sample-major, then port) matches the scalar
-        // path exactly, so results are identical vector for vector.
-        let mut done = 0usize;
-        while done < samples {
-            let lanes = (samples - done).min(NetlistSimulator::<W>::LANES);
-            let mut vectors: Vec<Vec<u64>> = (0..inputs.len())
-                .map(|_| Vec::with_capacity(lanes))
-                .collect();
-            for _ in 0..lanes {
-                for (pi, (_, width)) in inputs.iter().enumerate() {
-                    let v: u64 = rng.gen();
-                    let v = if *width >= 64 {
-                        v
-                    } else {
-                        v & ((1 << width) - 1)
-                    };
-                    vectors[pi].push(v);
-                }
-            }
-            for (pi, (name, _)) in inputs.iter().enumerate() {
-                gate.set_input_batch(name, &vectors[pi])?;
-            }
-            gate.settle()?;
-            #[allow(clippy::needless_range_loop)] // `lane` indexes the inner dim
-            for lane in 0..lanes {
-                for (pi, (name, _)) in inputs.iter().enumerate() {
-                    rtl.set_input(name, vectors[pi][lane])
-                        .map_err(|e| NetlistError::Lower(e.to_string()))?;
-                }
-                rtl.settle()
-                    .map_err(|e| NetlistError::Lower(e.to_string()))?;
-                let mut bad = false;
-                for name in &outputs {
-                    let rv = rtl
-                        .get(name)
-                        .map_err(|e| NetlistError::Lower(e.to_string()))?;
-                    let gv = gate.output_lane(name, lane)?;
-                    if rv != gv {
-                        bad = true;
-                        if first_mismatch.is_none() {
-                            first_mismatch = Some(name.clone());
-                        }
-                    }
-                }
-                if bad {
-                    mismatches += 1;
-                }
-            }
-            done += lanes;
-        }
-    } else {
-        // Sequential probe: state carries over from sample to sample, so
-        // vectors cannot ride independent lanes; stay scalar.
-        for _ in 0..samples {
-            for (name, width) in &inputs {
-                let v: u64 = rng.gen();
-                let v = if *width >= 64 {
-                    v
-                } else {
-                    v & ((1 << width) - 1)
-                };
-                rtl.set_input(name, v)
-                    .map_err(|e| NetlistError::Lower(e.to_string()))?;
-                gate.set_input(name, v)?;
-            }
-            for _ in 0..ticks {
-                rtl.tick().map_err(|e| NetlistError::Lower(e.to_string()))?;
-                gate.tick()?;
-            }
-            let mut bad = false;
-            for name in &outputs {
-                let rv = rtl
-                    .get(name)
-                    .map_err(|e| NetlistError::Lower(e.to_string()))?;
-                let gv = gate.output(name)?;
-                if rv != gv {
-                    bad = true;
-                    if first_mismatch.is_none() {
-                        first_mismatch = Some(name.clone());
-                    }
-                }
-            }
-            if bad {
-                mismatches += 1;
-            }
-        }
+    let ports = |dir| module.ports().iter().filter(move |p| p.dir == dir);
+    let inputs: Vec<&str> = ports(PortDir::Input).map(|p| p.name.as_str()).collect();
+    let outputs: Vec<&str> = ports(PortDir::Output).map(|p| p.name.as_str()).collect();
+    let stimulus = draw(inputs.len(), samples, seed);
+    // The RTL side is one lane, so its registers run the rows as one
+    // trace. The gate side takes every row on its own lane when settling;
+    // clocked, it takes one row per call so its state follows the trace.
+    let per_call = if ticks == 0 { samples.max(1) } else { 1 };
+    let mut gate_reads = Vec::with_capacity(samples * outputs.len());
+    for rows in stimulus.chunks(per_call) {
+        gate_reads.extend(gate.drive(&inputs, rows, &outputs, ticks)?);
     }
-    Ok(CrossCheck {
+    let rtl_reads = rtl
+        .drive(&inputs, &stimulus, &outputs, ticks)
+        .map_err(lower)?;
+    Ok(compare(samples, &outputs, &rtl_reads, &gate_reads))
+}
+
+/// `samples` random rows of `ports` values, drawn sample-major (all ports
+/// of a sample before the next sample), so the stream is the same at
+/// every simulator width. Each simulator masks a value to its port width.
+fn draw(ports: usize, samples: usize, seed: u64) -> Vec<Vec<u64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..samples)
+        .map(|_| (0..ports).map(|_| rng.gen()).collect())
+        .collect()
+}
+
+/// Counts the rows on which two row-major output tables differ.
+fn compare(samples: usize, outputs: &[&str], left: &[u64], right: &[u64]) -> CrossCheck {
+    let n = outputs.len();
+    let differs = |row: usize| (0..n).find(|&i| left[row * n + i] != right[row * n + i]);
+    CrossCheck {
         samples,
-        mismatches,
-        first_mismatch,
-    })
+        mismatches: (0..samples).filter(|&row| differs(row).is_some()).count(),
+        first_mismatch: (0..samples)
+            .find_map(differs)
+            .map(|i| outputs[i].to_owned()),
+    }
 }
 
 /// Runs `samples` random vectors through two netlists with (possibly
@@ -244,61 +171,16 @@ fn check_netlists_w<const W: usize>(
             )));
         }
     }
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut sa = NetlistSimulator::<W>::with_width(a)?;
     let mut sb = NetlistSimulator::<W>::with_width(b)?;
     sa.set_key(key_a)?;
     sb.set_key(key_b)?;
-    let mut mismatches = 0;
-    let mut first_mismatch = None;
-    // Both sides ride the lane words: one levelized walk per side per
-    // 64*W vectors. The RNG draw order matches the scalar loop exactly.
-    let mut done = 0usize;
-    while done < samples {
-        let lanes = (samples - done).min(NetlistSimulator::<W>::LANES);
-        // Draw sample-major (all ports of a sample before the next sample)
-        // to keep the vector stream identical to the scalar loop's.
-        let mut vectors: Vec<Vec<u64>> = (0..a.inputs().len())
-            .map(|_| Vec::with_capacity(lanes))
-            .collect();
-        for _ in 0..lanes {
-            for (pi, p) in a.inputs().iter().enumerate() {
-                let v: u64 = rng.gen();
-                let v = if p.width() >= 64 {
-                    v
-                } else {
-                    v & ((1 << p.width()) - 1)
-                };
-                vectors[pi].push(v);
-            }
-        }
-        for (pi, p) in a.inputs().iter().enumerate() {
-            sa.set_input_batch(&p.name, &vectors[pi])?;
-            sb.set_input_batch(&p.name, &vectors[pi])?;
-        }
-        sa.settle()?;
-        sb.settle()?;
-        for lane in 0..lanes {
-            let mut bad = false;
-            for p in a.outputs() {
-                if sa.output_lane(&p.name, lane)? != sb.output_lane(&p.name, lane)? {
-                    bad = true;
-                    if first_mismatch.is_none() {
-                        first_mismatch = Some(p.name.clone());
-                    }
-                }
-            }
-            if bad {
-                mismatches += 1;
-            }
-        }
-        done += lanes;
-    }
-    Ok(CrossCheck {
-        samples,
-        mismatches,
-        first_mismatch,
-    })
+    let inputs: Vec<&str> = a.inputs().iter().map(|p| p.name.as_str()).collect();
+    let outputs: Vec<&str> = a.outputs().iter().map(|p| p.name.as_str()).collect();
+    let stimulus = draw(inputs.len(), samples, seed);
+    let left = sa.drive(&inputs, &stimulus, &outputs, 0)?;
+    let right = sb.drive(&inputs, &stimulus, &outputs, 0)?;
+    Ok(compare(samples, &outputs, &left, &right))
 }
 
 #[cfg(test)]

@@ -18,9 +18,11 @@
 //! `output` reads lane 0, which keeps single-vector semantics
 //! bit-identical to the old one-`bool`-per-net interpreter. The batch
 //! entry points (`set_input_batch`, `set_key_batch`, `output_lane`,
-//! `key_sweep_digests`) expose the remaining lanes to training-set
-//! generation, random-stimulus equivalence proofs, and wrong-key sweeps;
-//! `settle` always walks every lane.
+//! `key_sweep_digests`) expose the remaining lanes, and
+//! [`NetlistSimulator::drive`] deals a whole stimulus table onto them —
+//! the one stimulus loop behind the equivalence checks, gate-level
+//! corruptibility and the SAT oracle's batched queries. `settle` always
+//! walks every lane.
 //!
 //! Width-dispatched call sites (equivalence checks, corruptibility sweeps)
 //! size `W` to the workload with [`pick_width`]; no setting overrides it.
@@ -30,7 +32,7 @@
 //! in the hot loop).
 
 use crate::error::{NetlistError, Result};
-use crate::ir::{GateKind, NetId, Netlist, NO_DRIVER};
+use crate::ir::{GateKind, NetId, Netlist, PortBits, NO_DRIVER};
 
 /// Number of boolean lanes per 64-bit word — the batch chunk unit. A
 /// simulator of width `W` carries `W * LANES` lanes
@@ -174,12 +176,7 @@ impl<'n, const W: usize> NetlistSimulator<'n, W> {
     ///
     /// Returns [`NetlistError::UnknownPort`] if `name` is not an input port.
     pub fn set_input(&mut self, name: &str, value: u64) -> Result<()> {
-        let port = self
-            .netlist
-            .inputs()
-            .iter()
-            .find(|p| p.name == name)
-            .ok_or_else(|| NetlistError::UnknownPort(name.to_owned()))?;
+        let port = find_port(self.netlist.inputs(), name)?;
         for (i, &bit) in port.bits.iter().enumerate() {
             self.values[bit.index()] = broadcast(value >> i & 1 == 1);
         }
@@ -197,27 +194,29 @@ impl<'n, const W: usize> NetlistSimulator<'n, W> {
     /// than [`NetlistSimulator::LANES`].
     pub fn set_input_batch(&mut self, name: &str, values: &[u64]) -> Result<()> {
         Self::check_lanes(values.len())?;
-        let port = self
-            .netlist
-            .inputs()
-            .iter()
-            .find(|p| p.name == name)
-            .ok_or_else(|| NetlistError::UnknownPort(name.to_owned()))?;
+        let port = find_port(self.netlist.inputs(), name)?;
+        self.write_lanes(port, values.len(), |l| values[l]);
+        Ok(())
+    }
+
+    /// Loads `value(l)` for lanes `l < count` (1 to `LANES` of them) onto
+    /// an input port, replicating the last into the lanes beyond.
+    fn write_lanes(&mut self, port: &PortBits, count: usize, value: impl Fn(usize) -> u64) {
         // Pivot lane-major values into bit-major net words one 64-lane
         // word at a time, loading each lane's value exactly once.
         let width = port.bits.len();
-        let last = values.len() - 1;
+        let last = count - 1;
         let mut cols = [0u64; 64];
         for w in 0..W {
             if width >= TRANSPOSE_MIN_WIDTH {
                 for (l, col) in cols.iter_mut().enumerate() {
-                    *col = values[(w * 64 + l).min(last)];
+                    *col = value((w * 64 + l).min(last));
                 }
                 transpose64(&mut cols);
             } else {
                 cols[..width].fill(0);
                 for l in 0..64 {
-                    let v = values[(w * 64 + l).min(last)];
+                    let v = value((w * 64 + l).min(last));
                     for (i, col) in cols[..width].iter_mut().enumerate() {
                         *col |= (v >> i & 1) << l;
                     }
@@ -227,7 +226,6 @@ impl<'n, const W: usize> NetlistSimulator<'n, W> {
                 self.values[bit.index()][w] = cols[i];
             }
         }
-        Ok(())
     }
 
     /// Installs the key bit vector (index 0 = `K[0]`) in every lane.
@@ -348,17 +346,68 @@ impl<'n, const W: usize> NetlistSimulator<'n, W> {
                 lanes: Self::LANES,
             });
         }
-        let port = self
-            .netlist
-            .outputs()
-            .iter()
-            .find(|p| p.name == name)
-            .ok_or_else(|| NetlistError::UnknownPort(name.to_owned()))?;
+        Ok(self.read_lane(find_port(self.netlist.outputs(), name)?, lane))
+    }
+
+    /// A port's value in one lane (LSB-first bits).
+    fn read_lane(&self, port: &PortBits, lane: usize) -> u64 {
         let mut v = 0u64;
         for (i, &bit) in port.bits.iter().enumerate() {
             v |= (self.values[bit.index()][lane / 64] >> (lane % 64) & 1) << i;
         }
-        Ok(v)
+        v
+    }
+
+    /// Runs a whole stimulus table and returns what the `outputs` ports
+    /// read after each row, row-major (`outputs.len()` values per row).
+    ///
+    /// Each row of `stimulus` holds one value per `inputs` port. Rows are
+    /// dealt to the lanes, [`NetlistSimulator::LANES`] per step; each step
+    /// sets the inputs, then settles (`ticks == 0`) or applies `ticks`
+    /// clock edges, then reads every row's outputs. State is never reset,
+    /// so with `ticks > 0` lane `l` carries its flip-flops into its next
+    /// row; a sequential trace is driven one row per call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::UnknownPort`] if an `inputs` name is not an
+    /// input port or an `outputs` name is not an output port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row holds fewer values than there are `inputs`.
+    pub fn drive<R: AsRef<[u64]>>(
+        &mut self,
+        inputs: &[impl AsRef<str>],
+        stimulus: &[R],
+        outputs: &[impl AsRef<str>],
+        ticks: usize,
+    ) -> Result<Vec<u64>> {
+        let netlist = self.netlist;
+        let ins = inputs
+            .iter()
+            .map(|n| find_port(netlist.inputs(), n.as_ref()))
+            .collect::<Result<Vec<_>>>()?;
+        let outs = outputs
+            .iter()
+            .map(|n| find_port(netlist.outputs(), n.as_ref()))
+            .collect::<Result<Vec<_>>>()?;
+        let mut read = Vec::with_capacity(stimulus.len() * outs.len());
+        for step in stimulus.chunks(Self::LANES) {
+            for (i, port) in ins.iter().enumerate() {
+                self.write_lanes(port, step.len(), |l| step[l].as_ref()[i]);
+            }
+            if ticks == 0 {
+                self.settle()?;
+            }
+            for _ in 0..ticks {
+                self.tick()?;
+            }
+            for lane in 0..step.len() {
+                read.extend(outs.iter().map(|p| self.read_lane(p, lane)));
+            }
+        }
+        Ok(read)
     }
 
     /// Order-independent digest of every output-port value in lane 0,
@@ -460,6 +509,14 @@ impl<'n, const W: usize> NetlistSimulator<'n, W> {
         }
         Ok(())
     }
+}
+
+/// The port called `name` among `ports`.
+fn find_port<'p>(ports: &'p [PortBits], name: &str) -> Result<&'p PortBits> {
+    ports
+        .iter()
+        .find(|p| p.name == name)
+        .ok_or_else(|| NetlistError::UnknownPort(name.to_owned()))
 }
 
 /// Expands one boolean into all `64 * W` lanes.

@@ -172,24 +172,6 @@ impl BinaryOp {
         }
     }
 
-    /// Whether `a op b == b op a` for all bit patterns (used by the design
-    /// generators to decide operand ordering freedom).
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Add
-                | BinaryOp::Mul
-                | BinaryOp::And
-                | BinaryOp::Or
-                | BinaryOp::Xor
-                | BinaryOp::Xnor
-                | BinaryOp::Eq
-                | BinaryOp::Neq
-                | BinaryOp::LAnd
-                | BinaryOp::LOr
-        )
-    }
-
     /// Whether this operator always yields a single-bit result.
     pub fn is_predicate(self) -> bool {
         matches!(

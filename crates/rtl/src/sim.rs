@@ -16,7 +16,8 @@
 //! amortize the tape fetch and instruction dispatch over `V` lanes and let
 //! the per-lane `[u64; V]` arithmetic autovectorize. There is exactly one
 //! tape kernel (`run_tape`) and one scalar arithmetic kernel
-//! ([`eval_binary`]), shared by every width.
+//! ([`eval_binary`]), shared by every width. [`BatchSimulator::drive`]
+//! deals a whole stimulus table onto the lanes and reads it back.
 //!
 //! The simulator is what makes locking *testable*: with the correct key a
 //! locked module must be functionally equivalent to the original, and with a
@@ -109,8 +110,7 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
     /// Returns [`RtlError::UnknownSignal`] if `name` is not an input port.
     pub fn set_input(&mut self, name: &str, value: u64) -> Result<()> {
         let slot = self.input_slot(name)?;
-        let masked = value & mask(self.program.slots[slot as usize].width);
-        self.state[slot as usize] = [masked; V];
+        self.write_lanes(slot, |_| value);
         Ok(())
     }
 
@@ -131,11 +131,7 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
             });
         }
         let slot = self.input_slot(name)?;
-        let m = mask(self.program.slots[slot as usize].width);
-        let word = &mut self.state[slot as usize];
-        for (lane, w) in word.iter_mut().enumerate() {
-            *w = values[lane.min(values.len() - 1)] & m;
-        }
+        self.write_lanes(slot, |lane| values[lane.min(values.len() - 1)]);
         Ok(())
     }
 
@@ -178,10 +174,7 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
                 lanes: V,
             });
         }
-        self.program
-            .slot(name)
-            .map(|s| self.state[s as usize][lane])
-            .ok_or_else(|| RtlError::UnknownSignal(name.to_owned()))
+        Ok(self.state[self.slot(name)? as usize][lane])
     }
 
     /// Order-independent digest of every output-port value in one lane — a
@@ -217,12 +210,8 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
     ///
     /// Returns [`RtlError::UnknownSignal`] for undeclared names.
     pub fn set_state(&mut self, name: &str, value: u64) -> Result<()> {
-        let slot = self
-            .program
-            .slot(name)
-            .ok_or_else(|| RtlError::UnknownSignal(name.to_owned()))?;
-        let masked = value & mask(self.program.slots[slot as usize].width);
-        self.state[slot as usize] = [masked; V];
+        let slot = self.slot(name)?;
+        self.write_lanes(slot, |_| value);
         Ok(())
     }
 
@@ -279,9 +268,74 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
         self.settle()
     }
 
-    fn input_slot(&self, name: &str) -> Result<u32> {
+    /// Runs a whole stimulus table and returns what the `outputs` signals
+    /// read after each row, row-major (`outputs.len()` values per row).
+    ///
+    /// Each row of `stimulus` holds one value per `inputs` port. Rows are
+    /// dealt to the lanes, `V` per step; each step sets the inputs, then
+    /// settles (`ticks == 0`) or applies `ticks` clock edges, then reads
+    /// every row's outputs. State is never reset, so with `ticks > 0` lane
+    /// `l` carries its registers into its next row: a `V = 1` simulator
+    /// runs the rows as one sequential trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::UnknownSignal`] if an `inputs` name is not an
+    /// input port or an `outputs` name is undeclared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row holds fewer values than there are `inputs`.
+    pub fn drive<R: AsRef<[u64]>>(
+        &mut self,
+        inputs: &[impl AsRef<str>],
+        stimulus: &[R],
+        outputs: &[impl AsRef<str>],
+        ticks: usize,
+    ) -> Result<Vec<u64>> {
+        let ins = inputs
+            .iter()
+            .map(|n| self.input_slot(n.as_ref()))
+            .collect::<Result<Vec<_>>>()?;
+        let outs = outputs
+            .iter()
+            .map(|n| self.slot(n.as_ref()))
+            .collect::<Result<Vec<_>>>()?;
+        let mut read = Vec::with_capacity(stimulus.len() * outs.len());
+        for step in stimulus.chunks(V) {
+            for (i, &slot) in ins.iter().enumerate() {
+                self.write_lanes(slot, |lane| step[lane.min(step.len() - 1)].as_ref()[i]);
+            }
+            if ticks == 0 {
+                self.settle()?;
+            }
+            for _ in 0..ticks {
+                self.tick()?;
+            }
+            for lane in 0..step.len() {
+                read.extend(outs.iter().map(|&s| self.state[s as usize][lane]));
+            }
+        }
+        Ok(read)
+    }
+
+    /// Sets every lane of `slot` to `value(lane)`, masked to its width.
+    fn write_lanes(&mut self, slot: u32, value: impl Fn(usize) -> u64) {
+        let m = mask(self.program.slots[slot as usize].width);
+        for (lane, w) in self.state[slot as usize].iter_mut().enumerate() {
+            *w = value(lane) & m;
+        }
+    }
+
+    fn slot(&self, name: &str) -> Result<u32> {
         self.program
             .slot(name)
+            .ok_or_else(|| RtlError::UnknownSignal(name.to_owned()))
+    }
+
+    fn input_slot(&self, name: &str) -> Result<u32> {
+        self.slot(name)
+            .ok()
             .filter(|&s| self.program.slots[s as usize].is_input)
             .ok_or_else(|| RtlError::UnknownSignal(name.to_owned()))
     }

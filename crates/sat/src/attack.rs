@@ -96,56 +96,43 @@ impl Oracle for SimOracle<'_> {
     }
 
     /// One levelized walk answers up to 64 assignments: assignment `i`
-    /// rides lane `i` of the word simulator. Larger batches are chunked,
-    /// preserving the trait default's any-size contract.
+    /// rides lane `i % 64` of the word simulator, 64 per walk, preserving
+    /// the trait default's any-size contract.
     fn query_batch(&mut self, batch: &[&[(String, u64)]]) -> Vec<PortValues> {
         if batch.is_empty() {
             return Vec::new();
         }
-        if batch.len() > LANES {
-            return batch
-                .chunks(LANES)
-                .flat_map(|chunk| self.query_batch(chunk))
-                .collect();
-        }
         self.queries += batch.len();
         mlrl_obs::counter_add("oracle.queries", batch.len() as u64);
-        mlrl_obs::counter_add("oracle.batch_settles", 1);
-        // Regroup per port: lane l of port `name` carries batch[l]'s value
-        // for that name. Assignments are matched by name, not position, so
-        // reordered batches answer correctly.
-        for (pi, (name, _)) in batch[0].iter().enumerate() {
-            let lanes: Vec<u64> = batch
-                .iter()
-                .map(|assignment| {
-                    // Fast path: uniform port order across the batch.
-                    match assignment.get(pi) {
-                        Some((n, v)) if n == name => *v,
-                        _ => {
-                            assignment
-                                .iter()
-                                .find(|(n, _)| n == name)
-                                .unwrap_or_else(|| panic!("oracle batch missing port `{name}`"))
-                                .1
-                        }
-                    }
-                })
-                .collect();
-            self.sim
-                .set_input_batch(name, &lanes)
-                .expect("oracle knows its ports");
-        }
-        self.sim.settle().expect("oracle settles");
+        mlrl_obs::counter_add("oracle.batch_settles", batch.len().div_ceil(LANES) as u64);
+        // One row per assignment, one column per port of the first.
+        // Assignments are matched by name, not position, so reordered
+        // batches answer correctly.
+        let names: Vec<&str> = batch[0].iter().map(|(n, _)| n.as_str()).collect();
+        let rows: Vec<Vec<u64>> = batch
+            .iter()
+            .map(|assignment| {
+                names
+                    .iter()
+                    .map(|name| match assignment.iter().find(|(n, _)| n == name) {
+                        Some((_, v)) => *v,
+                        None => panic!("oracle batch missing port `{name}`"),
+                    })
+                    .collect()
+            })
+            .collect();
+        let read = self
+            .sim
+            .drive(&names, &rows, &self.output_names, 0)
+            .expect("oracle knows its ports");
+        let outputs = self.output_names.len();
         (0..batch.len())
-            .map(|lane| {
+            .map(|row| {
+                let values = &read[row * outputs..(row + 1) * outputs];
                 self.output_names
                     .iter()
-                    .map(|p| {
-                        (
-                            p.clone(),
-                            self.sim.output_lane(p, lane).expect("oracle output"),
-                        )
-                    })
+                    .cloned()
+                    .zip(values.iter().copied())
                     .collect()
             })
             .collect()
@@ -733,6 +720,16 @@ mod tests {
         let refs: Vec<&[(String, u64)]> = reordered.iter().map(|a| a.as_slice()).collect();
         let mut shuffled = SimOracle::new(&locked, key.bits()).unwrap();
         assert_eq!(shuffled.query_batch(&refs), batch_answers);
+    }
+
+    #[test]
+    #[should_panic(expected = "oracle batch missing port `b`")]
+    fn batched_oracle_panics_on_an_assignment_missing_a_port() {
+        let locked = sample_netlist();
+        let mut oracle = SimOracle::new(&locked, &[]).unwrap();
+        let full = [("a".to_owned(), 1), ("b".to_owned(), 2)];
+        let short = [("a".to_owned(), 3)];
+        oracle.query_batch(&[&full, &short]);
     }
 
     #[test]

@@ -197,12 +197,6 @@ impl CnfBuilder {
         self.add_clause(&[s, b.inverted(), o]);
         self.add_clause(&[s, b, o.inverted()]);
     }
-
-    /// Adds clauses asserting `o <-> a` (equality of literals).
-    pub fn define_eq(&mut self, o: Lit, a: Lit) {
-        self.add_clause(&[o.inverted(), a]);
-        self.add_clause(&[o, a.inverted()]);
-    }
 }
 
 #[cfg(test)]
