@@ -556,7 +556,9 @@ fn synthesize(module: &Module, opt_level: OptLevel) -> Result<mlrl_netlist::Netl
     let mut netlist = lower_module(module)
         .map_err(|e| e.to_string())?
         .to_scan_view();
-    netlist.sweep();
+    // No second sweep: lowering already swept, and the scan view keeps the
+    // same roots (outputs plus every flip-flop's data net).
+    //
     // The optimizer is function-preserving for every key assignment, so
     // locked modules stay locked; at the default `O0` this is a no-op and
     // the lowering is byte-identical to the historical one.

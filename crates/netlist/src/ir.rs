@@ -635,10 +635,11 @@ impl Netlist {
     }
 
     /// Nets that can influence an output port or a flip-flop — the
-    /// transitive fan-in cone of all observation points.
-    pub fn observable_cone(&self) -> std::collections::HashSet<NetId> {
+    /// transitive fan-in cone of all observation points — as a dense
+    /// net-indexed table: entry `n` is `true` when net `n` is in the cone.
+    pub fn observable_cone(&self) -> Vec<bool> {
         let driver = self.driver_index();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; self.net_count as usize];
         let mut stack: Vec<NetId> = Vec::new();
         for p in &self.outputs {
             stack.extend(p.bits.iter().copied());
@@ -647,7 +648,7 @@ impl Netlist {
             stack.push(f.d);
         }
         while let Some(net) = stack.pop() {
-            if !seen.insert(net) {
+            if std::mem::replace(&mut seen[net.index()], true) {
                 continue;
             }
             let gi = driver[net.index()];
@@ -665,7 +666,7 @@ impl Netlist {
     pub fn sweep(&mut self) -> usize {
         let cone = self.observable_cone();
         let before = self.gates.len();
-        self.gates.retain(|g| cone.contains(&g.output));
+        self.gates.retain(|g| cone[g.output.index()]);
         before - self.gates.len()
     }
 
@@ -940,9 +941,32 @@ mod tests {
         n.set_dff_data(q, d).unwrap();
         n.add_output_port("y", vec![q]);
         let cone = n.observable_cone();
-        assert!(cone.contains(&d));
-        assert!(cone.contains(&a));
-        assert!(cone.contains(&q));
+        assert!(cone[d.index()]);
+        assert!(cone[a.index()]);
+        assert!(cone[q.index()]);
+    }
+
+    #[test]
+    fn sweep_removes_dead_cones_but_keeps_dff_feeders() {
+        let mut n = Netlist::new("t");
+        let a = n.add_input_port("a", 1)[0];
+        let b = n.add_input_port("b", 1)[0];
+        let live = n.add_gate(GateKind::And, vec![a, b]);
+        // Dead two-gate cone: the NOT feeds only the OR, which feeds
+        // nothing.
+        let d1 = n.add_gate(GateKind::Not, vec![a]);
+        let _d2 = n.add_gate(GateKind::Or, vec![d1, b]);
+        // A gate feeding only a flip-flop is live.
+        let fed = n.add_gate(GateKind::Xor, vec![a, b]);
+        let q = n.add_dff();
+        n.set_dff_data(q, fed).unwrap();
+        n.add_output_port("y", vec![live]);
+
+        assert_eq!(n.sweep(), 2);
+        assert!(n.validate().is_ok());
+        assert_eq!(n.gates().len(), 2);
+        assert!(n.gates().iter().any(|g| g.output == live));
+        assert!(n.gates().iter().any(|g| g.output == fed));
     }
 
     #[test]

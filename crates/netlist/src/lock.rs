@@ -84,7 +84,7 @@ fn lockable_wires(netlist: &Netlist) -> Vec<NetId> {
         .gates()
         .iter()
         .map(|g| g.output)
-        .filter(|n| cone.contains(n))
+        .filter(|n| cone[n.index()])
         .collect()
 }
 
@@ -210,7 +210,7 @@ pub fn mux_lock(netlist: &mut Netlist, key_len: usize, seed: u64) -> Result<Gate
         key.push(bit);
     }
     netlist.validate()?;
-    Ok(GateKey::from(key.bits().to_vec()))
+    Ok(key)
 }
 
 /// Applies the selected scheme.

@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 
-use crate::ir::{GateInputs, GateKind, NetId, Netlist, NO_DRIVER};
+use crate::ir::{GateInputs, GateKind, NetId, Netlist};
 
 use super::{retain_live, topo_gate_order, Replacer};
 
@@ -153,46 +153,13 @@ fn reduce_support(mut cut: Cut) -> Cut {
     cut
 }
 
-/// Applies `kind`'s boolean function to operand tables (all already over
-/// one shared leaf order).
-fn apply_kind(kind: GateKind, t: &[u64]) -> u64 {
-    use GateKind::*;
-    match kind {
-        Buf => t[0],
-        Not => !t[0],
-        And => t[0] & t[1],
-        Or => t[0] | t[1],
-        Nand => !(t[0] & t[1]),
-        Nor => !(t[0] | t[1]),
-        Xor => t[0] ^ t[1],
-        Xnor => !(t[0] ^ t[1]),
-        Mux => (t[0] & t[1]) | (!t[0] & t[2]),
-    }
-}
-
 /// Runs one cut-sweeping pass. Returns the number of changes (gates
 /// forwarded to an equivalent net plus in-place resyntheses).
 pub(super) fn run(netlist: &mut Netlist) -> usize {
+    // A true topological order ([`super::optimize`] runs the passes on
+    // acyclic netlists only), so forwarding a gate to an earlier-interned
+    // net can never close a cycle.
     let order = topo_gate_order(netlist);
-    // Forwarding a gate to an earlier-interned net is sound (can never
-    // introduce a structural cycle) only when the order is a *true*
-    // topological order. Lowered netlists are DAGs so this always holds;
-    // on hostile cyclic input the DFS order is degraded, so bail out.
-    {
-        let driver = netlist.driver_index();
-        let mut pos = vec![u32::MAX; netlist.gates.len()];
-        for (p, &gi) in order.iter().enumerate() {
-            pos[gi as usize] = p as u32;
-        }
-        for &gi in &order {
-            for &inp in netlist.gates[gi as usize].inputs.iter() {
-                let di = driver[inp.index()];
-                if di != NO_DRIVER && pos[di as usize] >= pos[gi as usize] {
-                    return 0;
-                }
-            }
-        }
-    }
     let mut cuts: Vec<Option<Cut>> = vec![None; netlist.net_count()];
     cuts[NetId::CONST0.index()] = Some(Cut::constant(false));
     cuts[NetId::CONST1.index()] = Some(Cut::constant(true));
@@ -295,7 +262,7 @@ fn merge_cuts(kind: GateKind, ins: &[NetId], cuts: &[Option<Cut>]) -> Option<Cut
     Some(Cut {
         leaves,
         len: union.len() as u8,
-        table: apply_kind(kind, &tables[..ins.len().max(1)]),
+        table: kind.eval_word(&tables),
     })
 }
 

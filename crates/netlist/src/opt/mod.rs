@@ -34,10 +34,13 @@
 //!   laws, functionally-duplicate cones, and single-cell resyntheses
 //!   (`NOT(a)·NOT(b) → NOR`, AND/OR select networks → `MUX`) all fall
 //!   out of one truth-table hash.
-//! - `dce` — dead-gate elimination over the CSR
-//!   [`FanoutIndex`](crate::ir::FanoutIndex):
-//!   worklist removal of gates with no path to an output port or
-//!   flip-flop data pin.
+//! - `dce` — dead-gate elimination: [`Netlist::sweep`], which removes
+//!   every gate with no path to an output port or flip-flop data pin.
+//!
+//! Cycle policy: [`optimize`] levelizes its input once ([`levelize`])
+//! and returns a netlist with a combinational cycle unchanged. Lowering
+//! never produces one, and every pass preserves acyclicity, so the
+//! passes themselves may assume a DAG.
 //!
 //! Telemetry: when observability is enabled ([`mlrl_obs::enabled`]) the
 //! driver wraps the whole run in a `phase.opt` span, each pass in an
@@ -48,10 +51,10 @@
 mod const_fold;
 mod cse;
 mod cut_sweep;
-mod dce;
 mod rewrite;
 
 use crate::ir::{GateKind, NetId, Netlist, NO_DRIVER};
+use crate::sim::levelize;
 
 /// Optimization effort level — the campaign axis (`opt_level = o2` in a
 /// spec file, `--opt-level o2` on the CLI).
@@ -183,7 +186,7 @@ const DCE: Pass = Pass {
     name: "dce",
     span: "opt.pass.dce",
     counter: "opt.pass.dce.removed",
-    run: dce::run,
+    run: Netlist::sweep,
 };
 
 /// Hard cap on fixed-point rounds. Every pass strictly reduces a
@@ -196,7 +199,8 @@ const MAX_ROUNDS: usize = 64;
 ///
 /// The observable function is preserved for every input, state, and key
 /// assignment; net ids of surviving logic are preserved (dead nets
-/// simply become undriven, as [`Netlist::sweep`] leaves them).
+/// simply become undriven, as [`Netlist::sweep`] leaves them). A netlist
+/// with a combinational cycle is returned unchanged.
 ///
 /// # Panics
 ///
@@ -209,12 +213,13 @@ pub fn optimize(netlist: &mut Netlist, level: OptLevel) -> OptStats {
         OptLevel::O1 => &[CONST_FOLD, REWRITE_BASIC, DCE],
         OptLevel::O2 => &[CONST_FOLD, REWRITE_FULL, CSE, CUT_SWEEP, DCE],
     };
-    if passes.is_empty() {
-        return OptStats {
-            gates_before,
-            gates_after: gates_before,
-            iterations: 0,
-        };
+    let unchanged = OptStats {
+        gates_before,
+        gates_after: gates_before,
+        iterations: 0,
+    };
+    if passes.is_empty() || levelize(netlist).is_err() {
+        return unchanged;
     }
 
     let _phase = mlrl_obs::span("phase.opt");
@@ -254,21 +259,25 @@ pub fn optimize(netlist: &mut Netlist, level: OptLevel) -> OptStats {
 // -- shared pass machinery ------------------------------------------------
 
 /// Gate indices in dependency order: a gate appears after the drivers of
-/// all its inputs. Iterative DFS over the dense driver index; a back
-/// edge (combinational cycle — never produced by the lowerer, but the
-/// passes must not hang on hostile input) is skipped, which degrades the
-/// order locally without affecting soundness.
+/// all its inputs. Iterative DFS over the dense driver index, visiting
+/// roots in gate order and operands left to right; [`optimize`] only runs
+/// the passes on acyclic netlists.
+///
+/// This is the passes' visit order, not [`levelize`]'s: CSE and
+/// `cut_sweep` keep the first representative they visit, so O1/O2 output
+/// depends on this order, while `levelize`'s order (operands visited
+/// right to left) fixes the SAT encoder's clause stream. Merging the two
+/// would move either the optimized netlists or the solver's search path.
 fn topo_gate_order(netlist: &Netlist) -> Vec<u32> {
     let driver = netlist.driver_index();
-    // 0 = unvisited, 1 = on stack, 2 = emitted.
-    let mut state = vec![0u8; netlist.gates.len()];
+    let mut seen = vec![false; netlist.gates.len()];
     let mut order = Vec::with_capacity(netlist.gates.len());
     let mut stack: Vec<(u32, u8)> = Vec::new();
     for root in 0..netlist.gates.len() as u32 {
-        if state[root as usize] != 0 {
+        if seen[root as usize] {
             continue;
         }
-        state[root as usize] = 1;
+        seen[root as usize] = true;
         stack.push((root, 0));
         while let Some((gi, cursor)) = stack.last_mut() {
             let g = &netlist.gates[*gi as usize];
@@ -276,12 +285,11 @@ fn topo_gate_order(netlist: &Netlist) -> Vec<u32> {
                 let inp = g.inputs[*cursor as usize];
                 *cursor += 1;
                 let di = driver[inp.index()];
-                if di != NO_DRIVER && state[di as usize] == 0 {
-                    state[di as usize] = 1;
+                if di != NO_DRIVER && !seen[di as usize] {
+                    seen[di as usize] = true;
                     stack.push((di, 0));
                 }
             } else {
-                state[*gi as usize] = 2;
                 order.push(*gi);
                 stack.pop();
             }
@@ -462,6 +470,27 @@ mod tests {
         let y = n.port("y").unwrap().bits[0];
         let z = n.port("z").unwrap().bits[0];
         assert_eq!(y, z);
+    }
+
+    #[test]
+    fn a_combinational_cycle_is_returned_unchanged() {
+        // Two ANDs feeding each other, next to a dead inverter and a
+        // buffer that every level above O0 would otherwise remove.
+        let mut n = Netlist::new("t");
+        let a = n.add_input_port("a", 1)[0];
+        let x = n.add_net();
+        let y = n.add_net();
+        n.add_gate_to(GateKind::And, vec![a, y], x);
+        n.add_gate_to(GateKind::And, vec![a, x], y);
+        let _dead = n.add_gate(GateKind::Not, [a]);
+        let buf = n.add_gate(GateKind::Buf, [y]);
+        n.add_output_port("y", vec![buf]);
+        for level in [OptLevel::O1, OptLevel::O2] {
+            let mut optimized = n.clone();
+            let stats = optimize(&mut optimized, level);
+            assert_eq!(optimized, n, "{level}");
+            assert_eq!((stats.removed(), stats.iterations), (0, 0), "{level}");
+        }
     }
 
     #[test]

@@ -410,14 +410,16 @@ impl<'n, const W: usize> NetlistSimulator<'n, W> {
         Ok(read)
     }
 
-    /// Order-independent digest of every output-port value in lane 0,
-    /// comparable with the RTL simulator's `outputs_digest` when ports
-    /// match.
+    /// Digest of every output-port value in lane 0, comparable with the
+    /// RTL simulator's `outputs_digest` when the two port lists match in
+    /// order and value.
     pub fn outputs_digest(&self) -> Result<u64> {
         self.outputs_digest_lane(0)
     }
 
-    /// Order-independent digest of every output-port value in one lane.
+    /// Digest of every output-port value in one lane: an FNV-style fold
+    /// (xor the port value, multiply by the FNV prime) over the output
+    /// ports in port order, so swapping two ports' values changes it.
     ///
     /// # Errors
     ///

@@ -3,12 +3,17 @@
 //! The RTL crate reports operation-level cost (`mlrl_rtl::stats`); this
 //! module reports the corresponding *post-synthesis* cost: gate counts by
 //! cell type, logic depth, and the area/depth overhead a locking pass added.
+//! Logic depth is one pass over the simulator's levelized gate order
+//! ([`levelize`]), so it is defined only for acyclic netlists: on a
+//! combinational cycle [`logic_depth`] and [`NetlistStats::of`] return
+//! the same error the simulator does.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::ir::{GateKind, NetId, Netlist};
+use crate::error::Result;
+use crate::ir::{GateKind, Netlist};
+use crate::sim::levelize;
 
 /// A snapshot of netlist size and shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,6 +35,11 @@ pub struct NetlistStats {
 impl NetlistStats {
     /// Measures a netlist.
     ///
+    /// # Errors
+    ///
+    /// Returns [`CombinationalCycle`](crate::NetlistError::CombinationalCycle)
+    /// if the gates form a cycle (the logic depth is undefined).
+    ///
     /// # Examples
     ///
     /// ```
@@ -42,23 +52,24 @@ impl NetlistStats {
     /// let c = b.input_lane("b", 4);
     /// let s = b.add(a, c);
     /// b.output_from_lane("y", s, 4);
-    /// let stats = NetlistStats::of(&b.finish());
+    /// let stats = NetlistStats::of(&b.finish())?;
     /// assert!(stats.total_gates > 0);
     /// assert!(stats.depth >= 4); // ripple carry through 4 bits
+    /// # Ok::<(), mlrl_netlist::error::NetlistError>(())
     /// ```
-    pub fn of(netlist: &Netlist) -> Self {
+    pub fn of(netlist: &Netlist) -> Result<Self> {
         let mut gates_by_kind = BTreeMap::new();
         for g in netlist.gates() {
             *gates_by_kind.entry(g.kind).or_insert(0) += 1;
         }
-        Self {
+        Ok(Self {
             total_gates: netlist.gates().len(),
             nets: netlist.net_count(),
             dffs: netlist.dffs().len(),
             key_bits: netlist.key_width(),
-            depth: logic_depth(netlist),
+            depth: logic_depth(netlist)?,
             gates_by_kind,
-        }
+        })
     }
 
     /// Overhead of `self` (a locked netlist) relative to `baseline`.
@@ -116,64 +127,29 @@ impl GateOverhead {
 }
 
 /// Longest combinational path in gates (flip-flop outputs and primary
-/// inputs are depth 0).
-pub fn logic_depth(netlist: &Netlist) -> usize {
-    let driver = netlist.driver_index();
-    let mut depth: HashMap<NetId, usize> = HashMap::new();
-
-    fn net_depth(
-        net: NetId,
-        netlist: &Netlist,
-        driver: &[u32],
-        depth: &mut HashMap<NetId, usize>,
-    ) -> usize {
-        if let Some(&d) = depth.get(&net) {
-            return d;
-        }
-        // Iterative DFS to avoid recursion depth on long ripple chains.
-        let mut stack = vec![(net, false)];
-        while let Some((n, ready)) = stack.pop() {
-            if depth.contains_key(&n) {
-                continue;
-            }
-            let gi = driver[n.index()];
-            if gi == crate::ir::NO_DRIVER {
-                depth.insert(n, 0);
-                continue;
-            }
-            let gi = gi as usize;
-            if ready {
-                let d = netlist.gates()[gi]
-                    .inputs
-                    .iter()
-                    .map(|i| depth.get(i).copied().unwrap_or(0))
-                    .max()
-                    .unwrap_or(0)
-                    + 1;
-                depth.insert(n, d);
-            } else {
-                stack.push((n, true));
-                for &i in &netlist.gates()[gi].inputs {
-                    if !depth.contains_key(&i) {
-                        stack.push((i, false));
-                    }
-                }
-            }
-        }
-        depth[&net]
-    }
-
+/// inputs are depth 0): one pass over the levelized gate order.
+///
+/// # Errors
+///
+/// Returns [`CombinationalCycle`](crate::NetlistError::CombinationalCycle)
+/// if the gates form a cycle.
+pub fn logic_depth(netlist: &Netlist) -> Result<usize> {
+    let mut depth = vec![0usize; netlist.net_count()];
     let mut max = 0;
-    for g in netlist.gates() {
-        max = max.max(net_depth(g.output, netlist, &driver, &mut depth));
+    for gi in levelize(netlist)? {
+        let g = &netlist.gates()[gi];
+        let d = g.inputs.iter().map(|i| depth[i.index()]).max().unwrap_or(0) + 1;
+        depth[g.output.index()] = d;
+        max = max.max(d);
     }
-    max
+    Ok(max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::NetlistBuilder;
+    use crate::error::NetlistError;
     use crate::lock::xor_xnor_lock;
 
     fn sample() -> Netlist {
@@ -188,7 +164,7 @@ mod tests {
     #[test]
     fn stats_count_gates_and_depth() {
         let n = sample();
-        let s = NetlistStats::of(&n);
+        let s = NetlistStats::of(&n).unwrap();
         assert_eq!(s.total_gates, n.gates().len());
         assert!(s.depth >= 8, "ripple carry through 8 bits, got {}", s.depth);
         assert_eq!(s.dffs, 0);
@@ -200,10 +176,10 @@ mod tests {
     #[test]
     fn locking_overhead_is_one_gate_per_key_bit() {
         let base = sample();
-        let base_stats = NetlistStats::of(&base);
+        let base_stats = NetlistStats::of(&base).unwrap();
         let mut locked = base.clone();
         xor_xnor_lock(&mut locked, 5, 1).unwrap();
-        let locked_stats = NetlistStats::of(&locked);
+        let locked_stats = NetlistStats::of(&locked).unwrap();
         let ov = locked_stats.overhead_vs(&base_stats);
         assert_eq!(ov.extra_gates, 5);
         assert_eq!(ov.key_bits, 5);
@@ -220,14 +196,34 @@ mod tests {
         let m = b.mul(a, c);
         b.output_from_lane("y", m, 64);
         let n = b.finish();
-        let s = NetlistStats::of(&n);
+        let s = NetlistStats::of(&n).unwrap();
         assert!(s.depth > 64);
         assert!(s.total_gates > 1000);
     }
 
     #[test]
+    fn depth_is_an_error_on_a_combinational_cycle() {
+        // Two ANDs feeding each other.
+        let mut n = Netlist::new("t");
+        let a = n.add_input_port("a", 1)[0];
+        let x = n.add_net();
+        let y = n.add_net();
+        n.add_gate_to(GateKind::And, vec![a, y], x);
+        n.add_gate_to(GateKind::And, vec![a, x], y);
+        n.add_output_port("y", vec![y]);
+        assert!(matches!(
+            logic_depth(&n),
+            Err(NetlistError::CombinationalCycle(_))
+        ));
+        assert!(matches!(
+            NetlistStats::of(&n),
+            Err(NetlistError::CombinationalCycle(_))
+        ));
+    }
+
+    #[test]
     fn display_is_nonempty() {
-        let s = NetlistStats::of(&sample());
+        let s = NetlistStats::of(&sample()).unwrap();
         let text = s.to_string();
         assert!(text.contains("gates"));
         assert!(text.contains("depth"));

@@ -299,14 +299,7 @@ impl Drop for SpanGuard {
 
 /// Open a span named `name`; the returned guard closes it on drop.
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard(None);
-    }
-    SpanGuard(Some(SpanInner {
-        stat: name,
-        label: name.to_owned(),
-        start: Instant::now(),
-    }))
+    span_with(name, || name.to_owned())
 }
 
 /// Open a span whose statistics aggregate under `stat` while the trace
@@ -329,17 +322,12 @@ pub fn span_with(stat: &'static str, label: impl FnOnce() -> String) -> SpanGuar
 /// supervisor to synthesize worker-process spans from protocol
 /// timestamps it observed.
 pub fn record_complete(name: impl Into<String>, lane: u64, start: Instant, dur: Duration) {
-    if !enabled() {
-        return;
+    // Checked first: converting `start` while disabled would fix the
+    // telemetry epoch before `enable` does.
+    if enabled() {
+        let ts_us = micros_since_epoch(start);
+        record_span_at(name, lane, ts_us, dur.as_micros() as u64);
     }
-    let ev = TraceEvent {
-        name: name.into(),
-        ph: "X",
-        ts_us: micros_since_epoch(start),
-        dur_us: dur.as_micros() as u64,
-        tid: lane,
-    };
-    with_state(|s| push_event(s, ev));
 }
 
 /// Record an instant event (a zero-width marker) on an explicit lane.

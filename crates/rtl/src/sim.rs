@@ -177,8 +177,11 @@ impl<'m, const V: usize> BatchSimulator<'m, V> {
         Ok(self.state[self.slot(name)? as usize][lane])
     }
 
-    /// Order-independent digest of every output-port value in one lane — a
-    /// cheap probe for functional equivalence and key-corruption checks.
+    /// Digest of every output-port value in one lane — a cheap probe for
+    /// functional equivalence and key-corruption checks. An FNV-style fold
+    /// (xor the port value, multiply by the FNV prime) over the output
+    /// ports in declaration order, so swapping two ports' values changes
+    /// it.
     ///
     /// # Errors
     ///

@@ -29,10 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. "Synthesis": bit-blast both views to gates.
     let base_netlist = lower_module(&original)?;
-    let mut locked_netlist = lower_module(&locked)?;
-    locked_netlist.sweep();
-    let base_stats = NetlistStats::of(&base_netlist);
-    let locked_stats = NetlistStats::of(&locked_netlist);
+    let locked_netlist = lower_module(&locked)?;
+    let base_stats = NetlistStats::of(&base_netlist)?;
+    let locked_stats = NetlistStats::of(&locked_netlist)?;
     println!("\nunlocked netlist: {base_stats}");
     println!("locked netlist:   {locked_stats}");
     let overhead = locked_stats.overhead_vs(&base_stats);

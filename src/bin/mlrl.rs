@@ -289,13 +289,9 @@ const SYNTH: Command = Command(&["mlrl synth <design.v> [-o netlist.v]"]);
 
 fn cmd_synth(args: &Parsed) -> Result<(), String> {
     let module = load_module(args.required(0)?)?;
-    let mut netlist = lower_module(&module).map_err(|e| e.to_string())?;
-    let removed = netlist.sweep();
-    let stats = NetlistStats::of(&netlist);
-    eprintln!(
-        "synthesized `{}`: {stats}({removed} dead gates swept)",
-        netlist.name()
-    );
+    let netlist = lower_module(&module).map_err(|e| e.to_string())?;
+    let stats = NetlistStats::of(&netlist).map_err(|e| e.to_string())?;
+    eprintln!("synthesized `{}`: {stats}", netlist.name());
     let text = emit_structural_verilog(&netlist).map_err(|e| e.to_string())?;
     if let Some(out) = write_output(args, &text)? {
         println!("wrote {out}");
@@ -311,7 +307,6 @@ const GATELOCK: Command = Command(&[
 fn cmd_gatelock(args: &Parsed) -> Result<(), String> {
     let module = load_module(args.required(0)?)?;
     let mut netlist = lower_module(&module).map_err(|e| e.to_string())?;
-    netlist.sweep();
     let bits = args.num("--bits", 32usize)?;
     let seed = args.num("--seed", 7u64)?;
     let scheme = match args.value("--scheme").unwrap_or("xor") {
@@ -346,10 +341,9 @@ fn cmd_sat_attack(args: &Parsed) -> Result<(), String> {
         args.value("--key")
             .ok_or("missing --key <file> (the oracle's key)")?,
     )?;
-    let mut netlist = lower_module(&locked)
+    let netlist = lower_module(&locked)
         .map_err(|e| e.to_string())?
         .to_scan_view();
-    netlist.sweep();
     eprintln!(
         "attacking `{}`: {} gates, {} key bits (scan view)",
         netlist.name(),

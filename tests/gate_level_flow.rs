@@ -121,7 +121,7 @@ fn synthesis_cost_scales_with_key_bits() {
     let base = {
         let mut n = lower_module(&original).expect("lowers");
         n.sweep();
-        NetlistStats::of(&n)
+        NetlistStats::of(&n).expect("acyclic")
     };
     let mut prev_gates = base.total_gates;
     for budget in [8usize, 16, 32] {
@@ -129,7 +129,7 @@ fn synthesis_cost_scales_with_key_bits() {
         lock_operations(&mut locked, &AssureConfig::serial(budget, 1)).expect("locks");
         let mut n = lower_module(&locked).expect("lowers");
         n.sweep();
-        let stats = NetlistStats::of(&n);
+        let stats = NetlistStats::of(&n).expect("acyclic");
         assert!(
             stats.total_gates > prev_gates,
             "budget {budget}: {} gates not above {prev_gates}",
